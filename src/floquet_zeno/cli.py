@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .errors import ConfigError, NumericalError
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, default_sideband, from_mapping, parse_config
 from .specfun import bessel_j_zero
-
-THREADS_ENV = "FLOQUET_ZENO_THREADS"
 
 DEFAULTS = {
     "omega": 2.0,
@@ -98,8 +95,8 @@ def _sideband(args, params: SystemParams) -> int:
 
 
 def _time_grid(args) -> np.ndarray:
-    if not args.t_max > 0.0:
-        raise ConfigError(f"--t-max must be > 0, got {args.t_max!r}")
+    if not 0.0 < args.t_max < math.inf:
+        raise ConfigError(f"--t-max must be finite and > 0, got {args.t_max!r}")
     if args.t_steps < 1:
         raise ConfigError(f"--t-steps must be >= 1, got {args.t_steps!r}")
     t_min = args.t_min if args.t_min is not None else args.t_max / args.t_steps
@@ -164,6 +161,8 @@ def _cmd_classify(args) -> list[str]:
 def _sweep_values(args) -> np.ndarray:
     if args.count < 2:
         raise ConfigError(f"--count must be >= 2, got {args.count}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ConfigError(f"--start and --stop must be finite, got {args.start!r} and {args.stop!r}")
     if args.start == args.stop:
         raise ConfigError("--start and --stop must differ")
     values = np.linspace(args.start, args.stop, args.count)
@@ -172,25 +171,11 @@ def _sweep_values(args) -> np.ndarray:
     return values
 
 
-def _worker_count(n_points: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_points))
-
-
 def _cmd_sweep(args) -> list[str]:
     values = _sweep_values(args)
     quantity_col = {"rate": "R", "golden-rate": "golden_rate", "regime": "regime"}[args.quantity]
-    if args.quantity != "golden-rate" and not args.t > 0.0:
-        raise ConfigError(f"--t must be > 0, got {args.t!r}")
+    if args.quantity != "golden-rate" and not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be finite and > 0, got {args.t!r}")
 
     def evaluate(value) -> tuple[str, str]:
         try:
@@ -205,8 +190,7 @@ def _cmd_sweep(args) -> list[str]:
         except (ConfigError, NumericalError) as exc:
             return "", type(exc).__name__
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-        results = list(pool.map(evaluate, values))
+    results = [evaluate(v) for v in values]
     lines = [f"{args.param},{quantity_col},error"]
     lines.extend(f"{_fmt(v)},{cell},{err}" for v, (cell, err) in zip(values, results))
     return lines
@@ -223,7 +207,7 @@ def _cmd_reproduce_fig3(args) -> list[str]:
     nu = args.nu
     if nu <= 2.0:
         print("warning: nu <= 2 xi leaves the single-sideband picture", file=sys.stderr)
-    times = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)
+    times = _time_grid(args)
     chi_root = bessel_j_zero(0, 1)
     cases = [
         ("fig3_blue.csv", 1.0, 1.0),
@@ -299,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=10.0)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("sweep", help="scan one parameter, evaluated concurrently")
+    p = sub.add_parser("sweep", help="scan one parameter")
     _add_param_flags(p)
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--start", type=float, required=True)
@@ -315,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=6.0, help="drive frequency realizing chi (any nu > 2 xi)")
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--t-steps", type=int, default=200)
-    p.set_defaults(handler=_cmd_reproduce_fig3)
+    p.set_defaults(handler=_cmd_reproduce_fig3, t_min=None)
 
     return parser
 

@@ -1,8 +1,10 @@
 """Finite-time decay of the driven emitter, to second order in g.
 
 The survival amplitude after time t involves the reservoir correlation
-function g_n(tau) filtered by a triangular time window; equivalently,
-the decay rate R(t) is the overlap of a modulation spectrum f_n(omega),
+function g_n(tau) filtered by a triangular time window; on the lattice
+that window integral is elementary mode by mode, so C_e(t) is a
+closed-form O(N) sum (see survival_amplitude). Equivalently, the decay
+rate R(t) is the overlap of a modulation spectrum f_n(omega),
 a Fejer kernel of width 1/t centered at omega_f = delta + n nu, with
 the reservoir response g_n(omega). Two exact routes to the same R(t)
 are implemented (momentum sum / sinc^2 form, and the frequency-domain
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bath import MomentumGrid, SpectralDensity, memory_function, spectral_density
+from .bath import MomentumGrid, SpectralDensity, spectral_density
 from .errors import QuadratureFailure
 from .params import SystemParams
-from .specfun import bessel_j
+from .specfun import bessel_j, sinc
 
 ZENO = "Zeno"
 ANTI_ZENO = "AntiZeno"
@@ -76,6 +78,18 @@ def _sinc_sq(x: np.ndarray) -> np.ndarray:
     xl = x[~small]
     s = np.sin(xl) / xl
     out[~small] = s * s
+    return out
+
+
+def _ramp_sine(x: np.ndarray) -> np.ndarray:
+    # (x - sin x) / x^2 with a series branch where x - sin x cancels.
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.1
+    xs = x[small]
+    x2 = xs * xs
+    out[small] = xs * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
+    xl = x[~small]
+    out[~small] = (xl - np.sin(xl)) / (xl * xl)
     return out
 
 
@@ -134,11 +148,7 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     half_t = t / 2.0
 
     def integrand(k: float) -> float:
-        x = (omega_f - two_xi * math.cos(k)) * half_t
-        if abs(x) < 1e-4:
-            v = 1.0 - x * x / 6.0
-            return v * v
-        s = math.sin(x) / x
+        s = sinc((omega_f - two_xi * math.cos(k)) * half_t)
         return s * s
 
     points = [math.acos(omega_f / two_xi)] if abs(omega_f) < two_xi else None
@@ -164,11 +174,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     half_t = t / 2.0
 
     def kernel(omega: float) -> float:
-        x = (omega - omega_f) * half_t
-        if abs(x) < 1e-4:
-            v = 1.0 - x * x / 6.0
-            return v * v
-        s = math.sin(x) / x
+        s = sinc((omega - omega_f) * half_t)
         return s * s
 
     # 2 pi int f_n g_n domega with f_n = (t / 2 pi) sinc^2(...) and
@@ -184,24 +190,21 @@ def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: floa
     """C_e(t) to second order in g, with the free emitter phase restored.
 
     C_e(t) = exp(i omega t / 2) [1 - t int_0^t (1 - tau/t) g_n(tau)
-    exp(-i (delta + n nu) tau) dtau].
+    exp(-i (delta + n nu) tau) dtau]. With a_k = 2 xi cos k - delta - n nu
+    and x = a_k t, each mode's window integral is elementary,
+    int_0^t (1 - tau/t) exp(i a_k tau) dtau = t [sinc^2(x/2) / 2 + i (x - sin x) / x^2],
+    so C_e(t) = exp(i omega t / 2) [1 - (t^2 g^2 / N) J_n(chi)^2
+    sum_k (sinc^2(x/2) / 2 + i (x - sin x) / x^2)].
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return 1.0 + 0.0j
-    omega_f = params.delta + n * params.drive_freq
-
-    def integrand(tau: float) -> complex:
-        return (1.0 - tau / t) * memory_function(grid, params, n, tau) * complex(
-            math.cos(omega_f * tau), -math.sin(omega_f * tau)
-        )
-
-    limit = max(200, int(20.0 * t))
-    real = _quad_checked(lambda tau: integrand(tau).real, 0.0, t, limit=limit, epsabs=1e-12)
-    imag = _quad_checked(lambda tau: integrand(tau).imag, 0.0, t, limit=limit, epsabs=1e-12)
+    jn = bessel_j(n, params.chi)
+    x = (2.0 * params.xi * np.cos(grid.momenta) - params.delta - n * params.drive_freq) * t
+    window = complex(0.5 * _sinc_sq(0.5 * x).sum(), _ramp_sine(x).sum())
     phase = complex(math.cos(0.5 * params.omega * t), math.sin(0.5 * params.omega * t))
-    return phase * (1.0 - t * complex(real, imag))
+    return phase * (1.0 - t * t * params.g**2 / grid.n_cavities * jn * jn * window)
 
 
 def survival_probability(
@@ -225,26 +228,19 @@ def survival_probability(
     raise ValueError(f"unknown method {method!r}")
 
 
-def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) -> complex:
+def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) -> float:
     """f_n(omega) = (t / 2 pi) sinc^2((omega - omega_f) t / 2).
 
     Fourier transform of the Hermitian extension of the triangular
     window (1 - tau/t) exp(-i omega_f tau) on 0 <= tau <= t; the
-    extension makes the transform real (a Fejer kernel of width 1/t
-    centered at omega_f = delta + n nu), returned as complex per the
-    interface.
+    extension makes the transform real: a Fejer kernel of width 1/t
+    centered at omega_f = delta + n nu.
     """
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t!r}")
     omega_f = params.delta + n * params.drive_freq
-    x = (omega - omega_f) * t / 2.0
-    if abs(x) < 1e-4:
-        v = 1.0 - x * x / 6.0 + x**4 / 120.0
-        s2 = v * v
-    else:
-        s = math.sin(x) / x
-        s2 = s * s
-    return complex(t / (2.0 * math.pi) * s2)
+    s = sinc((omega - omega_f) * t / 2.0)
+    return t / (2.0 * math.pi) * (s * s)
 
 
 def classify_regime(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> RegimeReport:

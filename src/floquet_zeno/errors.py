@@ -32,6 +32,13 @@ class Negative(ValidationError):
         super().__init__(f"{field} must be >= 0, got {value!r}")
 
 
+class NonFinite(ValidationError):
+    def __init__(self, field: str, value):
+        self.field = field
+        self.value = value
+        super().__init__(f"{field} must be finite, got {value!r}")
+
+
 class ZeroCavities(ValidationError):
     def __init__(self, value):
         self.value = value

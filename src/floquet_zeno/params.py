@@ -13,7 +13,7 @@ chi = A / nu, drive period T = 2 pi / nu.
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, Negative, NonPositive, ZeroCavities
+from .errors import ConfigError, Negative, NonFinite, NonPositive, ZeroCavities
 
 CONFIG_KEYS = ("omega", "omega_c", "xi", "g", "n_cavities", "drive_amp", "drive_freq")
 
@@ -47,6 +47,10 @@ def validate(params: SystemParams) -> SystemParams:
     Idempotent by construction: derived fields are properties of the
     frozen dataclass, so there is nothing to populate twice.
     """
+    for key in CONFIG_KEYS:
+        value = getattr(params, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFinite(key, value)
     if not params.xi > 0.0:
         raise NonPositive("xi", params.xi)
     if not params.drive_freq > 0.0:

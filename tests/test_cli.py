@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_zeno.cli import THREADS_ENV, run
+from floquet_zeno.cli import run
 
 J0_ROOT = 2.4048255576957733
 
@@ -39,21 +39,26 @@ def test_decay_rate_suppressed_curve(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    argv = ["decay-rate", "--delta", "1", "--chi", "1", "--t-steps", "50", "--t-max", "10"]
-    first = run_to_file(argv, tmp_path / "a.csv")
-    second = run_to_file(argv, tmp_path / "b.csv")
-    assert first == second
-    assert b"\r" not in first
-    assert first.endswith(b"\n")
+    for argv in (
+        ["decay-rate", "--delta", "1", "--chi", "1", "--t-steps", "50", "--t-max", "10"],
+        ["sweep", "--param", "chi", "--start", "0", "--stop", "2", "--count", "9", "--quantity", "rate", "--t", "5", "--delta", "1"],
+    ):
+        first = run_to_file(argv, tmp_path / "a.csv")
+        second = run_to_file(argv, tmp_path / "b.csv")
+        assert first == second
+        assert b"\r" not in first
+        assert first.endswith(b"\n")
 
 
 def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # The sweep runs serially; a leftover FLOQUET_ZENO_THREADS setting from
+    # the former thread pool is ignored and leaves the output unchanged.
     argv = ["sweep", "--param", "chi", "--start", "0", "--stop", "2", "--count", "9", "--quantity", "rate", "--t", "5", "--delta", "1"]
-    monkeypatch.setenv(THREADS_ENV, "1")
-    serial = run_to_file(argv, tmp_path / "s1.csv")
-    monkeypatch.setenv(THREADS_ENV, "3")
-    threaded = run_to_file(argv, tmp_path / "s3.csv")
-    assert serial == threaded
+    monkeypatch.delenv("FLOQUET_ZENO_THREADS", raising=False)
+    serial = run_to_file(argv, tmp_path / "s.csv")
+    for value in ("1", "3", "many"):
+        monkeypatch.setenv("FLOQUET_ZENO_THREADS", value)
+        assert run_to_file(argv, tmp_path / f"s{value}.csv") == serial
 
 
 def test_spectral_density_band_center(capsys):
@@ -125,14 +130,6 @@ def test_sweep_argument_validation():
     assert run(base + ["--start", "0", "--stop", "1", "--count", "1"]) == 2
 
 
-def test_bad_thread_env_exits_2(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "many")
-    argv = ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "2", "--quantity", "rate", "--t", "1"]
-    assert run(argv) == 2
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert run(argv) == 2
-
-
 def test_classify_row(capsys):
     assert run(["classify", "--delta", "3", "--chi", "1", "--t", "10"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -192,15 +189,34 @@ def test_reproduce_fig3(tmp_path, capsys):
     assert max(curves["fig3_green.csv"]) <= 1e-10
 
 
-def test_time_grid_validation():
+def test_time_grid_validation(tmp_path):
     assert run(["decay-rate", "--t-max", "0"]) == 2
     assert run(["decay-rate", "--t-steps", "0"]) == 2
     assert run(["decay-rate", "--t-min", "30", "--t-max", "20"]) == 2
+    assert run(["reproduce-fig3", "--t-steps", "0", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_invalid_physical_parameters_exit_2():
     assert run(["decay-rate", "--xi", "-1"]) == 2
     assert run(["decay-rate", "--n-cavities", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--g", "nan"],
+        ["decay-rate", "--omega", "inf"],
+        ["decay-rate", "--drive-amp", "nan"],
+        ["sweep", "--param", "g", "--start", "nan", "--stop", "1", "--count", "3"],
+        ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "3", "--t", "inf"],
+        ["survival", "--t-max", "inf"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_exits_2():

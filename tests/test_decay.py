@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from floquet_zeno.bath import build_grid, response_spectrum
+from floquet_zeno.bath import build_grid, memory_function, response_spectrum
 from floquet_zeno.decay import (
     ANTI_ZENO,
     DECOUPLED,
@@ -162,6 +162,42 @@ def test_amplitude_quadratic_onset():
     jn = bessel_j(0, 1.0)
     drop = 1.0 - abs(survival_amplitude(p, grid, 0, t)) ** 2
     assert abs(drop - p.g**2 * jn * jn * t * t) <= 1e-9
+
+
+def _amplitude_by_quadrature(p, grid, n, t):
+    # The window integral done numerically over the memory function,
+    # independent of the closed form in survival_amplitude.
+    omega_f = p.delta + n * p.drive_freq
+
+    def integrand(tau):
+        return (1.0 - tau / t) * memory_function(grid, p, n, tau) * complex(
+            math.cos(omega_f * tau), -math.sin(omega_f * tau)
+        )
+
+    limit = max(200, int(20.0 * t))
+    real, _ = quad(lambda tau: integrand(tau).real, 0.0, t, limit=limit, epsabs=1e-12)
+    imag, _ = quad(lambda tau: integrand(tau).imag, 0.0, t, limit=limit, epsabs=1e-12)
+    phase = complex(math.cos(0.5 * p.omega * t), math.sin(0.5 * p.omega * t))
+    return phase * (1.0 - t * complex(real, imag))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        fig3(1.0, 1.0),
+        fig3(3.0, 1.0),
+        # omega_f = 0 with N = 4 puts the k = pi/2 mode at a_k ~ 1e-16;
+        # one cavity at delta = 2 xi puts its only mode at a_k = 0 exactly.
+        make(n_cavities=4, omega_c=2.0, drive_amp=0.0),
+        make(n_cavities=1, omega_c=4.0, drive_amp=0.0),
+    ],
+    ids=["zeno", "anti-zeno", "mode-near-omega-f", "mode-at-omega-f"],
+)
+def test_amplitude_closed_form_matches_quadrature(p):
+    grid = build_grid(p)
+    for t in (1e-6, 0.01, 0.3, 1.0, 5.0, 10.0):
+        exact = _amplitude_by_quadrature(p, grid, 0, t)
+        assert abs(survival_amplitude(p, grid, 0, t) - exact) <= 1e-12
 
 
 def test_survival_probability_conventions():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from floquet_zeno.errors import ConfigError, Negative, NonPositive, ZeroCavities
+from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, ZeroCavities
 from floquet_zeno.params import (
     SystemParams,
     default_sideband,
@@ -52,6 +52,14 @@ def test_negative_fields():
         validate(make(g=-0.1))
     with pytest.raises(Negative):
         validate(make(drive_amp=-2.0))
+
+
+def test_non_finite_fields():
+    with pytest.raises(NonFinite) as exc:
+        validate(make(omega=math.inf))
+    assert exc.value.field == "omega"
+    with pytest.raises(NonFinite):
+        validate(make(g=math.nan))
 
 
 def test_zero_cavities():
