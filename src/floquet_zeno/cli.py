@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decay, oracle
 from .bath import SpectralDensity, build_grid, spectral_density
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NonFiniteResult, NumericalError
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, default_sideband, from_mapping, parse_config
 from .specfun import bessel_j_zero
@@ -38,6 +38,11 @@ DEFAULTS = {
 
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
+# Python float arithmetic raises OverflowError (x ** 2) or
+# ZeroDivisionError (1 / underflowed x) where numpy would return inf;
+# either way the point cannot be computed.
+NUMERICAL_FAILURES = (NumericalError, ArithmeticError)
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -45,6 +50,8 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"non-finite result {value!r}")
     if value == 0.0:
         value = 0.0  # normalize -0.0
     return f"{value:.12g}"
@@ -105,6 +112,14 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(t_min, args.t_max, args.t_steps)
 
 
+def _observation_time(t: float) -> float:
+    # classify reports delta_f = 1 / t, so a t too small for 1 / t to be
+    # finite is refused along with a non-finite one.
+    if not 0.0 < t < math.inf or 1.0 / t == math.inf:
+        raise ConfigError(f"--t must be finite and > 0 with a finite 1/t, got {t!r}")
+    return t
+
+
 def _cmd_decay_rate(args) -> list[str]:
     params = _resolve_params(args)
     grid = build_grid(params)
@@ -130,6 +145,8 @@ def _cmd_survival(args) -> list[str]:
 
 
 def _cmd_spectral_density(args) -> list[str]:
+    if not math.isfinite(args.omega_eval):
+        raise ConfigError(f"--omega must be finite, got {args.omega_eval!r}")
     params = _resolve_params(args)
     rho = spectral_density(SpectralDensity(params.xi), args.omega_eval)
     return ["omega,rho", _row(args.omega_eval, rho)]
@@ -151,7 +168,7 @@ def _cmd_classify(args) -> list[str]:
     params = _resolve_params(args)
     grid = build_grid(params)
     n = _sideband(args, params)
-    report = decay.classify_regime(params, grid, n, args.t)
+    report = decay.classify_regime(params, grid, n, _observation_time(args.t))
     return [
         "regime,delta_f,omega_f,delta_g,omega_g",
         _row(report.regime, report.delta_f, report.omega_f, report.delta_g, report.omega_g),
@@ -174,8 +191,8 @@ def _sweep_values(args) -> np.ndarray:
 def _cmd_sweep(args) -> list[str]:
     values = _sweep_values(args)
     quantity_col = {"rate": "R", "golden-rate": "golden_rate", "regime": "regime"}[args.quantity]
-    if args.quantity != "golden-rate" and not 0.0 < args.t < math.inf:
-        raise ConfigError(f"--t must be finite and > 0, got {args.t!r}")
+    if args.quantity != "golden-rate":
+        _observation_time(args.t)
 
     def evaluate(value) -> tuple[str, str]:
         try:
@@ -187,7 +204,7 @@ def _cmd_sweep(args) -> list[str]:
             if args.quantity == "golden-rate":
                 return _fmt(decay.decay_rate_longtime(params, grid, n).rate), ""
             return decay.classify_regime(params, grid, n, args.t).regime, ""
-        except (ConfigError, NumericalError) as exc:
+        except (ConfigError, *NUMERICAL_FAILURES) as exc:
             return "", type(exc).__name__
 
     results = [evaluate(v) for v in values]
@@ -315,7 +332,7 @@ def run(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if lines:

@@ -19,11 +19,11 @@ chi = A/nu at a root of J_n switches the coupling off entirely.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bath import MomentumGrid, SpectralDensity, spectral_density
 from .errors import QuadratureFailure
@@ -93,8 +93,20 @@ def _ramp_sine(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def __getattr__(name: str):
+    # scipy.integrate takes about half a second to import and only the two
+    # quadrature routes below use it, so `quad` is bound on first access.
+    if name == "quad":
+        from scipy.integrate import quad
+
+        globals()["quad"] = quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _quad_checked(func, a: float, b: float, **kwargs) -> float:
-    result = quad(func, a, b, full_output=1, **kwargs)
+    # Looked up on the module at each call, so a replaced `decay.quad` is used.
+    result = sys.modules[__name__].quad(func, a, b, full_output=1, **kwargs)
     value, _abserr, _info = result[0], result[1], result[2]
     if len(result) > 3:
         raise QuadratureFailure(result[3].strip())
@@ -103,8 +115,8 @@ def _quad_checked(func, a: float, b: float, **kwargs) -> float:
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2)."""
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     jn = bessel_j(n, params.chi)
     arg = (params.delta - 2.0 * params.xi * np.cos(grid.momenta) + n * params.drive_freq) * t / 2.0
     total = _sinc_sq(arg).sum()
@@ -141,8 +153,8 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     (the integrand is even about pi), with a breakpoint at the resonant
     momentum when omega_f lies inside the band.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -167,8 +179,8 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     quadrature as an algebraic endpoint weight, which keeps this route
     independent of the momentum-space one.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -236,8 +248,8 @@ def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) ->
     extension makes the transform real: a Fejer kernel of width 1/t
     centered at omega_f = delta + n nu.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     omega_f = params.delta + n * params.drive_freq
     s = sinc((omega - omega_f) * t / 2.0)
     return t / (2.0 * math.pi) * (s * s)
@@ -258,8 +270,8 @@ def classify_regime(params: SystemParams, grid: MomentumGrid, n: int, t: float) 
     signature uniformity with the rate functions.
     """
     del grid
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     jn = bessel_j(n, params.chi)
     delta_f = 1.0 / t
     omega_f = params.delta + n * params.drive_freq

@@ -49,6 +49,10 @@ class NumericalError(FloquetZenoError):
     """A numerical routine failed or was asked for an unsupported point."""
 
 
+class NonFiniteResult(NumericalError):
+    """A computed value overflowed to infinity or NaN."""
+
+
 class OrderTooLarge(NumericalError):
     """Bessel order outside the implementation ceiling."""
 

@@ -95,7 +95,6 @@ def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -
             c = couplings[m - mp]
             h[rows, col] = c
             h[col, rows] = c
-    assert np.abs(h - h.conj().T).max() <= 1e-15
     return FloquetMatrix(truncation=m_max, n_cavities=n, entries=h)
 
 

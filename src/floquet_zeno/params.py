@@ -13,7 +13,7 @@ chi = A / nu, drive period T = 2 pi / nu.
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, Negative, NonFinite, NonPositive, ZeroCavities
+from .errors import ConfigError, Negative, NonFinite, NonPositive, OrderTooLarge, ZeroCavities
 
 CONFIG_KEYS = ("omega", "omega_c", "xi", "g", "n_cavities", "drive_amp", "drive_freq")
 
@@ -68,10 +68,14 @@ def default_sideband(params: SystemParams) -> int:
     """The integer n minimizing |delta + n nu|.
 
     Ties prefer smaller |n|, then negative n. The winner satisfies
-    delta + n nu in [-nu/2, nu/2] up to the tie boundary.
+    delta + n nu in [-nu/2, nu/2] up to the tie boundary. A ratio
+    -delta / nu that overflows names no order: OrderTooLarge.
     """
     nu = params.drive_freq
-    guess = round(-params.delta / nu)
+    ratio = -params.delta / nu
+    if not math.isfinite(ratio):
+        raise OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
+    guess = round(ratio)
     candidates = range(guess - 2, guess + 3)
     return min(candidates, key=lambda n: (abs(params.delta + n * nu), abs(n), n))
 

@@ -210,6 +210,11 @@ def test_invalid_physical_parameters_exit_2():
         ["sweep", "--param", "g", "--start", "nan", "--stop", "1", "--count", "3"],
         ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "3", "--t", "inf"],
         ["survival", "--t-max", "inf"],
+        ["classify", "--t", "inf"],
+        ["classify", "--t", "1e-320"],
+        ["spectral-density", "--omega", "nan"],
+        ["spectral-density", "--omega", "inf"],
+        ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "3", "--quantity", "regime", "--t", "1e-320"],
     ],
 )
 def test_non_finite_input_exits_2(argv, capsys):
@@ -217,6 +222,29 @@ def test_non_finite_input_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--drive-freq", "1e-313"],  # -delta / nu overflows: no finite sideband
+        ["decay-rate", "--t-max", "1e308", "--t-steps", "2"],  # the sinc^2 argument overflows
+        ["decay-rate", "--g", "1.4e154"],  # g ** 2 raises OverflowError
+        ["spectral-density", "--xi", "1e-239", "--omega", "0"],  # 4 xi^2 underflows to 0
+    ],
+)
+def test_overflowing_input_exits_3(argv, capsys):
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_sweep_reports_overflow_per_point(tmp_path):
+    argv = ["sweep", "--param", "g", "--start", "0.25", "--stop", "1.4e154", "--count", "2", "--quantity", "rate"]
+    table = rows(run_to_file(argv, tmp_path / "overflow.csv"))
+    assert float(table[1][1]) > 0.0 and table[1][2] == ""
+    assert table[2][1:] == ["", "OverflowError"]
 
 
 def test_no_subcommand_exits_2():

@@ -75,8 +75,17 @@ def test_rate_descends_in_anti_zeno_regime():
 
 def test_rate_requires_positive_time():
     p = make()
-    with pytest.raises(ValueError):
-        decay_rate_finite(p, build_grid(p), 0, 0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            decay_rate_finite(p, build_grid(p), 0, t)
+        with pytest.raises(ValueError):
+            classify_regime(p, build_grid(p), 0, t)
+        with pytest.raises(ValueError):
+            decay_rate_continuum(p, 0, t)
+        with pytest.raises(ValueError):
+            decay_rate_overlap(p, 0, t)
+        with pytest.raises(ValueError):
+            modulation_spectrum(p, 0, t, 0.0)
 
 
 def test_longtime_band_center():

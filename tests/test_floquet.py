@@ -91,9 +91,13 @@ def test_coupling_entry_carries_bessel_factor():
 
 
 def test_hermiticity():
-    p = make(n_cavities=5)
-    h = build_floquet_matrix(p, build_grid(p), 4).entries
-    assert np.abs(h - h.conj().T).max() <= 1e-15
+    # Exact, not approximate: every coupling entry is written to both
+    # triangles from the same real value. Odd and even N, and chi at a
+    # J_0 root, where the q = 0 coupling is zero to rounding.
+    for n_cavities, chi in ((5, 1.0), (4, 1.0), (6, J0_ROOT)):
+        p = make(n_cavities=n_cavities, drive_amp=chi * 6.0)
+        h = build_floquet_matrix(p, build_grid(p), 4).entries
+        assert np.array_equal(h, h.conj().T)
 
 
 def test_truncation_too_small():
