@@ -40,8 +40,9 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Python float arithmetic raises OverflowError (x ** 2) or
 # ZeroDivisionError (1 / underflowed x) where numpy would return inf;
-# either way the point cannot be computed.
-NUMERICAL_FAILURES = (NumericalError, ArithmeticError)
+# either way the point cannot be computed. Argument checks raise InvalidArgument,
+# a ConfigError, so any other ValueError comes from inside a computation.
+NUMERICAL_FAILURES = (NumericalError, ArithmeticError, ValueError)
 
 
 def _fmt(value) -> str:
@@ -71,27 +72,32 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chi", type=float, default=None, help="sets drive_amp = chi * drive_freq")
 
 
-def _resolve_params(args, overrides: dict | None = None) -> SystemParams:
+def _param_fields(args) -> dict:
+    # Defaults, then the --config file, then the flags; --delta and --chi stay
+    # separate until _resolve_params, so a swept value can be laid over any field.
     fields = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
-                fields.update(parse_config(fh.read()))
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    for key in CONFIG_KEYS:
+        fields.update(parse_config(text))
+    for key in SWEEPABLE:
         value = getattr(args, key, None)
         if value is not None:
             fields[key] = value
-    if overrides:
-        fields.update(overrides)
-    delta = overrides.get("delta") if overrides and "delta" in overrides else getattr(args, "delta", None)
+    return fields
+
+
+def _resolve_params(fields: dict) -> SystemParams:
+    fields = dict(fields)
+    delta = fields.pop("delta", None)
     if delta is not None:
         fields["omega_c"] = fields["omega"] + delta
-    chi = overrides.get("chi") if overrides and "chi" in overrides else getattr(args, "chi", None)
+    chi = fields.pop("chi", None)
     if chi is not None:
         fields["drive_amp"] = chi * fields["drive_freq"]
-    fields = {k: v for k, v in fields.items() if k in CONFIG_KEYS}
     return from_mapping(fields)
 
 
@@ -121,7 +127,7 @@ def _observation_time(t: float) -> float:
 
 
 def _cmd_decay_rate(args) -> list[str]:
-    params = _resolve_params(args)
+    params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     n = _sideband(args, params)
     curve = decay.decay_curve(params, grid, n, _time_grid(args))
@@ -131,7 +137,7 @@ def _cmd_decay_rate(args) -> list[str]:
 
 
 def _cmd_survival(args) -> list[str]:
-    params = _resolve_params(args)
+    params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     times = _time_grid(args)
     if args.method == "oracle":
@@ -147,13 +153,13 @@ def _cmd_survival(args) -> list[str]:
 def _cmd_spectral_density(args) -> list[str]:
     if not math.isfinite(args.omega_eval):
         raise ConfigError(f"--omega must be finite, got {args.omega_eval!r}")
-    params = _resolve_params(args)
+    params = _resolve_params(_param_fields(args))
     rho = spectral_density(SpectralDensity(params.xi), args.omega_eval)
     return ["omega,rho", _row(args.omega_eval, rho)]
 
 
 def _cmd_floquet_spectrum(args) -> list[str]:
-    params = _resolve_params(args)
+    params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     m_max = args.truncation if args.truncation is not None else default_truncation(params)
     fm = build_floquet_matrix(params, grid, m_max)
@@ -165,10 +171,9 @@ def _cmd_floquet_spectrum(args) -> list[str]:
 
 
 def _cmd_classify(args) -> list[str]:
-    params = _resolve_params(args)
-    grid = build_grid(params)
+    params = _resolve_params(_param_fields(args))
     n = _sideband(args, params)
-    report = decay.classify_regime(params, grid, n, _observation_time(args.t))
+    report = decay.classify_regime(params, n, _observation_time(args.t))
     return [
         "regime,delta_f,omega_f,delta_g,omega_g",
         _row(report.regime, report.delta_f, report.omega_f, report.delta_g, report.omega_g),
@@ -193,17 +198,18 @@ def _cmd_sweep(args) -> list[str]:
     quantity_col = {"rate": "R", "golden-rate": "golden_rate", "regime": "regime"}[args.quantity]
     if args.quantity != "golden-rate":
         _observation_time(args.t)
+    fields = _param_fields(args)
 
     def evaluate(value) -> tuple[str, str]:
         try:
-            params = _resolve_params(args, overrides={args.param: value})
-            grid = build_grid(params)
+            params = _resolve_params({**fields, args.param: value})
             n = _sideband(args, params)
+            if args.quantity == "regime":
+                return decay.classify_regime(params, n, args.t).regime, ""
+            grid = build_grid(params)
             if args.quantity == "rate":
                 return _fmt(decay.decay_rate_finite(params, grid, n, args.t)), ""
-            if args.quantity == "golden-rate":
-                return _fmt(decay.decay_rate_longtime(params, grid, n).rate), ""
-            return decay.classify_regime(params, grid, n, args.t).regime, ""
+            return _fmt(decay.decay_rate_longtime(params, grid, n).rate), ""
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             return "", type(exc).__name__
 
@@ -328,20 +334,23 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        lines = args.handler(args)
-    except (ConfigError, ValueError) as exc:
+        # numpy's overflow warnings would only repeat _fmt's NonFiniteResult (exit 3).
+        with np.errstate(all="ignore"):
+            lines = args.handler(args)
+        if lines:
+            text = "\n".join(lines) + "\n"
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+    except (ConfigError, OSError) as exc:
+        # OSError: an --out or --out-dir that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_FAILURES as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if lines:
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     return 0
 
 

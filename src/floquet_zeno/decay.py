@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid, SpectralDensity, spectral_density
-from .errors import QuadratureFailure
-from .params import SystemParams
+from .errors import InvalidArgument, QuadratureFailure
+from .params import SystemParams, check_time, check_times
 from .specfun import bessel_j, sinc
 
 ZENO = "Zeno"
@@ -115,8 +115,7 @@ def _quad_checked(func, a: float, b: float, **kwargs) -> float:
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2)."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    check_time(t)
     jn = bessel_j(n, params.chi)
     arg = (params.delta - 2.0 * params.xi * np.cos(grid.momenta) + n * params.drive_freq) * t / 2.0
     total = _sinc_sq(arg).sum()
@@ -153,8 +152,7 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     (the integrand is even about pi), with a breakpoint at the resonant
     momentum when omega_f lies inside the band.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    check_time(t)
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -179,8 +177,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     quadrature as an algebraic endpoint weight, which keeps this route
     independent of the momentum-space one.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    check_time(t)
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -208,9 +205,7 @@ def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: floa
     so C_e(t) = exp(i omega t / 2) [1 - (t^2 g^2 / N) J_n(chi)^2
     sum_k (sinc^2(x/2) / 2 + i (x - sin x) / x^2)].
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
+    if check_time(t, positive=False) == 0.0:
         return 1.0 + 0.0j
     jn = bessel_j(n, params.chi)
     x = (2.0 * params.xi * np.cos(grid.momenta) - params.delta - n * params.drive_freq) * t
@@ -223,9 +218,7 @@ def survival_probability(
     params: SystemParams, grid: MomentumGrid, n: int, t: float, method: str = "perturbative"
 ) -> float:
     """P_e(t), either |C_e(t)|^2 or exp(-R(t) t)."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
+    if check_time(t, positive=False) == 0.0:
         return 1.0
     if method == "perturbative":
         p = abs(survival_amplitude(params, grid, n, t)) ** 2
@@ -237,7 +230,7 @@ def survival_probability(
         return float(min(max(p, 0.0), 1.0))
     if method == "exponential":
         return math.exp(-decay_rate_finite(params, grid, n, t) * t)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) -> float:
@@ -248,14 +241,13 @@ def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) ->
     extension makes the transform real: a Fejer kernel of width 1/t
     centered at omega_f = delta + n nu.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    check_time(t)
     omega_f = params.delta + n * params.drive_freq
     s = sinc((omega - omega_f) * t / 2.0)
     return t / (2.0 * math.pi) * (s * s)
 
 
-def classify_regime(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> RegimeReport:
+def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
     """Width/center comparison of the two spectra at observation time t.
 
     Decoupled: |J_n(chi)| below DECOUPLING_THRESHOLD.
@@ -265,13 +257,8 @@ def classify_regime(params: SystemParams, grid: MomentumGrid, n: int, t: float) 
     center lies outside the band, delta_f <= |omega_f - omega_g| /
     SEPARATION and |omega_f| > 2 xi.
     Anything else: Indeterminate.
-
-    The report depends on the band through xi only; grid is accepted for
-    signature uniformity with the rate functions.
     """
-    del grid
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    check_time(t)
     jn = bessel_j(n, params.chi)
     delta_f = 1.0 / t
     omega_f = params.delta + n * params.drive_freq
@@ -290,21 +277,8 @@ def classify_regime(params: SystemParams, grid: MomentumGrid, n: int, t: float) 
     )
 
 
-def _check_times(times: np.ndarray, positive: bool) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    if positive and times[0] <= 0.0:
-        raise ValueError("times must be > 0")
-    if not positive and times[0] < 0.0:
-        raise ValueError("times must be >= 0")
-    return times
-
-
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:
-    times = _check_times(times, positive=True)
+    times = check_times(times)
     rates = np.array([decay_rate_finite(params, grid, n, t) for t in times])
     return DecayCurve(times=times, rates=rates, params=params, sideband=n)
 
@@ -312,6 +286,6 @@ def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> Deca
 def survival_curve(
     params: SystemParams, grid: MomentumGrid, n: int, times, method: str = "perturbative"
 ) -> SurvivalCurve:
-    times = _check_times(times, positive=False)
+    times = check_times(times, positive=False)
     probs = np.array([survival_probability(params, grid, n, t, method) for t in times])
     return SurvivalCurve(times=times, probabilities=probs, method=method)

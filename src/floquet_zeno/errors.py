@@ -2,7 +2,8 @@
 
 Two branches matter to callers: ConfigError (bad user input, CLI exit
 code 2) and NumericalError (a computation could not be completed at the
-requested point or tolerance, CLI exit code 3).
+requested point or tolerance, CLI exit code 3). An argument outside a
+function's domain raises InvalidArgument, both a ConfigError and a ValueError.
 """
 
 
@@ -12,6 +13,10 @@ class FloquetZenoError(Exception):
 
 class ConfigError(FloquetZenoError):
     """Invalid configuration, CLI arguments, or sweep specification."""
+
+
+class InvalidArgument(ConfigError, ValueError):
+    """A function argument lies outside the function's domain."""
 
 
 class ValidationError(ConfigError):

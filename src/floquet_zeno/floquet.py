@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid
-from .errors import EigenFailure, SingularResolvent, TruncationTooSmall
-from .params import SystemParams, default_sideband
+from .errors import EigenFailure, InvalidArgument, SingularResolvent, TruncationTooSmall
+from .params import SystemParams, check_time, default_sideband
 from .specfun import bessel_j
 
 # System index of the excited-emitter state; photon mode j is 1 + j.
@@ -147,10 +147,10 @@ def green_coefficient(
     the m = 0 block.
     """
     if not energy.imag > 0.0:
-        raise ValueError(f"resolvent energy needs Im E > 0, got {energy!r}")
+        raise InvalidArgument(f"resolvent energy needs Im E > 0, got {energy!r}")
     alpha, m0 = alpha0
     if m0 != 0:
-        raise ValueError(f"source state must have m = 0, got m = {m0}")
+        raise InvalidArgument(f"source state must have m = 0, got m = {m0}")
     rhs = np.zeros(fm.dim, dtype=complex)
     rhs[fm.index(alpha, m0)] = 1.0
     shifted = np.asarray(energy * np.eye(fm.dim) - fm.entries)
@@ -170,8 +170,7 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     Propagates |alpha, m=0> with exp(-i H_F t) and sums the squared
     amplitude of beta over every Fourier block.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    check_time(t, positive=False)
     spectrum = quasi_energies(fm)
     u = spectrum.eigenvectors
     src = fm.index(alpha, 0)

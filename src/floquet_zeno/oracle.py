@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid
-from .errors import NormDrift, StepLimitExceeded
-from .params import SystemParams
+from .errors import InvalidArgument, NormDrift, StepLimitExceeded
+from .params import SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
 
@@ -39,7 +39,6 @@ class OneQuantumState:
 @dataclass(frozen=True)
 class IntegratorConfig:
     # Defaults hold the norm drift under 1e-9 out to t = 100/xi.
-    method: str = "rk45"
     rtol: float = 1e-11
     atol: float = 1e-13
     max_steps: int = 1_000_000
@@ -80,10 +79,8 @@ def _integrate(params, grid, y0, t0, t1, cfg, sample_times=None):
     # Returns (y(t1), [|c_e|^2 at sample_times]); sample_times must be
     # increasing and lie in (t0, t1]. Backward runs (t1 < t0) are allowed
     # and used by the time-reversal checks; no sampling there.
-    if cfg.method != "rk45":
-        raise ValueError(f"unknown integrator method {cfg.method!r}")
     if not (cfg.rtol > 0.0 and cfg.atol > 0.0):
-        raise ValueError("integrator tolerances must be > 0")
+        raise InvalidArgument("integrator tolerances must be > 0")
     if t1 == t0:
         return y0.copy(), []
     # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
@@ -132,13 +129,7 @@ def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times, cfg: I
     """
     from .decay import SurvivalCurve
 
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    if times[0] < 0.0:
-        raise ValueError("times must be >= 0")
+    times = check_times(times, positive=False)
     state = excited_state(grid)
     y0 = np.concatenate(([state.c_e], state.c_k)).astype(complex)
     sample = times[times > 0.0]

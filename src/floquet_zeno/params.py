@@ -13,7 +13,9 @@ chi = A / nu, drive period T = 2 pi / nu.
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, Negative, NonFinite, NonPositive, OrderTooLarge, ZeroCavities
+import numpy as np
+
+from .errors import ConfigError, InvalidArgument, Negative, NonFinite, NonPositive, OrderTooLarge, ZeroCavities
 
 CONFIG_KEYS = ("omega", "omega_c", "xi", "g", "n_cavities", "drive_amp", "drive_freq")
 
@@ -78,6 +80,25 @@ def default_sideband(params: SystemParams) -> int:
     guess = round(ratio)
     candidates = range(guess - 2, guess + 3)
     return min(candidates, key=lambda n: (abs(params.delta + n * nu), abs(n), n))
+
+
+def check_time(t: float, positive: bool = True) -> float:
+    """Return t if it is finite and > 0 (>= 0 if not positive), else raise InvalidArgument."""
+    if not (math.isfinite(t) and (t > 0.0 if positive else t >= 0.0)):
+        raise InvalidArgument(f"t must be finite and {'>' if positive else '>='} 0, got {t!r}")
+    return t
+
+
+def check_times(times, positive: bool = True) -> np.ndarray:
+    """Return times as a float array if non-empty, 1-d, strictly increasing and each entry passes check_time."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise InvalidArgument("times must be a non-empty 1-d sequence")
+    if not (np.diff(times) > 0.0).all():  # a NaN entry fails this too
+        raise InvalidArgument("times must be strictly increasing")
+    check_time(float(times[0]), positive)  # increasing, so the ends bound every entry
+    check_time(float(times[-1]), positive)
+    return times
 
 
 def parse_config(text: str) -> dict:

@@ -21,7 +21,7 @@ of the largest series term near the |x| = 12 crossover).
 
 import math
 
-from .errors import ArgumentOutOfRange, OrderTooLarge
+from .errors import ArgumentOutOfRange, InvalidArgument, NumericalError, OrderTooLarge
 
 MAX_ORDER = 1024
 MAX_ARGUMENT = 1.0e6
@@ -120,8 +120,8 @@ def bessel_j_zero(n: int, k: int) -> float:
     n = int(n)
     if n < 0 or n > MAX_ORDER:
         raise OrderTooLarge(f"root order must be in [0, {MAX_ORDER}], got {n}")
-    if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k}")
+    if not (k >= 1 and k % 1 == 0):
+        raise InvalidArgument(f"root index must be an integer >= 1, got {k}")
     step = 0.1
     x_prev = 0.05
     f_prev = bessel_j(n, x_prev)
@@ -144,7 +144,7 @@ def bessel_j_zero(n: int, k: int) -> float:
             if found == k:
                 return _bisect(n, x_prev, x, f_prev)
         x_prev, f_prev = x, f
-    raise ValueError(f"root {k} of J_{n} not found below {limit:g}")  # pragma: no cover
+    raise NumericalError(f"root {k} of J_{n} not found below {limit:g}")  # pragma: no cover
 
 
 def _bisect(n: int, lo: float, hi: float, f_lo: float) -> float:

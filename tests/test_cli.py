@@ -95,6 +95,50 @@ def test_missing_config_file_exits_2(tmp_path):
     assert run(["decay-rate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("bogus = 1\n", encoding="utf-8")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    a_file = tmp_path / "plain"
+    a_file.write_text("", encoding="utf-8")
+    sweep = ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "3"]
+    for argv in (
+        sweep + ["--config", str(tmp_path / "absent.cfg")],
+        sweep + ["--config", str(bad)],
+        ["classify", "--config", str(binary)],
+        ["--out", str(tmp_path / "missing" / "x.csv"), "classify"],
+        ["reproduce-fig3", "--out-dir", str(a_file), "--t-steps", "2"],
+    ):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_reads_config_once_and_reports_swept_errors(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("g = 0.1\n", encoding="utf-8")
+    argv = ["sweep", "--config", str(cfg), "--param", "n_cavities", "--start", "0", "--stop", "2", "--count", "3"]
+    table = rows(run_to_file(argv, tmp_path / "n.csv"))
+    assert table[1] == ["0", "", "ZeroCavities"]
+    flags = ["sweep", "--g", "0.1", "--param", "n_cavities", "--start", "1", "--stop", "2", "--count", "2"]
+    assert table[2:] == rows(run_to_file(flags, tmp_path / "flags.csv"))[1:]
+
+
+def test_bare_value_error_exits_3(monkeypatch, capsys):
+    # Package argument checks raise InvalidArgument (exit 2); any other
+    # ValueError comes from inside a computation.
+    def handler(args):
+        raise ValueError("array is too big")
+
+    monkeypatch.setattr("floquet_zeno.cli._cmd_classify", handler)
+    assert run(["classify"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: ValueError: array is too big\n"
+
+
 def test_sweep_golden_rate_over_chi(tmp_path):
     argv = [
         "sweep", "--param", "chi", "--start", "0", "--stop", str(2.0 * J0_ROOT),
@@ -193,6 +237,7 @@ def test_time_grid_validation(tmp_path):
     assert run(["decay-rate", "--t-max", "0"]) == 2
     assert run(["decay-rate", "--t-steps", "0"]) == 2
     assert run(["decay-rate", "--t-min", "30", "--t-max", "20"]) == 2
+    assert run(["decay-rate", "--t-min", "5", "--t-max", "5", "--t-steps", "3"]) == 2
     assert run(["reproduce-fig3", "--t-steps", "0", "--out-dir", str(tmp_path)]) == 2
 
 
@@ -237,7 +282,8 @@ def test_overflowing_input_exits_3(argv, capsys):
     assert run(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "Traceback" not in err
+    # One line: no numpy RuntimeWarning ahead of it.
+    assert err.startswith("numerical error: ") and err.count("\n") == 1, err
 
 
 def test_sweep_reports_overflow_per_point(tmp_path):

@@ -24,7 +24,8 @@ from floquet_zeno.decay import (
     survival_curve,
     survival_probability,
 )
-from floquet_zeno.errors import BandEdgeSingularity
+from floquet_zeno.errors import BandEdgeSingularity, ConfigError, InvalidArgument
+from floquet_zeno.floquet import averaged_transition_probability, reduced_hamiltonian
 from floquet_zeno.params import SystemParams, validate
 from floquet_zeno.specfun import bessel_j
 
@@ -74,18 +75,32 @@ def test_rate_descends_in_anti_zeno_regime():
 
 
 def test_rate_requires_positive_time():
+    # A library caller catching ValueError and the CLI catching ConfigError
+    # (exit 2) both see a bad time.
+    assert issubclass(InvalidArgument, ConfigError) and issubclass(InvalidArgument, ValueError)
     p = make()
+    grid = build_grid(p)
     for t in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            decay_rate_finite(p, build_grid(p), 0, t)
-        with pytest.raises(ValueError):
-            classify_regime(p, build_grid(p), 0, t)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
+            decay_rate_finite(p, grid, 0, t)
+        with pytest.raises(InvalidArgument):
+            classify_regime(p, 0, t)
+        with pytest.raises(InvalidArgument):
             decay_rate_continuum(p, 0, t)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             decay_rate_overlap(p, 0, t)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             modulation_spectrum(p, 0, t, 0.0)
+    # t = 0 is allowed where the function has a value there.
+    fm = reduced_hamiltonian(p, grid, 0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            survival_amplitude(p, grid, 0, t)
+        for method in ("perturbative", "exponential"):
+            with pytest.raises(InvalidArgument):
+                survival_probability(p, grid, 0, t, method)
+        with pytest.raises(InvalidArgument):
+            averaged_transition_probability(fm, 0, 0, t)
 
 
 def test_longtime_band_center():
@@ -258,13 +273,13 @@ def test_modulation_overlap_reconstructs_rate():
 
 def test_classifier_decoupled_at_root():
     p = fig3(3.0, J0_ROOT)
-    report = classify_regime(p, build_grid(p), 0, 10.0)
+    report = classify_regime(p, 0, 10.0)
     assert report.regime == DECOUPLED
 
 
 def test_classifier_anti_zeno():
     p = fig3(3.0, 1.0)
-    report = classify_regime(p, build_grid(p), 0, 10.0)
+    report = classify_regime(p, 0, 10.0)
     assert report.regime == ANTI_ZENO
     assert report.omega_f == pytest.approx(3.0)
     assert report.delta_f == pytest.approx(0.1)
@@ -274,13 +289,13 @@ def test_classifier_rounded_decoupling_point_is_not_decoupled():
     # chi = 2.4 leaves |J_0| ~ 2.5e-3, far above the decoupling threshold;
     # the center sits outside the band, so the verdict is AntiZeno.
     p = fig3(3.0, 2.4)
-    report = classify_regime(p, build_grid(p), 0, 10.0)
+    report = classify_regime(p, 0, 10.0)
     assert report.regime == ANTI_ZENO
 
 
 def test_classifier_zeno_at_short_time():
     p = fig3(1.0, 1.0)
-    report = classify_regime(p, build_grid(p), 0, 0.05)
+    report = classify_regime(p, 0, 0.05)
     assert report.regime == ZENO
     assert report.delta_g == pytest.approx(math.sqrt(2.0) * 0.25 * abs(bessel_j(0, 1.0)), rel=1e-12)
     assert report.omega_g == 0.0
@@ -288,7 +303,7 @@ def test_classifier_zeno_at_short_time():
 
 def test_classifier_indeterminate_between_limits():
     p = fig3(1.0, 1.0)
-    assert classify_regime(p, build_grid(p), 0, 10.0).regime == INDETERMINATE
+    assert classify_regime(p, 0, 10.0).regime == INDETERMINATE
 
 
 def test_decay_curve_fields_and_invariants():
@@ -311,6 +326,11 @@ def test_decay_curve_rejects_bad_time_grids():
         decay_curve(p, grid, 0, [0.0, 1.0])
     with pytest.raises(ValueError):
         decay_curve(p, grid, 0, [])
+    for times in ([1.0, math.nan, 2.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(InvalidArgument):
+            decay_curve(p, grid, 0, times)
+        with pytest.raises(InvalidArgument):
+            survival_curve(p, grid, 0, [0.0] + times)
 
 
 def test_survival_curve_methods():

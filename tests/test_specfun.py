@@ -11,7 +11,7 @@ import math
 import pytest
 import scipy.special
 
-from floquet_zeno.errors import ArgumentOutOfRange, OrderTooLarge
+from floquet_zeno.errors import ArgumentOutOfRange, InvalidArgument, OrderTooLarge
 from floquet_zeno.specfun import bessel_j, bessel_j_zero, sinc
 
 # 30-term ascending series, summed independently of the package.
@@ -119,8 +119,10 @@ def test_argument_ceiling():
 
 
 def test_root_index_must_be_positive():
-    with pytest.raises(ValueError):
-        bessel_j_zero(0, 0)
+    # A non-integral or non-finite k names no root (k = inf never ends the scan).
+    for k in (0, -1, 1.5, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            bessel_j_zero(0, k)
 
 
 def test_sinc():
