@@ -68,7 +68,8 @@ def spectral_density(sd: SpectralDensity, omega: float) -> float:
         )
     if abs(omega) > half_width:
         return 0.0
-    return 1.0 / (math.pi * math.sqrt(half_width * half_width - omega * omega))
+    # Two roots, not sqrt(4 xi^2 - omega^2): the square underflows for tiny xi.
+    return 1.0 / (math.pi * math.sqrt(half_width - abs(omega)) * math.sqrt(half_width + abs(omega)))
 
 
 def response_spectrum(params: SystemParams, n: int, omega: float) -> float:

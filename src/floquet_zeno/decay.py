@@ -218,6 +218,8 @@ def survival_probability(
     params: SystemParams, grid: MomentumGrid, n: int, t: float, method: str = "perturbative"
 ) -> float:
     """P_e(t), either |C_e(t)|^2 or exp(-R(t) t)."""
+    if method not in ("perturbative", "exponential"):
+        raise InvalidArgument(f"unknown method {method!r}")
     if check_time(t, positive=False) == 0.0:
         return 1.0
     if method == "perturbative":
@@ -228,9 +230,7 @@ def survival_probability(
                 stacklevel=2,
             )
         return float(min(max(p, 0.0), 1.0))
-    if method == "exponential":
-        return math.exp(-decay_rate_finite(params, grid, n, t) * t)
-    raise InvalidArgument(f"unknown method {method!r}")
+    return math.exp(-decay_rate_finite(params, grid, n, t) * t)
 
 
 def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) -> float:

@@ -9,14 +9,32 @@ the drive term is already diagonal, so the block-diagonal part carries
     E_m(k)  = eps_k - omega/2 + m nu
 
 and the emitter-field coupling between Fourier blocks m' (emitter) and
-m (field) is g J_{m - m'}(chi) / sqrt(N). Quasi-energies repeat in
-ladders spaced by nu; eigenvalues whose vectors touch the outermost
-|m| = M blocks are truncation artifacts, which edge_weights quantifies.
+m (field) is C[m, m'] = g J_{m - m'}(chi) / sqrt(N), the same for every
+mode k. Quasi-energies repeat in ladders spaced by nu; eigenvalues whose
+vectors touch the outermost |m| = M blocks are truncation artifacts,
+which edge_weights quantifies.
+
+The matrix is real, and apart from the emitter rows and columns it is
+diagonal, so it is kept as those three pieces (FloquetMatrix) and never
+assembled for computation:
+
+- Bright/dark split. Modes j and N - j are degenerate on the ring and
+  couple to the emitter with the same amplitude, so in every block the
+  dark combination (|j> - |N-j>)/sqrt(2) is an exact eigenvector with
+  quasi-energy eps_j - omega/2 + m nu. Only the real symmetric bright
+  block (emitter, j = 0, (|j> + |N-j>)/sqrt(2) with coupling sqrt(2) C,
+  and j = N/2 for even N) is diagonalized: (2M+1)(floor(N/2) + 2) rows
+  instead of (2M+1)(N+1).
+- Schur-complement resolvent. Eliminating the diagonal photon part
+  leaves a (2M+1)-dimensional emitter system
+  [diag(E - E_e) - C^T diag(sum_k 1/(E - E_m(k))) C] x_e = b_e + ...;
+  the photon amplitudes follow from x_e in closed form.
 
 The near-resonant reduction keeps the emitter at m = 0 and the field at
 a single sideband n, giving an (N+1)-dimensional static matrix whose
 coupling g J_n(chi) / sqrt(N) vanishes at the roots of J_n: the
-dynamical decoupling points.
+dynamical decoupling points. It is the one-block case of the same
+structure.
 """
 
 import math
@@ -35,12 +53,24 @@ TLS = 0
 # Default imaginary offset for resolvent evaluation, in units of xi.
 RESOLVENT_ETA = 1e-8
 
+RESIDUAL_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class FloquetMatrix:
+    """Real symmetric extended-space matrix, held by its structure.
+
+    Block s (Fourier index m = s - truncation) has the emitter diagonal
+    entry emitter[s], the photon diagonal entries photon[s, j], and every
+    photon of block s couples to the emitter of block s' with
+    coupling[s, s'].
+    """
+
     truncation: int  # M; the reduced matrix uses 0 (single block)
     n_cavities: int
-    entries: np.ndarray  # dense Hermitian, complex
+    emitter: np.ndarray  # (2M+1,)
+    photon: np.ndarray  # (2M+1, N)
+    coupling: np.ndarray  # (2M+1, 2M+1)
 
     @property
     def dim(self) -> int:
@@ -58,11 +88,57 @@ class FloquetMatrix:
             raise IndexError(f"alpha = {alpha} outside 0..{self.n_cavities}")
         return (m + self.truncation) * (self.n_cavities + 1) + alpha
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, built on each access; no routine here reads it."""
+        shape = (self.emitter.size, self.n_cavities, self.emitter.size)
+        return _bordered(self.emitter, self.photon, np.broadcast_to(self.coupling[:, None, :], shape))
+
+
+def _bordered(emitter: np.ndarray, photon: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix of blocks [emitter, photon 0, photon 1, ...];
+    coupling[s, k, s'] links photon k of block s to the emitter of block s'."""
+    blocks, size = photon.shape[0], photon.shape[1] + 1
+    h = np.zeros((blocks, size, blocks, size))
+    s = np.arange(blocks)
+    h[s, 0, s, 0] = emitter
+    k = np.arange(1, size)
+    h[s[:, None], k, s[:, None], k] = photon
+    h[:, 1:, :, 0] = coupling
+    h[:, 0, :, 1:] = np.transpose(coupling, (2, 0, 1))
+    return h.reshape(blocks * size, blocks * size)
+
 
 @dataclass(frozen=True, eq=False)
 class QuasiEnergySpectrum:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # columns aligned with eigenvalues
+
+
+@dataclass(frozen=True, eq=False)
+class _Eigensystem:
+    """Eigenpairs in bright/dark form: eigenvalue i < vectors.shape[1] has
+    the bright eigenvector vectors[:, i]; the rest are the dark values.
+
+    Row r of the dense matrix is bright_coef[r] times bright basis state
+    bright_row[r], plus dark_coef[r] times the dark vector dark_col[r]
+    (dark_coef[r] = 0 where no dark vector touches the row)."""
+
+    values: np.ndarray  # bright eigenvalues, then dark
+    vectors: np.ndarray  # (bright basis, bright eigenvalues), real orthogonal
+    bright_row: np.ndarray
+    bright_coef: np.ndarray
+    dark_col: np.ndarray
+    dark_coef: np.ndarray
+
+    def rows(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Rows of the eigenvector matrix, eigenvector i in column columns[i]."""
+        nb = self.vectors.shape[1]
+        out = np.zeros((rows.size, self.values.size))
+        out[:, columns[:nb]] = self.bright_coef[rows, None] * self.vectors[self.bright_row[rows]]
+        dark = np.flatnonzero(self.dark_coef[rows])
+        out[dark, columns[nb + self.dark_col[rows[dark]]]] = self.dark_coef[rows[dark]]
+        return out
 
 
 def default_truncation(params: SystemParams, n: int | None = None) -> int:
@@ -72,52 +148,82 @@ def default_truncation(params: SystemParams, n: int | None = None) -> int:
     return max(8, math.ceil(params.chi) + 6, abs(n) + 4)
 
 
+def _structured(params, grid, truncation, emitter_blocks, photon_blocks) -> FloquetMatrix:
+    # Block s holds the emitter at Fourier index emitter_blocks[s] and the
+    # field at photon_blocks[s]; the coupling order is their difference.
+    nu = params.drive_freq
+    orders = photon_blocks[:, None] - emitter_blocks[None, :]
+    q = np.unique(orders)
+    bessel = np.array([bessel_j(int(k), params.chi) for k in q])
+    couplings = params.g * bessel / math.sqrt(grid.n_cavities)
+    return FloquetMatrix(
+        truncation=truncation,
+        n_cavities=grid.n_cavities,
+        emitter=0.5 * params.omega + emitter_blocks * nu,
+        photon=grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
+        coupling=couplings[np.searchsorted(q, orders)],
+    )
+
+
 def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -> FloquetMatrix:
-    """Assemble the truncated extended-space Hamiltonian, |m| <= m_max."""
+    """The truncated extended-space Hamiltonian, |m| <= m_max."""
     n_star = default_sideband(params)
     if m_max < abs(n_star) + 2:
         raise TruncationTooSmall(
             f"M = {m_max} < |{n_star}| + 2 needed for the near-resonant sideband"
         )
-    n = grid.n_cavities
-    block = n + 1
-    dim = block * (2 * m_max + 1)
-    h = np.zeros((dim, dim), dtype=complex)
-    couplings = {q: params.g * bessel_j(q, params.chi) / math.sqrt(n) for q in range(-2 * m_max, 2 * m_max + 1)}
-    for m in range(-m_max, m_max + 1):
-        base = (m + m_max) * block
-        h[base, base] = 0.5 * params.omega + m * params.drive_freq
-        diag = grid.energies - 0.5 * params.omega + m * params.drive_freq
-        rows = np.arange(base + 1, base + block)
-        h[rows, rows] = diag
-        for mp in range(-m_max, m_max + 1):
-            col = (mp + m_max) * block  # emitter in block mp
-            c = couplings[m - mp]
-            h[rows, col] = c
-            h[col, rows] = c
-    return FloquetMatrix(truncation=m_max, n_cavities=n, entries=h)
+    m = np.arange(-m_max, m_max + 1)
+    return _structured(params, grid, m_max, m, m)
 
 
 def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> FloquetMatrix:
     """Single-block (N+1)-dimensional near-resonant matrix for sideband n."""
-    nc = grid.n_cavities
-    h = np.zeros((nc + 1, nc + 1), dtype=complex)
-    h[0, 0] = 0.5 * params.omega
-    rows = np.arange(1, nc + 1)
-    h[rows, rows] = grid.energies - 0.5 * params.omega + n * params.drive_freq
-    c = params.g * bessel_j(n, params.chi) / math.sqrt(nc)
-    h[rows, 0] = c
-    h[0, rows] = c
-    return FloquetMatrix(truncation=0, n_cavities=nc, entries=h)
+    return _structured(params, grid, 0, np.array([0]), np.array([n]))
+
+
+def _eigensystem(fm: FloquetMatrix) -> _Eigensystem:
+    n, blocks = fm.n_cavities, fm.emitter.size
+    half = n // 2
+    pairs = np.arange(1, (n + 1) // 2)  # j with partner N - j != j
+    # Bright basis per block: emitter, then modes j = 0 .. N/2, with the
+    # pair members j < N - j merged into (|j> + |N-j>)/sqrt(2).
+    weight = np.ones(half + 1)
+    weight[pairs] = math.sqrt(2.0)
+    h = _bordered(fm.emitter, fm.photon[:, : half + 1], fm.coupling[:, None, :] * weight[None, :, None])
+    try:
+        bright, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    # Maps from the N + 1 rows of one block; blocks repeat with offsets.
+    mode = np.arange(n)
+    partner = np.minimum(mode, n - mode)  # the bright state of mode j
+    row = np.concatenate(([0], 1 + partner))
+    coef = np.ones(n + 1)
+    coef[1 + pairs] = coef[1 + n - pairs] = math.sqrt(0.5)
+    dark_col = np.zeros(n + 1, dtype=int)
+    dark_coef = np.zeros(n + 1)
+    dark_col[1 + pairs] = dark_col[1 + n - pairs] = pairs - 1
+    dark_coef[1 + pairs] = math.sqrt(0.5)
+    dark_coef[1 + n - pairs] = -math.sqrt(0.5)
+    s = np.arange(blocks)
+    return _Eigensystem(
+        values=np.concatenate((bright, fm.photon[:, pairs].ravel())),
+        vectors=vectors,
+        bright_row=(row + (half + 2) * s[:, None]).ravel(),
+        bright_coef=np.tile(coef, blocks),
+        dark_col=(dark_col + pairs.size * s[:, None]).ravel(),
+        dark_coef=np.tile(dark_coef, blocks),
+    )
 
 
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
     """Full real spectrum with orthonormal eigenvectors, ascending."""
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(fm.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    return QuasiEnergySpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    eig = _eigensystem(fm)
+    order = np.argsort(eig.values, kind="stable")
+    columns = np.empty_like(order)
+    columns[order] = np.arange(order.size)
+    vectors = eig.rows(np.arange(fm.dim), columns)
+    return QuasiEnergySpectrum(eigenvalues=eig.values[order], eigenvectors=vectors)
 
 
 def edge_weights(fm: FloquetMatrix, spectrum: QuasiEnergySpectrum) -> np.ndarray:
@@ -140,7 +246,7 @@ def green_coefficient(
     beta: tuple[int, int],
     alpha0: tuple[int, int],
 ) -> complex:
-    """<beta, m_beta | (E - H_F)^(-1) | alpha, 0> by direct linear solve.
+    """<beta, m_beta | (E - H_F)^(-1) | alpha, 0> through the emitter Schur complement.
 
     energy must carry a positive imaginary part (the resolvent
     regulator, default RESOLVENT_ETA in units of xi); alpha0 must sit in
@@ -151,17 +257,31 @@ def green_coefficient(
     alpha, m0 = alpha0
     if m0 != 0:
         raise InvalidArgument(f"source state must have m = 0, got m = {m0}")
-    rhs = np.zeros(fm.dim, dtype=complex)
-    rhs[fm.index(alpha, m0)] = 1.0
-    shifted = np.asarray(energy * np.eye(fm.dim) - fm.entries)
+    fm.index(alpha, m0)  # IndexError for alpha outside 0..N
+    b_e = np.zeros(fm.emitter.size, dtype=complex)
+    b_p = np.zeros(fm.photon.shape, dtype=complex)
+    if alpha == TLS:
+        b_e[fm.truncation] = 1.0
+    else:
+        b_p[fm.truncation, alpha - 1] = 1.0
+    c = fm.coupling
+    inverse = 1.0 / (energy - fm.photon)
+    schur = np.diag(energy - fm.emitter) - c.T @ (inverse.sum(axis=1)[:, None] * c)
     try:
-        x = np.linalg.solve(shifted, rhs)
+        x_e = np.linalg.solve(schur, b_e + c.T @ (inverse * b_p).sum(axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
-    residual = np.linalg.norm(shifted @ x - rhs)
-    if residual > 1e-8:
-        raise SingularResolvent(f"solve residual {residual:g} exceeds 1e-8")
-    return complex(x[fm.index(*beta)])
+    field = c @ x_e
+    x_p = inverse * (b_p + field[:, None])
+    residual = math.hypot(
+        np.linalg.norm((energy - fm.emitter) * x_e - c.T @ x_p.sum(axis=1) - b_e),
+        np.linalg.norm((energy - fm.photon) * x_p - field[:, None] - b_p),
+    )
+    if not residual <= RESIDUAL_TOLERANCE:
+        raise SingularResolvent(f"solve residual {residual:g} exceeds {RESIDUAL_TOLERANCE:g}")
+    fm.index(*beta)  # IndexError for a target outside the matrix
+    target, block = beta[0], beta[1] + fm.truncation
+    return complex(x_e[block] if target == TLS else x_p[block, target - 1])
 
 
 def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t: float) -> float:
@@ -171,11 +291,10 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     amplitude of beta over every Fourier block.
     """
     check_time(t, positive=False)
-    spectrum = quasi_energies(fm)
-    u = spectrum.eigenvectors
-    src = fm.index(alpha, 0)
-    amp = u @ (np.exp(-1j * spectrum.eigenvalues * t) * u.conj().T[:, src])
-    total = 0.0
-    for m in range(-fm.truncation, fm.truncation + 1):
-        total += abs(amp[fm.index(beta, m)]) ** 2
-    return float(total)
+    eig = _eigensystem(fm)
+    columns = np.arange(eig.values.size)
+    source = eig.rows(np.array([fm.index(alpha, 0)]), columns)[0]
+    blocks = range(-fm.truncation, fm.truncation + 1)
+    targets = eig.rows(np.array([fm.index(beta, m) for m in blocks]), columns)
+    amp = targets @ (np.exp(-1j * eig.values * t) * source)
+    return float((np.abs(amp) ** 2).sum())

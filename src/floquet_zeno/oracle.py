@@ -115,6 +115,9 @@ def propagate(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> OneQuantumState:
     """Propagate a normalized state to t_final (earlier times allowed)."""
+    for name, t in (("t_final", t_final), ("initial.time", initial.time)):
+        if not math.isfinite(t):
+            raise InvalidArgument(f"{name} must be finite, got {t!r}")
     y0 = np.concatenate(([initial.c_e], initial.c_k)).astype(complex)
     y, _ = _integrate(params, grid, y0, initial.time, t_final, cfg)
     _check_norm(y, f"propagating {initial.time:g} -> {t_final:g}")

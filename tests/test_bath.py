@@ -104,6 +104,10 @@ def test_spectral_density_values():
     assert spectral_density(sd, 3.0) == 0.0
     assert spectral_density(sd, -3.0) == 0.0
     assert sd(1.0) == spectral_density(sd, 1.0)
+    # (2 xi)^2 underflows to 0 at xi = 1e-239; the value itself is finite.
+    tiny = SpectralDensity(xi=1e-239)
+    assert spectral_density(tiny, 0.0) == pytest.approx(1.0 / (2.0 * math.pi * 1e-239), rel=1e-15)
+    assert spectral_density(tiny, 1e-239) == pytest.approx(1.0 / (math.pi * math.sqrt(3.0) * 1e-239), rel=1e-15)
 
 
 def test_spectral_density_even():

@@ -65,6 +65,9 @@ def test_spectral_density_band_center(capsys):
     assert run(["spectral-density", "--xi", "1", "--omega", "0"]) == 0
     out = capsys.readouterr().out
     assert out == "omega,rho\n0,0.159154943092\n"
+    # 4 xi^2 underflows here, yet rho = 1/(2 pi xi) is finite.
+    assert run(["spectral-density", "--xi", "1e-239", "--omega", "0"]) == 0
+    assert capsys.readouterr().out == "omega,rho\n0,1.59154943092e+238\n"
 
 
 def test_spectral_density_band_edge_exits_3(capsys):
@@ -275,7 +278,7 @@ def test_non_finite_input_exits_2(argv, capsys):
         ["classify", "--drive-freq", "1e-313"],  # -delta / nu overflows: no finite sideband
         ["decay-rate", "--t-max", "1e308", "--t-steps", "2"],  # the sinc^2 argument overflows
         ["decay-rate", "--g", "1.4e154"],  # g ** 2 raises OverflowError
-        ["spectral-density", "--xi", "1e-239", "--omega", "0"],  # 4 xi^2 underflows to 0
+        ["spectral-density", "--xi", "1e-320", "--omega", "0"],  # rho = 1/(2 pi xi) exceeds the float range
     ],
 )
 def test_overflowing_input_exits_3(argv, capsys):

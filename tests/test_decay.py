@@ -103,6 +103,16 @@ def test_rate_requires_positive_time():
             averaged_transition_probability(fm, 0, 0, t)
 
 
+def test_unknown_method_is_rejected_at_time_zero():
+    p = make()
+    grid = build_grid(p)
+    with pytest.raises(InvalidArgument):
+        survival_probability(p, grid, 0, 0.0, "bogus")
+    for times in ([0.0], [0.0, 1.0]):
+        with pytest.raises(InvalidArgument):
+            survival_curve(p, grid, 0, times, method="bogus")
+
+
 def test_longtime_band_center():
     # 2 pi g^2 J_0(0)^2 rho(0) with rho(0) = 1/(2 pi): rate = g^2 = 0.0625.
     p = make(omega_c=2.0, drive_amp=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from floquet_zeno.bath import build_grid
-from floquet_zeno.errors import TruncationTooSmall
+from floquet_zeno.errors import SingularResolvent, TruncationTooSmall
 from floquet_zeno.floquet import (
     TLS,
     averaged_transition_probability,
@@ -17,6 +17,7 @@ from floquet_zeno.floquet import (
     quasi_energies,
     reduced_hamiltonian,
 )
+from floquet_zeno.oracle import OneQuantumState, propagate
 from floquet_zeno.params import SystemParams, validate
 from floquet_zeno.specfun import bessel_j
 
@@ -224,6 +225,15 @@ def test_green_poles_sit_at_quasi_energies():
     assert np.min(np.abs(spectrum.eigenvalues - peak)) <= 0.03
 
 
+def test_green_residual_check_rejects_a_lost_solve():
+    # Im E = 1e-20 on a photon energy: 1/(E - E_m(k)) ~ 1e20 amplifies
+    # rounding far beyond the 1e-8 residual bound.
+    p = make(n_cavities=5)
+    fm = build_floquet_matrix(p, build_grid(p), 4)
+    with pytest.raises(SingularResolvent):
+        green_coefficient(fm, complex(fm.photon[4, 0], 1e-20), (TLS, 0), (TLS, 0))
+
+
 def test_green_input_validation():
     p = make(n_cavities=2)
     fm = build_floquet_matrix(p, build_grid(p), 2)
@@ -252,3 +262,65 @@ def test_averaged_probability_zero_coupling_is_stationary():
     p = make(g=0.0, n_cavities=3)
     fm = build_floquet_matrix(p, build_grid(p), 2)
     assert averaged_transition_probability(fm, TLS, TLS, 5.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_solve(fm, energy, source):
+    rhs = np.zeros(fm.dim, dtype=complex)
+    rhs[fm.index(*source)] = 1.0
+    return np.linalg.solve(energy * np.eye(fm.dim) - fm.entries, rhs)
+
+
+@pytest.mark.parametrize("n_cavities", [1, 2, 3, 4, 41, 42])
+def test_structured_algebra_matches_dense(n_cavities):
+    # The bright/dark eigensolve and the Schur-complement resolvent against
+    # dense algebra on the assembled matrix; odd and even N, chi at a J_0 root.
+    p = make(n_cavities=n_cavities, drive_amp=J0_ROOT * 6.0)
+    fm = build_floquet_matrix(p, build_grid(p), default_truncation(p))
+    h = fm.entries
+    spectrum = quasi_energies(fm)
+    values, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    dense = np.linalg.eigvalsh(h)
+    scale = 1.0 + np.abs(dense).max()
+    assert values.shape == (fm.dim,) and vectors.shape == (fm.dim, fm.dim)
+    assert np.abs(values - dense).max() <= 1e-12 * scale
+    assert np.abs(h @ vectors - vectors * values).max() <= 1e-12 * scale
+    assert np.abs(vectors.T @ vectors - np.eye(fm.dim)).max() <= 1e-12
+    targets = ((TLS, 0), (TLS, 2), (TLS, -3), (1, -1), (n_cavities, 1), (n_cavities, 0))
+    for energy in (0.37 + 1e-3j, 1.9 + 0.05j):
+        for source in ((TLS, 0), (1, 0), (n_cavities, 0)):
+            x = dense_solve(fm, energy, source)
+            for beta in targets:
+                direct = green_coefficient(fm, energy, beta, source)
+                assert abs(direct - x[fm.index(*beta)]) <= 1e-12 * np.abs(x).max()
+
+
+def fold(energies, nu):
+    """Map quasi-energies into the zone (-nu/2, nu/2]."""
+    return nu / 2.0 - np.mod(nu / 2.0 - np.asarray(energies), nu)
+
+
+@pytest.mark.parametrize("n_cavities", [4, 5])
+def test_interior_quasi_energies_match_one_period_propagation(n_cavities):
+    # Independent reference: the one-period propagator U(T) of the exact
+    # time-dependent Hamiltonian, built column by column by the oracle.
+    # Its eigenphases are the quasi-energies; every interior Sambe
+    # eigenvalue at the default truncation must be one of them, and each
+    # of them must be found among the interior ones.
+    for chi in (1.0, J0_ROOT, 4.0):
+        for delta in (1.0, 3.0, -2.5):
+            p = make(n_cavities=n_cavities, omega_c=2.0 + delta, drive_amp=chi * 6.0)
+            grid = build_grid(p)
+            columns = []
+            for i in range(n_cavities + 1):
+                c = np.zeros(n_cavities + 1, dtype=complex)
+                c[i] = 1.0
+                state = propagate(p, grid, OneQuantumState(c_e=c[0], c_k=c[1:], time=0.0), p.period)
+                columns.append(np.concatenate(([state.c_e], state.c_k)))
+            phases = -np.angle(np.linalg.eigvals(np.array(columns).T)) / p.period
+            reference = fold(phases, p.drive_freq)
+            fm = build_floquet_matrix(p, grid, default_truncation(p))
+            spectrum = quasi_energies(fm)
+            interior = fold(spectrum.eigenvalues[edge_weights(fm, spectrum) < 1e-10], p.drive_freq)
+            gap = np.abs(fold(interior[:, None] - reference[None, :], p.drive_freq))
+            assert gap.min(axis=1).max() <= 1e-8, (chi, delta)
+            assert gap.min(axis=0).max() <= 1e-8, (chi, delta)

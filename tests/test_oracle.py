@@ -88,6 +88,19 @@ def test_rejects_bad_tolerances():
         propagate(p, grid, excited_state(grid), 1.0, IntegratorConfig(rtol=0.0))
 
 
+def test_rejects_non_finite_times():
+    p = make()
+    grid = build_grid(p)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            propagate(p, grid, excited_state(grid), t)
+        with pytest.raises(InvalidArgument):
+            propagate(p, grid, excited_state(grid, time=t), 1.0)
+    # Backward times stay allowed.
+    back = propagate(p, grid, excited_state(grid), -0.5)
+    assert back.time == -0.5 and abs(back.norm_sq() - 1.0) <= 1e-9
+
+
 def test_unnormalized_input_is_caught():
     p = make()
     grid = build_grid(p)
