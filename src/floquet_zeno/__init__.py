@@ -34,7 +34,7 @@ from .floquet import (
     quasi_energies,
     reduced_hamiltonian,
 )
-from .oracle import IntegratorConfig, OneQuantumState, excited_state, propagate, survival_curve_exact
+from .oracle import OneQuantumState, excited_state, propagate, survival_curve_exact
 from .params import SystemParams, default_sideband, from_mapping, parse_config, validate
 from .specfun import bessel_j, bessel_j_zero, sinc
 
@@ -69,7 +69,6 @@ __all__ = [
     "green_coefficient",
     "quasi_energies",
     "reduced_hamiltonian",
-    "IntegratorConfig",
     "OneQuantumState",
     "excited_state",
     "propagate",

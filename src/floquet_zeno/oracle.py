@@ -24,6 +24,11 @@ from .errors import InvalidArgument, NormDrift, StepLimitExceeded
 from .params import SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
+# RK45 settings, read at each call. These hold the norm drift under 1e-9
+# out to t = 100/xi.
+RTOL = 1e-11
+ATOL = 1e-13
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,14 +39,6 @@ class OneQuantumState:
 
     def norm_sq(self) -> float:
         return float(abs(self.c_e) ** 2 + (np.abs(self.c_k) ** 2).sum())
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    # Defaults hold the norm drift under 1e-9 out to t = 100/xi.
-    rtol: float = 1e-11
-    atol: float = 1e-13
-    max_steps: int = 1_000_000
 
 
 def __getattr__(name: str):
@@ -75,22 +72,20 @@ def _rhs(params: SystemParams, grid: MomentumGrid):
     return rhs
 
 
-def _integrate(params, grid, y0, t0, t1, cfg, sample_times=None):
+def _integrate(params, grid, y0, t0, t1, sample_times=None):
     # Returns (y(t1), [|c_e|^2 at sample_times]); sample_times must be
     # increasing and lie in (t0, t1]. Backward runs (t1 < t0) are allowed
     # and used by the time-reversal checks; no sampling there.
-    if not (cfg.rtol > 0.0 and cfg.atol > 0.0):
-        raise InvalidArgument("integrator tolerances must be > 0")
     if t1 == t0:
         return y0.copy(), []
     # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
-    stepper = sys.modules[__name__].RK45(_rhs(params, grid), t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol)
+    stepper = sys.modules[__name__].RK45(_rhs(params, grid), t0, y0, t1, rtol=RTOL, atol=ATOL)
     samples = []
     pending = list(sample_times) if sample_times is not None else []
     steps = 0
     while stepper.status == "running":
-        if steps >= cfg.max_steps:
-            raise StepLimitExceeded(f"exceeded {cfg.max_steps} steps at t = {stepper.t:g}")
+        if steps >= MAX_STEPS:
+            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t = {stepper.t:g}")
         stepper.step()
         steps += 1
         while pending and stepper.t_old < pending[0] <= stepper.t:
@@ -107,24 +102,18 @@ def _check_norm(y: np.ndarray, where: str) -> None:
         raise NormDrift(f"norm drifted by {drift:g} {where}")
 
 
-def propagate(
-    params: SystemParams,
-    grid: MomentumGrid,
-    initial: OneQuantumState,
-    t_final: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> OneQuantumState:
+def propagate(params: SystemParams, grid: MomentumGrid, initial: OneQuantumState, t_final: float) -> OneQuantumState:
     """Propagate a normalized state to t_final (earlier times allowed)."""
     for name, t in (("t_final", t_final), ("initial.time", initial.time)):
         if not math.isfinite(t):
             raise InvalidArgument(f"{name} must be finite, got {t!r}")
     y0 = np.concatenate(([initial.c_e], initial.c_k)).astype(complex)
-    y, _ = _integrate(params, grid, y0, initial.time, t_final, cfg)
+    y, _ = _integrate(params, grid, y0, initial.time, t_final)
     _check_norm(y, f"propagating {initial.time:g} -> {t_final:g}")
     return OneQuantumState(c_e=complex(y[0]), c_k=y[1:], time=t_final)
 
 
-def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times, cfg: IntegratorConfig = IntegratorConfig()):
+def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times):
     """P_e(t_i) = |c_e(t_i)|^2 along one continued propagation from t = 0.
 
     Imported lazily as a SurvivalCurve to keep this module free of the
@@ -138,7 +127,7 @@ def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times, cfg: I
     sample = times[times > 0.0]
     probs = [1.0] * int((times == 0.0).sum())
     if sample.size:
-        y, collected = _integrate(params, grid, y0, 0.0, float(sample[-1]), cfg, sample_times=sample)
+        y, collected = _integrate(params, grid, y0, 0.0, float(sample[-1]), sample_times=sample)
         _check_norm(y, f"propagating 0 -> {sample[-1]:g}")
         probs.extend(collected)
     if len(probs) != times.size:

@@ -289,6 +289,18 @@ def test_overflowing_input_exits_3(argv, capsys):
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", [["classify"], ["decay-rate", "--t-steps", "5"]])
+def test_subnormal_drive_amplitude_exits_0(command, capsys):
+    # chi = 5e-324: J_0 = 1 and J_1 = 0 exactly, so the rows are the undriven ones.
+    assert run(command + ["--drive-amp", "5e-324", "--drive-freq", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, *table = rows(out.encode())
+    assert table and all(math.isfinite(float(cell)) for row in table for cell in row[1:])
+    assert run(command + ["--drive-amp", "0", "--drive-freq", "1"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_sweep_reports_overflow_per_point(tmp_path):
     argv = ["sweep", "--param", "g", "--start", "0.25", "--stop", "1.4e154", "--count", "2", "--quantity", "rate"]
     table = rows(run_to_file(argv, tmp_path / "overflow.csv"))

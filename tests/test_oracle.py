@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from floquet_zeno import oracle
 from floquet_zeno.bath import build_grid
 from floquet_zeno.decay import survival_probability
 from floquet_zeno.errors import InvalidArgument, NormDrift, StepLimitExceeded
 from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix
 from floquet_zeno.oracle import (
-    IntegratorConfig,
     OneQuantumState,
     excited_state,
     propagate,
@@ -27,9 +27,9 @@ def make(**overrides) -> SystemParams:
     return validate(SystemParams(**fields))
 
 
-def survival(params: SystemParams, t: float, cfg: IntegratorConfig = IntegratorConfig()) -> float:
+def survival(params: SystemParams, t: float) -> float:
     grid = build_grid(params)
-    return abs(propagate(params, grid, excited_state(grid), t, cfg).c_e) ** 2
+    return abs(propagate(params, grid, excited_state(grid), t).c_e) ** 2
 
 
 def test_free_evolution_phase():
@@ -67,25 +67,22 @@ def test_time_reversal_returns_to_start():
     assert float(np.max(np.abs(back.c_k))) <= 1e-7
 
 
-def test_tolerance_refinement_is_converged():
+def test_tolerance_refinement_is_converged(monkeypatch):
     p = make()
     loose = survival(p, 5.0)
-    tight = survival(p, 5.0, IntegratorConfig(rtol=5e-12, atol=5e-14))
+    monkeypatch.setattr(oracle, "RTOL", 5e-12)
+    monkeypatch.setattr(oracle, "ATOL", 5e-14)
+    tight = survival(p, 5.0)
+    assert loose != tight
     assert abs(loose - tight) <= 1e-8
 
 
-def test_step_budget_enforced():
+def test_step_budget_enforced(monkeypatch):
     p = make()
     grid = build_grid(p)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded):
-        propagate(p, grid, excited_state(grid), 50.0, IntegratorConfig(max_steps=3))
-
-
-def test_rejects_bad_tolerances():
-    p = make()
-    grid = build_grid(p)
-    with pytest.raises(ValueError):
-        propagate(p, grid, excited_state(grid), 1.0, IntegratorConfig(rtol=0.0))
+        propagate(p, grid, excited_state(grid), 50.0)
 
 
 def test_rejects_non_finite_times():

@@ -2,17 +2,20 @@
 
 Frozen literals were produced by an independent 30-term ascending series
 (and 60-term bisection for roots) written separately from the package
-code; scipy.special serves only as a second opinion, never as the source
-of expected values.
+code. scipy.special is never the source of a frozen value; it is the
+test-only reference for the documented absolute error bound, which the
+property tests below check over the advertised domain.
 """
 
 import math
 
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floquet_zeno.errors import ArgumentOutOfRange, InvalidArgument, OrderTooLarge
-from floquet_zeno.specfun import bessel_j, bessel_j_zero, sinc
+from floquet_zeno.specfun import MAX_ORDER, bessel_j, bessel_j_zero, sinc
 
 # 30-term ascending series, summed independently of the package.
 SERIES_ORACLE = {
@@ -52,6 +55,44 @@ def test_first_root_of_j0_is_a_zero():
 @pytest.mark.parametrize("x", [0.3, 1.0, 5.0, 11.9, 12.1, 20.0, 35.0, 50.0, 200.0, 1000.0])
 def test_dual_route_against_scipy(n, x):
     assert bessel_j(n, x) == pytest.approx(scipy.special.jv(n, x), abs=1e-12)
+
+
+# Orders: mostly small, where J_n(x) is not negligible, plus the full range.
+ORDERS = st.one_of(st.integers(-40, 40), st.integers(-MAX_ORDER, MAX_ORDER))
+# |x| <= 50, with tiny and subnormal arguments drawn on purpose.
+NEAR_ARGUMENTS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(-1e-6, 1e-6),
+    st.sampled_from([5e-324, -5e-324, 1e-300, 1e-100, 1e-8, 9.999999999999999e-9]),
+)
+FAR_ARGUMENTS = st.one_of(st.floats(50.0, 2000.0, exclude_min=True), st.floats(-2000.0, -50.0, exclude_max=True))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(n=ORDERS, x=NEAR_ARGUMENTS)
+@example(n=0, x=11.0)
+@example(n=3, x=9.5)
+@example(n=MAX_ORDER, x=50.0)
+def test_absolute_error_bound_up_to_50(n, x):
+    assert abs(bessel_j(n, x) - scipy.special.jv(n, x)) <= 2e-15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(-200, 200), x=FAR_ARGUMENTS)
+@example(n=0, x=2000.0)
+@example(n=200, x=-1999.5)
+def test_absolute_error_bound_up_to_2000(n, x):
+    assert abs(bessel_j(n, x) - scipy.special.jv(n, x)) <= 5e-14
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-100])
+def test_tiny_and_subnormal_arguments(x):
+    # 0.5 * 5e-324 underflows to 0; J_0 is still exactly 1.
+    assert bessel_j(0, x) == 1.0
+    assert bessel_j(0, -x) == 1.0
+    for n in (1, 2, 7, 1024, -3):
+        value = bessel_j(n, x)
+        assert math.isfinite(value) and abs(value) <= x
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0, 5.0, 10.0])
@@ -116,6 +157,14 @@ def test_argument_ceiling():
         bessel_j(0, 1.1e6)
     with pytest.raises(ArgumentOutOfRange):
         bessel_j(0, float("nan"))
+
+
+def test_order_must_be_an_integer():
+    # int(1.5) would silently give J_1; nan and inf name no order.
+    for n in (1.5, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            bessel_j(n, 1.0)
+    assert bessel_j(2.0, 1.0) == bessel_j(2, 1.0)
 
 
 def test_root_index_must_be_positive():
