@@ -117,8 +117,18 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2)."""
     check_time(t)
     jn = bessel_j(n, params.chi)
-    arg = (params.delta - 2.0 * params.xi * np.cos(grid.momenta) + n * params.drive_freq) * t / 2.0
-    total = _sinc_sq(arg).sum()
+    detuning = params.delta - 2.0 * params.xi * np.cos(grid.momenta) + n * params.drive_freq
+    # bound >= |detuning|, so with bound * t finite no argument overflows.
+    # When only the product passes the float range, each overflowing term
+    # has sinc^2 < 1/max^2 and rounds to 0. A bound that overflows itself
+    # may hide a non-finite detuning, which stays an error.
+    bound = abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
+    if bound == math.inf or bound * t < math.inf:
+        total = _sinc_sq(detuning * t / 2.0).sum()
+    else:
+        with np.errstate(over="ignore"):
+            arg = detuning * t / 2.0
+        total = _sinc_sq(arg[np.isfinite(arg)]).sum()
     return float(t * params.g**2 / grid.n_cavities * jn * jn * total)
 
 

@@ -75,7 +75,7 @@ class TruncationTooSmall(NumericalError):
 
 
 class EigenFailure(NumericalError):
-    """Dense Hermitian eigensolver did not converge."""
+    """The bright-block eigensolver (numpy eigh) did not converge."""
 
 
 class SingularResolvent(NumericalError):

@@ -24,7 +24,10 @@ assembled for computation:
   quasi-energy eps_j - omega/2 + m nu. Only the real symmetric bright
   block (emitter, j = 0, (|j> + |N-j>)/sqrt(2) with coupling sqrt(2) C,
   and j = N/2 for even N) is diagonalized: (2M+1)(floor(N/2) + 2) rows
-  instead of (2M+1)(N+1).
+  instead of (2M+1)(N+1). One real orthogonal (N+1)-dimensional basis
+  change, the same in every block, maps both back: its bright columns
+  applied block by block to the bright eigenvectors, and its dark
+  columns, repeated along the block diagonal, are the dark ones.
 - Schur-complement resolvent. Eliminating the diagonal photon part
   leaves a (2M+1)-dimensional emitter system
   [diag(E - E_e) - C^T diag(sum_k 1/(E - E_m(k))) C] x_e = b_e + ...;
@@ -49,9 +52,6 @@ from .specfun import bessel_j
 
 # System index of the excited-emitter state; photon mode j is 1 + j.
 TLS = 0
-
-# Default imaginary offset for resolvent evaluation, in units of xi.
-RESOLVENT_ETA = 1e-8
 
 RESIDUAL_TOLERANCE = 1e-8
 
@@ -115,37 +115,10 @@ class QuasiEnergySpectrum:
     eigenvectors: np.ndarray  # columns aligned with eigenvalues
 
 
-@dataclass(frozen=True, eq=False)
-class _Eigensystem:
-    """Eigenpairs in bright/dark form: eigenvalue i < vectors.shape[1] has
-    the bright eigenvector vectors[:, i]; the rest are the dark values.
-
-    Row r of the dense matrix is bright_coef[r] times bright basis state
-    bright_row[r], plus dark_coef[r] times the dark vector dark_col[r]
-    (dark_coef[r] = 0 where no dark vector touches the row)."""
-
-    values: np.ndarray  # bright eigenvalues, then dark
-    vectors: np.ndarray  # (bright basis, bright eigenvalues), real orthogonal
-    bright_row: np.ndarray
-    bright_coef: np.ndarray
-    dark_col: np.ndarray
-    dark_coef: np.ndarray
-
-    def rows(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Rows of the eigenvector matrix, eigenvector i in column columns[i]."""
-        nb = self.vectors.shape[1]
-        out = np.zeros((rows.size, self.values.size))
-        out[:, columns[:nb]] = self.bright_coef[rows, None] * self.vectors[self.bright_row[rows]]
-        dark = np.flatnonzero(self.dark_coef[rows])
-        out[dark, columns[nb + self.dark_col[rows[dark]]]] = self.dark_coef[rows[dark]]
-        return out
-
-
-def default_truncation(params: SystemParams, n: int | None = None) -> int:
-    """M = max(8, ceil(chi) + 6, |n| + 4); couplings die off beyond |q| ~ chi."""
-    if n is None:
-        n = default_sideband(params)
-    return max(8, math.ceil(params.chi) + 6, abs(n) + 4)
+def default_truncation(params: SystemParams) -> int:
+    """M = max(8, ceil(chi) + 6, |n| + 4) for the default sideband n;
+    couplings die off beyond |q| ~ chi."""
+    return max(8, math.ceil(params.chi) + 6, abs(default_sideband(params)) + 4)
 
 
 def _structured(params, grid, truncation, emitter_blocks, photon_blocks) -> FloquetMatrix:
@@ -181,49 +154,41 @@ def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> Flo
     return _structured(params, grid, 0, np.array([0]), np.array([n]))
 
 
-def _eigensystem(fm: FloquetMatrix) -> _Eigensystem:
+def _eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, bright then dark, and the eigenvector matrix with
+    columns aligned with them."""
     n, blocks = fm.n_cavities, fm.emitter.size
     half = n // 2
     pairs = np.arange(1, (n + 1) // 2)  # j with partner N - j != j
-    # Bright basis per block: emitter, then modes j = 0 .. N/2, with the
-    # pair members j < N - j merged into (|j> + |N-j>)/sqrt(2).
-    weight = np.ones(half + 1)
-    weight[pairs] = math.sqrt(2.0)
+    # One block's basis change, the same in every block: the emitter,
+    # modes j = 0 .. N/2 with each pair merged into the bright
+    # (|j> + |N-j>)/sqrt(2), then the dark (|j> - |N-j>)/sqrt(2).
+    basis = np.zeros((n + 1, n + 1))
+    basis[np.arange(half + 2), np.arange(half + 2)] = 1.0
+    dark = np.arange(half + 2, n + 1)
+    basis[1 + pairs, 1 + pairs] = basis[1 + n - pairs, 1 + pairs] = math.sqrt(0.5)
+    basis[1 + pairs, dark] = math.sqrt(0.5)
+    basis[1 + n - pairs, dark] = -math.sqrt(0.5)
+    bright = basis[:, : half + 2]
+    weight = bright[1:, 1:].sum(axis=0)  # coupling factor: sqrt(2) for a pair, else 1
     h = _bordered(fm.emitter, fm.photon[:, : half + 1], fm.coupling[:, None, :] * weight[None, :, None])
     try:
-        bright, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    # Maps from the N + 1 rows of one block; blocks repeat with offsets.
-    mode = np.arange(n)
-    partner = np.minimum(mode, n - mode)  # the bright state of mode j
-    row = np.concatenate(([0], 1 + partner))
-    coef = np.ones(n + 1)
-    coef[1 + pairs] = coef[1 + n - pairs] = math.sqrt(0.5)
-    dark_col = np.zeros(n + 1, dtype=int)
-    dark_coef = np.zeros(n + 1)
-    dark_col[1 + pairs] = dark_col[1 + n - pairs] = pairs - 1
-    dark_coef[1 + pairs] = math.sqrt(0.5)
-    dark_coef[1 + n - pairs] = -math.sqrt(0.5)
-    s = np.arange(blocks)
-    return _Eigensystem(
-        values=np.concatenate((bright, fm.photon[:, pairs].ravel())),
-        vectors=vectors,
-        bright_row=(row + (half + 2) * s[:, None]).ravel(),
-        bright_coef=np.tile(coef, blocks),
-        dark_col=(dark_col + pairs.size * s[:, None]).ravel(),
-        dark_coef=np.tile(dark_coef, blocks),
-    )
+    vectors = np.hstack((
+        (bright @ vectors.reshape(blocks, half + 2, -1)).reshape(fm.dim, -1),
+        np.kron(np.eye(blocks), basis[:, dark]),
+    ))
+    return np.concatenate((values, fm.photon[:, pairs].ravel())), vectors
 
 
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
     """Full real spectrum with orthonormal eigenvectors, ascending."""
-    eig = _eigensystem(fm)
-    order = np.argsort(eig.values, kind="stable")
-    columns = np.empty_like(order)
-    columns[order] = np.arange(order.size)
-    vectors = eig.rows(np.arange(fm.dim), columns)
-    return QuasiEnergySpectrum(eigenvalues=eig.values[order], eigenvectors=vectors)
+    values, vectors = _eigensystem(fm)
+    order = np.argsort(values, kind="stable")
+    # take() keeps the columns C-contiguous, so edge_weights sums in row order.
+    return QuasiEnergySpectrum(eigenvalues=values[order], eigenvectors=np.take(vectors, order, axis=1))
 
 
 def edge_weights(fm: FloquetMatrix, spectrum: QuasiEnergySpectrum) -> np.ndarray:
@@ -249,8 +214,7 @@ def green_coefficient(
     """<beta, m_beta | (E - H_F)^(-1) | alpha, 0> through the emitter Schur complement.
 
     energy must carry a positive imaginary part (the resolvent
-    regulator, default RESOLVENT_ETA in units of xi); alpha0 must sit in
-    the m = 0 block.
+    regulator); alpha0 must sit in the m = 0 block.
     """
     if not energy.imag > 0.0:
         raise InvalidArgument(f"resolvent energy needs Im E > 0, got {energy!r}")
@@ -291,10 +255,8 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     amplitude of beta over every Fourier block.
     """
     check_time(t, positive=False)
-    eig = _eigensystem(fm)
-    columns = np.arange(eig.values.size)
-    source = eig.rows(np.array([fm.index(alpha, 0)]), columns)[0]
-    blocks = range(-fm.truncation, fm.truncation + 1)
-    targets = eig.rows(np.array([fm.index(beta, m) for m in blocks]), columns)
-    amp = targets @ (np.exp(-1j * eig.values * t) * source)
+    values, vectors = _eigensystem(fm)
+    source = vectors[fm.index(alpha, 0)]
+    targets = vectors[[fm.index(beta, m) for m in range(-fm.truncation, fm.truncation + 1)]]
+    amp = targets @ (np.exp(-1j * values * t) * source)
     return float((np.abs(amp) ** 2).sum())

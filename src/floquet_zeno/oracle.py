@@ -52,9 +52,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def excited_state(grid: MomentumGrid, time: float = 0.0) -> OneQuantumState:
-    """Emitter excited, field in vacuum; the default initial condition."""
-    return OneQuantumState(c_e=1.0 + 0.0j, c_k=np.zeros(grid.n_cavities, dtype=complex), time=time)
+def excited_state(grid: MomentumGrid) -> OneQuantumState:
+    """Emitter excited at t = 0, field in vacuum; the default initial condition."""
+    return OneQuantumState(c_e=1.0 + 0.0j, c_k=np.zeros(grid.n_cavities, dtype=complex), time=0.0)
 
 
 def _rhs(params: SystemParams, grid: MomentumGrid):

@@ -276,7 +276,6 @@ def test_non_finite_input_exits_2(argv, capsys):
     "argv",
     [
         ["classify", "--drive-freq", "1e-313"],  # -delta / nu overflows: no finite sideband
-        ["decay-rate", "--t-max", "1e308", "--t-steps", "2"],  # the sinc^2 argument overflows
         ["decay-rate", "--g", "1.4e154"],  # g ** 2 raises OverflowError
         ["spectral-density", "--xi", "1e-320", "--omega", "0"],  # rho = 1/(2 pi xi) exceeds the float range
     ],
@@ -287,6 +286,17 @@ def test_overflowing_input_exits_3(argv, capsys):
     assert out == ""
     # One line: no numpy RuntimeWarning ahead of it.
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+
+
+def test_overflowing_sinc_argument_exits_0(capsys):
+    # At t = 1e308 the arguments (delta - 2 xi cos k) t / 2 pass the float
+    # range, where sinc^2 < 1/max^2 rounds to 0: R(t) is a finite 0, not an error.
+    assert run(["decay-rate", "--t-max", "1e308", "--t-steps", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, *table = rows(out.encode())
+    assert header == ["t", "R"] and len(table) == 2
+    assert all(math.isfinite(float(cell)) for row in table for cell in row)
 
 
 @pytest.mark.parametrize("command", [["classify"], ["decay-rate", "--t-steps", "5"]])

@@ -36,7 +36,8 @@ def argvs(draw) -> list[str]:
         if draw(st.booleans()):
             argv.append(_flag("xi", draw(FLOATS)))
         return argv
-    for name in draw(st.sets(st.sampled_from(PARAM_FLAGS), max_size=3)):
+    # sorted: set order follows PYTHONHASHSEED, and the draws must not.
+    for name in sorted(draw(st.sets(st.sampled_from(PARAM_FLAGS), max_size=3))):
         argv.append(_flag(name, draw(FLOATS)))
     argv.append("--n-cavities=5")
     if command != "floquet-spectrum" and draw(st.booleans()):

@@ -53,6 +53,19 @@ def test_rate_single_resonant_mode():
     assert decay_rate_finite(p, build_grid(p), 0, 4.0) == pytest.approx(0.25, rel=1e-14)
 
 
+def test_rate_past_the_float_range():
+    # At t = 1e308 the sinc^2 argument of the off-resonant mode (detuning
+    # 4 xi) overflows; its true term is below 1/max^2 and rounds to 0,
+    # while the resonant mode (detuning 0) keeps sinc^2 = 1: R = t g^2 / 2.
+    # No RuntimeWarning, which this suite turns into an error.
+    p = make(n_cavities=2, omega_c=4.0, drive_amp=0.0)
+    grid = build_grid(p)
+    for t in (1e308, 1.7976931348623157e308):
+        assert decay_rate_finite(p, grid, 0, t) == pytest.approx(t * 0.25**2 / 2.0, rel=1e-14)
+    off = make()  # no mode on resonance: every term rounds to 0
+    assert decay_rate_finite(off, build_grid(off), 0, 1e308) == 0.0
+
+
 def test_rate_suppressed_at_decoupling_point():
     p = fig3(3.0, 2.404825557695773)
     grid = build_grid(p)

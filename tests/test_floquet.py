@@ -115,7 +115,7 @@ def test_truncation_too_small():
 def test_default_truncation_floor_and_growth():
     assert default_truncation(make()) == 8
     assert default_truncation(make(drive_amp=9.5 * 6.0)) == math.ceil(9.5) + 6
-    assert default_truncation(make(), n=-9) == 13
+    assert default_truncation(make(omega_c=56.0)) == 13  # delta = 54: default sideband -9
 
 
 def test_quasi_energies_zero_coupling():
@@ -262,6 +262,31 @@ def test_averaged_probability_zero_coupling_is_stationary():
     p = make(g=0.0, n_cavities=3)
     fm = build_floquet_matrix(p, build_grid(p), 2)
     assert averaged_transition_probability(fm, TLS, TLS, 5.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_transition_probability(fm, alpha, beta, t):
+    # exp(-i H t) |alpha, 0> from numpy's eigendecomposition of the
+    # assembled matrix, summed over the Fourier blocks of beta.
+    values, vectors = np.linalg.eigh(fm.entries)
+    psi = vectors @ (np.exp(-1j * values * t) * vectors[fm.index(alpha, 0)])
+    blocks = range(-fm.truncation, fm.truncation + 1)
+    return float(sum(abs(psi[fm.index(beta, m)]) ** 2 for m in blocks))
+
+
+@pytest.mark.parametrize("n_cavities", [1, 2, 4, 5, 41])
+def test_averaged_probability_matches_dense(n_cavities):
+    # Emitter and photon sources and targets; photon j = 1 -> its ring
+    # partner N - 1 (itself for N = 2) runs through the dark states.
+    p = make(n_cavities=n_cavities)
+    fm = build_floquet_matrix(p, build_grid(p), default_truncation(p))
+    n = n_cavities
+    pairs = [(TLS, TLS), (TLS, n), (n, TLS), (1, 1)]
+    if n >= 2:
+        pairs += [(2, n), (2, 2)]
+    for alpha, beta in pairs:
+        for t in (0.7, 3.7):
+            expected = dense_transition_probability(fm, alpha, beta, t)
+            assert abs(averaged_transition_probability(fm, alpha, beta, t) - expected) <= 1e-12, (alpha, beta, t)
 
 
 def dense_solve(fm, energy, source):

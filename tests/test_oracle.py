@@ -1,5 +1,6 @@
 """Exact propagation: closed-form limits, integrator hygiene, cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_rejects_non_finite_times():
         with pytest.raises(InvalidArgument):
             propagate(p, grid, excited_state(grid), t)
         with pytest.raises(InvalidArgument):
-            propagate(p, grid, excited_state(grid, time=t), 1.0)
+            propagate(p, grid, dataclasses.replace(excited_state(grid), time=t), 1.0)
     # Backward times stay allowed.
     back = propagate(p, grid, excited_state(grid), -0.5)
     assert back.time == -0.5 and abs(back.norm_sq() - 1.0) <= 1e-9
