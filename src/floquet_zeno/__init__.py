@@ -7,7 +7,7 @@ and cross-checks everything against exact propagation of the
 time-dependent amplitude equations.
 """
 
-from .bath import MomentumGrid, SpectralDensity, build_grid, memory_function, response_spectrum, spectral_density
+from .bath import MomentumGrid, build_grid, memory_function, response_spectrum, spectral_density
 from .decay import (
     DecayCurve,
     RegimeReport,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MomentumGrid",
-    "SpectralDensity",
     "build_grid",
     "memory_function",
     "response_spectrum",

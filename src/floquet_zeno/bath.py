@@ -50,19 +50,11 @@ def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) 
     return (params.g**2 / grid.n_cavities) * jn * jn * complex(phases.sum())
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
-    xi: float
-
-    def __call__(self, omega: float) -> float:
-        return spectral_density(self, omega)
-
-
-def spectral_density(sd: SpectralDensity, omega: float) -> float:
-    """Arcsine reservoir density of states, zero outside the band."""
-    half_width = 2.0 * sd.xi
+def spectral_density(xi: float, omega: float) -> float:
+    """Arcsine reservoir density of states of a band with hopping xi, zero outside the band."""
+    half_width = 2.0 * xi
     gap = abs(abs(omega) - half_width)
-    if gap < EDGE_GUARD * sd.xi:
+    if gap < EDGE_GUARD * xi:
         raise BandEdgeSingularity(
             f"omega = {omega!r} within {EDGE_GUARD:g} xi of the band edge {half_width!r}"
         )
@@ -75,4 +67,4 @@ def spectral_density(sd: SpectralDensity, omega: float) -> float:
 def response_spectrum(params: SystemParams, n: int, omega: float) -> float:
     """g_n(omega) = g^2 J_n(chi)^2 rho(omega)."""
     jn = bessel_j(n, params.chi)
-    return params.g**2 * jn * jn * spectral_density(SpectralDensity(params.xi), omega)
+    return params.g**2 * jn * jn * spectral_density(params.xi, omega)

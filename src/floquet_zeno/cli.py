@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import decay, oracle
-from .bath import SpectralDensity, build_grid, spectral_density
-from .errors import ConfigError, NonFiniteResult, NumericalError
+from .bath import build_grid, spectral_density
+from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, default_sideband, from_mapping, parse_config
 from .specfun import bessel_j_zero
@@ -104,7 +104,9 @@ def _resolve_params(fields: dict) -> SystemParams:
 def _sideband(args, params: SystemParams) -> int:
     if getattr(args, "sideband", None) is not None:
         return args.sideband
-    return default_sideband(params)
+    n = default_sideband(params)
+    decay.check_single_sideband(params, n)
+    return n
 
 
 def _time_grid(args) -> np.ndarray:
@@ -154,7 +156,7 @@ def _cmd_spectral_density(args) -> list[str]:
     if not math.isfinite(args.omega_eval):
         raise ConfigError(f"--omega must be finite, got {args.omega_eval!r}")
     params = _resolve_params(_param_fields(args))
-    rho = spectral_density(SpectralDensity(params.xi), args.omega_eval)
+    rho = spectral_density(params.xi, args.omega_eval)
     return ["omega,rho", _row(args.omega_eval, rho)]
 
 
@@ -223,13 +225,12 @@ def _cmd_reproduce_fig3(args) -> list[str]:
     # Three decay-rate curves at g = 0.25, N = 41, xi = 1, sideband 0:
     # climbing (delta=1, chi=1), descending (delta=3, chi=1), and
     # suppressed (delta=3, chi at the first root of J_0). The physics
-    # fixes only chi = A/nu; any nu > 2 xi gives the same curves at
-    # sideband 0, and --nu picks the value used to realize chi.
+    # fixes only chi = A/nu; every nu gives the same curves at sideband 0,
+    # and --nu picks the value used to realize chi. A curve whose emitter
+    # has a second sideband in band at that nu gets a warning.
     if not args.nu > 0.0:
         raise ConfigError(f"--nu must be > 0, got {args.nu!r}")
     nu = args.nu
-    if nu <= 2.0:
-        print("warning: nu <= 2 xi leaves the single-sideband picture", file=sys.stderr)
     times = _time_grid(args)
     chi_root = bessel_j_zero(0, 1)
     cases = [
@@ -250,6 +251,10 @@ def _cmd_reproduce_fig3(args) -> list[str]:
                 "drive_freq": nu,
             }
         )
+        try:
+            decay.check_single_sideband(params, 0)
+        except SecondSideband as exc:
+            print(f"warning: {name}: {exc}", file=sys.stderr)
         grid = build_grid(params)
         curve = decay.decay_curve(params, grid, 0, times)
         path = os.path.join(args.out_dir, name)
@@ -319,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-fig3", help="write the three reference decay curves as CSV files")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--nu", type=float, default=6.0, help="drive frequency realizing chi (any nu > 2 xi)")
+    p.add_argument("--nu", type=float, default=6.0,
+                   help="drive frequency realizing chi; warns for a curve with another sideband in band")
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--t-steps", type=int, default=200)
     p.set_defaults(handler=_cmd_reproduce_fig3, t_min=None)

@@ -20,34 +20,30 @@ class InvalidArgument(ConfigError, ValueError):
 
 
 class ValidationError(ConfigError):
-    """A physical parameter violates its domain constraint."""
+    """A physical parameter violates its domain constraint, stated by `requirement`."""
+
+    requirement = ""
+
+    def __init__(self, field: str, value):
+        self.field = field
+        self.value = value
+        super().__init__(f"{field} {self.requirement}, got {value!r}")
 
 
 class NonPositive(ValidationError):
-    def __init__(self, field: str, value):
-        self.field = field
-        self.value = value
-        super().__init__(f"{field} must be > 0, got {value!r}")
+    requirement = "must be > 0"
 
 
 class Negative(ValidationError):
-    def __init__(self, field: str, value):
-        self.field = field
-        self.value = value
-        super().__init__(f"{field} must be >= 0, got {value!r}")
+    requirement = "must be >= 0"
 
 
 class NonFinite(ValidationError):
-    def __init__(self, field: str, value):
-        self.field = field
-        self.value = value
-        super().__init__(f"{field} must be finite, got {value!r}")
+    requirement = "must be finite"
 
 
 class ZeroCavities(ValidationError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"n_cavities must be >= 1, got {value!r}")
+    requirement = "must be >= 1"
 
 
 class NumericalError(FloquetZenoError):
@@ -64,6 +60,11 @@ class OrderTooLarge(NumericalError):
 
 class ArgumentOutOfRange(NumericalError):
     """Bessel argument outside the supported range."""
+
+
+class SecondSideband(NumericalError):
+    """A drive sideband besides the chosen one couples the emitter to the band,
+    so the single-sideband rate misses a decay channel."""
 
 
 class BandEdgeSingularity(NumericalError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bath import MomentumGrid
 from .errors import InvalidArgument, NormDrift, StepLimitExceeded
-from .params import SystemParams, check_times
+from .params import SurvivalCurve, SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
 # RK45 settings, read at each call. These hold the norm drift under 1e-9
@@ -114,13 +114,7 @@ def propagate(params: SystemParams, grid: MomentumGrid, initial: OneQuantumState
 
 
 def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times):
-    """P_e(t_i) = |c_e(t_i)|^2 along one continued propagation from t = 0.
-
-    Imported lazily as a SurvivalCurve to keep this module free of the
-    modules it validates.
-    """
-    from .decay import SurvivalCurve
-
+    """P_e(t_i) = |c_e(t_i)|^2 along one continued propagation from t = 0."""
     times = check_times(times, positive=False)
     state = excited_state(grid)
     y0 = np.concatenate(([state.c_e], state.c_k)).astype(complex)

@@ -11,6 +11,7 @@ chi = A / nu, drive period T = 2 pi / nu.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def validate(params: SystemParams) -> SystemParams:
     if params.drive_amp < 0.0:
         raise Negative("drive_amp", params.drive_amp)
     if params.n_cavities < 1:
-        raise ZeroCavities(params.n_cavities)
+        raise ZeroCavities("n_cavities", params.n_cavities)
     return params
 
 
@@ -82,6 +83,18 @@ def default_sideband(params: SystemParams) -> int:
     return min(candidates, key=lambda n: (abs(params.delta + n * nu), abs(n), n))
 
 
+def resonant_sidebands(params: SystemParams) -> range:
+    """The sideband orders m with delta + m nu inside the band, |delta + m nu| < 2 xi.
+
+    For a tiny nu the range can be astronomically long; a bound past the
+    float range is clamped to the largest float, so the range stays finite.
+    """
+    nu, two_xi, big = params.drive_freq, 2.0 * params.xi, sys.float_info.max
+    lo = min(max((-two_xi - params.delta) / nu, -big), big)
+    hi = min(max((two_xi - params.delta) / nu, -big), big)
+    return range(math.floor(lo) + 1, math.ceil(hi))
+
+
 def check_time(t: float, positive: bool = True) -> float:
     """Return t if it is finite and > 0 (>= 0 if not positive), else raise InvalidArgument."""
     if not (math.isfinite(t) and (t > 0.0 if positive else t >= 0.0)):
@@ -99,6 +112,13 @@ def check_times(times, positive: bool = True) -> np.ndarray:
     check_time(float(times[0]), positive)  # increasing, so the ends bound every entry
     check_time(float(times[-1]), positive)
     return times
+
+
+@dataclass(frozen=True, eq=False)
+class SurvivalCurve:
+    times: np.ndarray  # passed check_times(positive=False)
+    probabilities: np.ndarray
+    method: str  # perturbative | exponential | oracle
 
 
 def parse_config(text: str) -> dict:

@@ -118,12 +118,6 @@ def bessel_j_zero(n: int, k: int) -> float:
     while x < limit:
         x = x_prev + step
         f = bessel_j(n, x)
-        if f == 0.0:
-            found += 1
-            if found == k:
-                return x
-            x_prev, f_prev = x + 1e-6, bessel_j(n, x + 1e-6)
-            continue
         if (f_prev < 0.0) != (f < 0.0):
             found += 1
             if found == k:

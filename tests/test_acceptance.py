@@ -23,7 +23,7 @@ from floquet_zeno.floquet import build_floquet_matrix, edge_weights, quasi_energ
 from floquet_zeno.oracle import excited_state, propagate, survival_curve_exact
 from floquet_zeno.params import SystemParams, validate
 from floquet_zeno.specfun import bessel_j, bessel_j_zero
-from floquet_zeno.bath import SpectralDensity, spectral_density
+from floquet_zeno.bath import spectral_density
 
 J0_ROOT = 2.4048255576957733
 
@@ -109,8 +109,7 @@ def test_criterion_05_oracle_consistency():
 
 def test_criterion_06_spectral_density_normalization():
     start = time.perf_counter()
-    rho = SpectralDensity(xi=1.0)
-    mass, _ = quad(lambda w: spectral_density(rho, w), -2.0 + 1e-6, 2.0 - 1e-6, limit=200)
+    mass, _ = quad(lambda w: spectral_density(1.0, w), -2.0 + 1e-6, 2.0 - 1e-6, limit=200)
     elapsed = time.perf_counter() - start
     ok = abs(mass - 1.0) <= 2e-3 and elapsed < 1.0
     verdict(6, f"spectral density integrates to 1 (defect {abs(mass - 1.0):.2e})", ok)

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from floquet_zeno.bath import (
-    SpectralDensity,
     build_grid,
     memory_function,
     response_spectrum,
@@ -99,34 +98,28 @@ def test_memory_function_continuum_identity():
 
 
 def test_spectral_density_values():
-    sd = SpectralDensity(xi=1.0)
-    assert spectral_density(sd, 0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
-    assert spectral_density(sd, 3.0) == 0.0
-    assert spectral_density(sd, -3.0) == 0.0
-    assert sd(1.0) == spectral_density(sd, 1.0)
+    assert spectral_density(1.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+    assert spectral_density(1.0, 3.0) == 0.0
+    assert spectral_density(1.0, -3.0) == 0.0
     # (2 xi)^2 underflows to 0 at xi = 1e-239; the value itself is finite.
-    tiny = SpectralDensity(xi=1e-239)
-    assert spectral_density(tiny, 0.0) == pytest.approx(1.0 / (2.0 * math.pi * 1e-239), rel=1e-15)
-    assert spectral_density(tiny, 1e-239) == pytest.approx(1.0 / (math.pi * math.sqrt(3.0) * 1e-239), rel=1e-15)
+    assert spectral_density(1e-239, 0.0) == pytest.approx(1.0 / (2.0 * math.pi * 1e-239), rel=1e-15)
+    assert spectral_density(1e-239, 1e-239) == pytest.approx(1.0 / (math.pi * math.sqrt(3.0) * 1e-239), rel=1e-15)
 
 
 def test_spectral_density_even():
-    sd = SpectralDensity(xi=1.3)
     for omega in (0.5, 1.0, 2.2):
-        assert spectral_density(sd, omega) == spectral_density(sd, -omega)
+        assert spectral_density(1.3, omega) == spectral_density(1.3, -omega)
 
 
 def test_spectral_density_band_edge_guard():
-    sd = SpectralDensity(xi=1.0)
     for omega in (2.0, -2.0, 2.0 + 5e-10, 2.0 - 5e-10):
         with pytest.raises(BandEdgeSingularity):
-            spectral_density(sd, omega)
+            spectral_density(1.0, omega)
 
 
 def test_spectral_density_normalization():
-    sd = SpectralDensity(xi=1.0)
     delta = 1e-6
-    value, _ = quad(lambda w: spectral_density(sd, w), -2.0 + delta, 2.0 - delta, limit=200)
+    value, _ = quad(lambda w: spectral_density(1.0, w), -2.0 + delta, 2.0 - delta, limit=200)
     assert abs(value - 1.0) <= 2e-3
 
 
@@ -137,8 +130,7 @@ def test_response_spectrum_zero_coupling():
 
 def test_response_spectrum_at_decoupling_point():
     p = make(drive_amp=J0_ROOT * 6.0)
-    sd = SpectralDensity(p.xi)
-    assert response_spectrum(p, 0, 0.5) <= 1e-18 * p.g**2 * spectral_density(sd, 0.5)
+    assert response_spectrum(p, 0, 0.5) <= 1e-18 * p.g**2 * spectral_density(p.xi, 0.5)
 
 
 def test_response_spectrum_undriven_value():

@@ -301,14 +301,60 @@ def test_overflowing_sinc_argument_exits_0(capsys):
 
 @pytest.mark.parametrize("command", [["classify"], ["decay-rate", "--t-steps", "5"]])
 def test_subnormal_drive_amplitude_exits_0(command, capsys):
-    # chi = 5e-324: J_0 = 1 and J_1 = 0 exactly, so the rows are the undriven ones.
-    assert run(command + ["--drive-amp", "5e-324", "--drive-freq", "1"]) == 0
+    # chi = 5e-324: J_0 = 1 exactly, so sideband 0 gives the undriven rows.
+    assert run(command + ["--drive-amp", "5e-324", "--drive-freq", "1", "--sideband", "0"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     header, *table = rows(out.encode())
     assert table and all(math.isfinite(float(cell)) for row in table for cell in row[1:])
-    assert run(command + ["--drive-amp", "0", "--drive-freq", "1"]) == 0
+    assert run(command + ["--drive-amp", "0", "--drive-freq", "1", "--sideband", "0"]) == 0
     assert capsys.readouterr().out == out
+
+
+TWO_SIDEBANDS = ["--delta", "1.4", "--chi", "1", "--drive-freq", "3", "--g", "0.05", "--n-cavities", "301"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay-rate", "--t-steps", "3"] + TWO_SIDEBANDS,
+        ["survival", "--t-steps", "3"] + TWO_SIDEBANDS,
+        ["survival", "--method", "exponential", "--t-steps", "3"] + TWO_SIDEBANDS,
+        ["classify"] + TWO_SIDEBANDS,
+        # Undriven at nu = 1: the default sideband -1 has J_-1(0) = 0, while
+        # sideband 0, also in band, carries the whole decay.
+        ["classify", "--drive-amp", "0", "--drive-freq", "1"],
+        ["decay-rate", "--t-steps", "5", "--drive-amp", "0", "--drive-freq", "1"],
+        ["decay-rate", "--t-steps", "5", "--drive-amp", "5e-324", "--drive-freq", "1"],
+    ],
+)
+def test_second_sideband_in_band_exits_3(argv, capsys):
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error: SecondSideband: ") and err.count("\n") == 1, err
+
+
+def test_explicit_sideband_returns_that_channel(tmp_path):
+    argv = ["decay-rate", "--t-max", "20", "--t-steps", "2", "--sideband", "0"] + TWO_SIDEBANDS
+    table = rows(run_to_file(argv, tmp_path / "r.csv"))
+    # Sideband 0 alone, near its golden rate 2 pi g^2 J_0(1)^2 rho(1.4) = 0.00205.
+    assert float(table[-1][1]) == pytest.approx(0.00205, rel=0.01)
+    sweep = ["sweep", "--param", "drive_freq", "--start", "3", "--stop", "6", "--count", "2"] + TWO_SIDEBANDS[:4]
+    table = rows(run_to_file(sweep, tmp_path / "s.csv"))
+    assert table[1] == ["3", "", "SecondSideband"]
+    assert float(table[2][1]) > 0.0 and table[2][2] == ""
+
+
+def test_reproduce_fig3_nu(tmp_path, capsys):
+    assert run(["reproduce-fig3", "--nu", "0", "--out-dir", str(tmp_path / "zero")]) == 2
+    assert not (tmp_path / "zero").exists()
+    capsys.readouterr()
+    # At nu = 4 sideband -1 reaches the band for delta = 3 (red, green), not for delta = 1 (blue).
+    assert run(["reproduce-fig3", "--nu", "4", "--out-dir", str(tmp_path), "--t-steps", "3"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fig3_blue.csv", "fig3_green.csv", "fig3_red.csv"]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+    assert [line.split(":")[1].strip() for line in warnings] == ["fig3_red.csv", "fig3_green.csv"]
 
 
 def test_sweep_reports_overflow_per_point(tmp_path):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from floquet_zeno.bath import build_grid, memory_function, response_spectrum
@@ -13,6 +15,7 @@ from floquet_zeno.decay import (
     DECOUPLED,
     INDETERMINATE,
     ZENO,
+    check_single_sideband,
     classify_regime,
     decay_curve,
     decay_rate_continuum,
@@ -24,9 +27,9 @@ from floquet_zeno.decay import (
     survival_curve,
     survival_probability,
 )
-from floquet_zeno.errors import BandEdgeSingularity, ConfigError, InvalidArgument
+from floquet_zeno.errors import BandEdgeSingularity, ConfigError, InvalidArgument, SecondSideband
 from floquet_zeno.floquet import averaged_transition_probability, reduced_hamiltonian
-from floquet_zeno.params import SystemParams, validate
+from floquet_zeno.params import SystemParams, default_sideband, validate
 from floquet_zeno.specfun import bessel_j
 
 J0_ROOT = 2.4048255576957733
@@ -327,6 +330,52 @@ def test_classifier_zeno_at_short_time():
 def test_classifier_indeterminate_between_limits():
     p = fig3(1.0, 1.0)
     assert classify_regime(p, 0, 10.0).regime == INDETERMINATE
+
+
+# Kofman-Kurizki criterion: Zeno means R(t) below the golden-rule rate,
+# anti-Zeno means R(t) above it. N = 4001 keeps the lattice sum close to
+# the continuum, and nu = 6 > 4 xi keeps one sideband in band at most.
+KK_GRID = build_grid(make(n_cavities=4001))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(-8.0, 8.0),
+    chi=st.floats(0.5, 3.0),
+    t=st.floats(math.log(0.05), math.log(100.0)).map(math.exp),
+)
+@example(delta=1.0, chi=1.0, t=0.05)  # Zeno
+@example(delta=3.0, chi=1.0, t=10.0)  # AntiZeno
+def test_regime_labels_agree_with_the_golden_rule(delta, chi, t):
+    p = make(omega_c=2.0 + delta, drive_amp=chi * 6.0, n_cavities=4001)
+    n = default_sideband(p)
+    try:
+        golden = decay_rate_longtime(p, KK_GRID, n).rate
+    except BandEdgeSingularity:
+        reject()
+    regime = classify_regime(p, n, t).regime
+    rate = decay_rate_finite(p, KK_GRID, n, t)
+    if regime == ZENO:
+        assert rate < golden
+    elif regime == ANTI_ZENO:
+        assert rate > golden
+
+
+def test_single_sideband_check():
+    # nu = 3 < 4 xi puts sideband -1 in band beside sideband 0.
+    p = make(omega_c=3.4, g=0.05, drive_amp=3.0, drive_freq=3.0)
+    with pytest.raises(SecondSideband, match="sideband -1 also lies in the band"):
+        check_single_sideband(p, 0)
+    with pytest.raises(SecondSideband, match="sideband 0 also lies in the band"):
+        check_single_sideband(p, -1)
+    # Undriven, only J_0 is nonzero: sidebands -2 and -1 are in band but uncoupled.
+    undriven = make(drive_amp=0.0, drive_freq=1.0)
+    check_single_sideband(undriven, 0)
+    with pytest.raises(SecondSideband):
+        check_single_sideband(undriven, default_sideband(undriven))
+    for chi in (1.0, J0_ROOT):
+        check_single_sideband(fig3(1.0, chi), 0)
+        check_single_sideband(fig3(3.0, chi), 0)
 
 
 def test_decay_curve_fields_and_invariants():

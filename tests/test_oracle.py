@@ -8,7 +8,7 @@ import pytest
 
 from floquet_zeno import oracle
 from floquet_zeno.bath import build_grid
-from floquet_zeno.decay import survival_probability
+from floquet_zeno.decay import decay_rate_longtime, survival_probability
 from floquet_zeno.errors import InvalidArgument, NormDrift, StepLimitExceeded
 from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix
 from floquet_zeno.oracle import (
@@ -17,7 +17,7 @@ from floquet_zeno.oracle import (
     propagate,
     survival_curve_exact,
 )
-from floquet_zeno.params import SystemParams, validate
+from floquet_zeno.params import SystemParams, resonant_sidebands, validate
 
 J0_ROOT = 2.4048255576957733
 
@@ -131,6 +131,21 @@ def test_undriven_resonant_decay_follows_golden_rule_envelope():
     times = np.linspace(2.0, 10.0, 9)
     curve = survival_curve_exact(p, grid, times)
     assert np.all(curve.probabilities <= 1.5 * np.exp(-rate * times))
+
+
+def test_two_in_band_sidebands_decay_at_the_summed_golden_rule():
+    # nu = 3 < 4 xi puts sidebands -1 and 0 in band. The oracle decays at
+    # the Floquet golden rule summed over them, sum_m 2 pi g^2 J_m(chi)^2
+    # rho(delta + m nu); sideband 0 alone is 28% low.
+    p = make(omega_c=3.4, g=0.05, n_cavities=301, drive_amp=3.0, drive_freq=3.0)
+    grid = build_grid(p)
+    assert list(resonant_sidebands(p)) == [-1, 0]
+    summed = sum(decay_rate_longtime(p, grid, m).rate for m in resonant_sidebands(p))
+    times = np.array([20.0, 30.0, 40.0])
+    rates = -np.log(survival_curve_exact(p, grid, times).probabilities) / times
+    # -ln P(t) / t oscillates about the golden rule by about 1% at these times.
+    assert np.abs(rates / summed - 1.0).max() <= 0.02
+    assert decay_rate_longtime(p, grid, 0).rate < 0.75 * summed
 
 
 def test_floquet_average_matches_period_mean():

@@ -10,6 +10,7 @@ from floquet_zeno.params import (
     default_sideband,
     from_mapping,
     parse_config,
+    resonant_sidebands,
     validate,
 )
 
@@ -41,6 +42,7 @@ def test_nonpositive_fields():
     with pytest.raises(NonPositive) as exc:
         validate(make(xi=0.0))
     assert exc.value.field == "xi"
+    assert str(exc.value) == "xi must be > 0, got 0.0"
     with pytest.raises(NonPositive):
         validate(make(drive_freq=0.0))
     with pytest.raises(NonPositive):
@@ -48,8 +50,9 @@ def test_nonpositive_fields():
 
 
 def test_negative_fields():
-    with pytest.raises(Negative):
+    with pytest.raises(Negative) as exc:
         validate(make(g=-0.1))
+    assert str(exc.value) == "g must be >= 0, got -0.1"
     with pytest.raises(Negative):
         validate(make(drive_amp=-2.0))
 
@@ -58,13 +61,15 @@ def test_non_finite_fields():
     with pytest.raises(NonFinite) as exc:
         validate(make(omega=math.inf))
     assert exc.value.field == "omega"
+    assert str(exc.value) == "omega must be finite, got inf"
     with pytest.raises(NonFinite):
         validate(make(g=math.nan))
 
 
 def test_zero_cavities():
-    with pytest.raises(ZeroCavities):
+    with pytest.raises(ZeroCavities) as exc:
         validate(make(n_cavities=0))
+    assert str(exc.value) == "n_cavities must be >= 1, got 0"
 
 
 def test_zero_coupling_and_drive_are_allowed():
@@ -95,6 +100,28 @@ def test_default_sideband_folds_into_half_window(delta, nu):
     p = validate(make(omega=0.0, omega_c=delta, drive_freq=nu, drive_amp=0.0))
     n = default_sideband(p)
     assert abs(delta + n * nu) <= nu / 2.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, nu, expected",
+    [
+        (1.0, 6.0, [0]),
+        (3.0, 6.0, []),
+        (2.0, 6.0, []),  # |delta| = 2 xi is the band edge, not inside the band
+        (1.4, 3.0, [-1, 0]),
+        (1.0, 1.0, [-2, -1, 0]),
+        (-1.0, 0.5, [-1, 0, 1, 2, 3, 4, 5]),
+    ],
+)
+def test_resonant_sidebands(delta, nu, expected):
+    p = validate(make(omega=0.0, omega_c=delta, drive_freq=nu))
+    assert list(resonant_sidebands(p)) == expected
+
+
+def test_resonant_sidebands_for_a_tiny_drive_frequency():
+    # (-2 xi - delta) / nu = -3e308 overflows; the range stays finite.
+    orders = resonant_sidebands(validate(make(drive_freq=1e-308)))
+    assert 0 in orders and -(10**307) in orders and 2 * 10**308 not in orders
 
 
 def test_parse_config_roundtrip():

@@ -129,6 +129,14 @@ def test_root_oracle_values(key):
     assert abs(bessel_j(n, root)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [150, 200])
+@pytest.mark.parametrize("k", [1, 2])
+def test_large_order_roots_against_scipy(n, k):
+    # J_n(x) underflows to 0.0 for x well below its first root; those
+    # stretches are not roots. The bisection stops at a width of 1e-12.
+    assert bessel_j_zero(n, k) == pytest.approx(scipy.special.jn_zeros(n, k)[-1], abs=1e-12)
+
+
 def test_second_j0_root_bracket():
     root = bessel_j_zero(0, 2)
     assert 5.0 < root < 6.0
