@@ -30,14 +30,16 @@ EDGE_GUARD = 1e-9  # in units of xi
 class MomentumGrid:
     n_cavities: int
     momenta: np.ndarray  # k_j = 2 pi j / N, j = 0..N-1
+    cos_k: np.ndarray  # cos k_j, shared by the energies and every lattice sum
     energies: np.ndarray  # eps_k = omega_c - 2 xi cos k
 
 
 def build_grid(params: SystemParams) -> MomentumGrid:
     n = params.n_cavities
     momenta = 2.0 * math.pi * np.arange(n) / n
-    energies = params.omega_c - 2.0 * params.xi * np.cos(momenta)
-    return MomentumGrid(n_cavities=n, momenta=momenta, energies=energies)
+    cos_k = np.cos(momenta)
+    energies = params.omega_c - 2.0 * params.xi * cos_k
+    return MomentumGrid(n_cavities=n, momenta=momenta, cos_k=cos_k, energies=energies)
 
 
 def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) -> complex:
@@ -46,7 +48,7 @@ def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) 
     Negative t is allowed and satisfies g_n(-t) = conj(g_n(t)).
     """
     jn = bessel_j(n, params.chi)
-    phases = np.exp(1j * t * 2.0 * params.xi * np.cos(grid.momenta))
+    phases = np.exp(1j * t * 2.0 * params.xi * grid.cos_k)
     return (params.g**2 / grid.n_cavities) * jn * jn * complex(phases.sum())
 
 

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -146,7 +147,12 @@ def _cmd_survival(args) -> list[str]:
         curve = oracle.survival_curve_exact(params, grid, times)
     else:
         n = _sideband(args, params)
-        curve = decay.survival_curve(params, grid, n, times, args.method)
+        # A perturbative overshoot warning becomes one stderr line, as in reproduce-fig3.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            curve = decay.survival_curve(params, grid, n, times, args.method)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     lines = ["t,P_e"]
     lines.extend(_row(t, p) for t, p in zip(curve.times, curve.probabilities))
     return lines

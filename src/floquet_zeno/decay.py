@@ -42,6 +42,16 @@ DECOUPLING_THRESHOLD = 1e-6
 # regime criteria; a deliberate, tunable artifact choice.
 SEPARATION = 10.0
 
+# The lattice-sum kernel builds its (times x modes) arguments at most this
+# many at a time, so each float temporary stays near 0.5 MB.
+CHUNK_ELEMENTS = 1 << 16
+
+# Past this bound * t an argument x = detuning * t / 2 can pass 5e149, where
+# sinc^2(x) ~ 1/x^2 nears the smallest double; past about 1e154 it underflows
+# to 0 while R(t) t stays O(1). Such times sum s (s t) with s = sinc(x)
+# instead of t sum s^2. Below it the rates keep their bytes.
+SCALED_ABOVE = 1e150
+
 
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
@@ -60,30 +70,108 @@ class RegimeReport:
     omega_g: float  # reservoir-response center, 0 for this band
 
 
-def _sinc_sq(x: np.ndarray) -> np.ndarray:
-    # sin(x)^2 / x^2 with a series branch through x = 0.
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+def _sinc(x: np.ndarray) -> np.ndarray:
+    # sin(x) / x with a series branch through x = 0.
     small = np.abs(x) < 1e-4
+    out = np.sin(x)
+    np.divide(out, x, out=out, where=~small)
     xs = x[small]
     x2 = xs * xs
-    out[small] = (1.0 - x2 / 6.0 + x2 * x2 / 120.0) ** 2
-    xl = x[~small]
-    s = np.sin(xl) / xl
-    out[~small] = s * s
+    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out
 
 
 def _ramp_sine(x: np.ndarray) -> np.ndarray:
     # (x - sin x) / x^2 with a series branch where x - sin x cancels.
-    out = np.empty_like(x)
     small = np.abs(x) < 0.1
+    out = x - np.sin(x)
+    np.divide(out, x * x, out=out, where=~small)
     xs = x[small]
     x2 = xs * xs
     out[small] = xs * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
-    xl = x[~small]
-    out[~small] = (xl - np.sin(xl)) / (xl * xl)
     return out
+
+
+def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) -> np.ndarray:
+    """Fill out[..., i] with row_sums(coeff * t_i, t_i), each a sum over the modes.
+
+    The arguments are built CHUNK_ELEMENTS at a time (one time per chunk
+    once the modes alone exceed that), so the peak allocation does not grow
+    with the number of times.
+    """
+    rows = max(1, CHUNK_ELEMENTS // coeff.size)
+    for start in range(0, times.size, rows):
+        t = times[start : start + rows, None]
+        out[..., start : start + rows] = row_sums(coeff * t, t)
+    return out
+
+
+def _detuning(params: SystemParams, grid: MomentumGrid, n: int) -> tuple[np.ndarray, float]:
+    """delta - 2 xi cos k + n nu per mode, and a bound >= its magnitude.
+
+    With bound * t finite no argument detuning * t overflows.
+    """
+    detuning = params.delta - 2.0 * params.xi * grid.cos_k + n * params.drive_freq
+    return detuning, abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
+
+
+def _rate_sums(x: np.ndarray, t) -> np.ndarray:
+    # sum_k sinc^2(x_k / 2) over the last axis, x = detuning * t.
+    s = _sinc(x / 2.0)
+    return (s * s).sum(axis=-1)
+
+
+def _scaled_rate_sums(x: np.ndarray, t) -> np.ndarray:
+    # t sum_k sinc^2(x_k / 2) as sum_k s (s t), s = sinc(x_k / 2): s^2 may underflow, s (s t) does not.
+    s = _sinc(x / 2.0)
+    return (s * (s * t)).sum(axis=-1)
+
+
+def _masked_rate_sum(detuning: np.ndarray, t: float) -> float:
+    # bound * t overflows: an overflowing argument has sinc^2 < 1/max^2, so
+    # its term rounds to 0 and is dropped.
+    with np.errstate(over="ignore"):
+        x = detuning * t
+    return _rate_sums(x[np.isfinite(x)], t)
+
+
+def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
+    """R(t) at checked, increasing times > 0; decay_rate_finite is its one-time case."""
+    jn = bessel_j(n, params.chi)
+    detuning, bound = _detuning(params, grid, n)
+    with np.errstate(over="ignore"):
+        reach = bound * times
+    # Increasing times split into plain, scaled and overflowing rows. A bound
+    # that overflows itself may hide a non-finite detuning, which stays an
+    # error: every row is plain then.
+    plain = times.size if bound == math.inf else int(np.count_nonzero(reach <= SCALED_ABOVE))
+    finite = max(plain, int(np.count_nonzero(reach < math.inf)))
+    totals = np.empty_like(times)
+    _chunked(detuning, times[:plain], _rate_sums, totals[:plain])
+    _chunked(detuning, times[plain:finite], _scaled_rate_sums, totals[plain:finite])
+    for i in range(finite, times.size):
+        totals[i] = _masked_rate_sum(detuning, times[i])
+    factors = times.copy()
+    factors[plain:finite] = 1.0
+    return factors * params.g**2 / grid.n_cavities * jn * jn * totals
+
+
+def _window_sums(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    # sum_k sinc^2(x_k / 2) / 2 and sum_k (x_k - sin x_k) / x_k^2 over the last axis, x = a_k t.
+    s = _sinc(0.5 * x)
+    return 0.5 * (s * s).sum(axis=-1), _ramp_sine(x).sum(axis=-1)
+
+
+def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> list[complex]:
+    """C_e(t) at checked times > 0: the kernel behind survival_curve and survival_amplitude."""
+    jn = bessel_j(n, params.chi)
+    a = 2.0 * params.xi * grid.cos_k - params.delta - n * params.drive_freq
+    windows = _chunked(a, times, _window_sums, np.empty((2, times.size)))
+    amplitudes = []
+    for t, real, imag in zip(times, *windows):
+        phase = complex(math.cos(0.5 * params.omega * t), math.sin(0.5 * params.omega * t))
+        amplitudes.append(phase * (1.0 - t * t * params.g**2 / grid.n_cavities * jn * jn * complex(real, imag)))
+    return amplitudes
 
 
 def __getattr__(name: str):
@@ -124,22 +212,24 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
-    """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2)."""
-    check_time(t)
+    """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2).
+
+    The one-time case of decay_curve's kernel, without its set-up. Past
+    bound * t = SCALED_ABOVE the sum is taken as sum_k s (s t), so R(t) t
+    does not underflow; where bound * t overflows, overflowing arguments
+    are dropped (each term is below 1/max^2).
+    """
+    t = float(check_time(t))
     jn = bessel_j(n, params.chi)
-    detuning = params.delta - 2.0 * params.xi * np.cos(grid.momenta) + n * params.drive_freq
-    # bound >= |detuning|, so with bound * t finite no argument overflows.
-    # When only the product passes the float range, each overflowing term
-    # has sinc^2 < 1/max^2 and rounds to 0. A bound that overflows itself
-    # may hide a non-finite detuning, which stays an error.
-    bound = abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
-    if bound == math.inf or bound * t < math.inf:
-        total = _sinc_sq(detuning * t / 2.0).sum()
+    detuning, bound = _detuning(params, grid, n)
+    reach = bound * t
+    if reach <= SCALED_ABOVE or bound == math.inf:
+        factor, total = t, _rate_sums(detuning * t, t)
+    elif reach < math.inf:
+        factor, total = 1.0, _scaled_rate_sums(detuning * t, t)
     else:
-        with np.errstate(over="ignore"):
-            arg = detuning * t / 2.0
-        total = _sinc_sq(arg[np.isfinite(arg)]).sum()
-    return float(t * params.g**2 / grid.n_cavities * jn * jn * total)
+        factor, total = t, _masked_rate_sum(detuning, t)
+    return float(factor * params.g**2 / grid.n_cavities * jn * jn * total)
 
 
 @dataclass(frozen=True)
@@ -227,30 +317,14 @@ def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: floa
     """
     if check_time(t, positive=False) == 0.0:
         return 1.0 + 0.0j
-    jn = bessel_j(n, params.chi)
-    x = (2.0 * params.xi * np.cos(grid.momenta) - params.delta - n * params.drive_freq) * t
-    window = complex(0.5 * _sinc_sq(0.5 * x).sum(), _ramp_sine(x).sum())
-    phase = complex(math.cos(0.5 * params.omega * t), math.sin(0.5 * params.omega * t))
-    return phase * (1.0 - t * t * params.g**2 / grid.n_cavities * jn * jn * window)
+    return complex(_amplitudes(params, grid, n, np.array([t], dtype=float))[0])
 
 
 def survival_probability(
     params: SystemParams, grid: MomentumGrid, n: int, t: float, method: str = "perturbative"
 ) -> float:
-    """P_e(t), either |C_e(t)|^2 or exp(-R(t) t)."""
-    if method not in ("perturbative", "exponential"):
-        raise InvalidArgument(f"unknown method {method!r}")
-    if check_time(t, positive=False) == 0.0:
-        return 1.0
-    if method == "perturbative":
-        p = abs(survival_amplitude(params, grid, n, t)) ** 2
-        if p > 1.0 + 1e-6:
-            warnings.warn(
-                f"perturbative P_e = {p:.6g} overshoots 1; second order is unreliable here",
-                stacklevel=2,
-            )
-        return float(min(max(p, 0.0), 1.0))
-    return math.exp(-decay_rate_finite(params, grid, n, t) * t)
+    """P_e(t), either |C_e(t)|^2 or exp(-R(t) t): the one-time case of survival_curve."""
+    return float(survival_curve(params, grid, n, [t], method).probabilities[0])
 
 
 def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) -> float:
@@ -308,13 +382,34 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
 
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:
     times = check_times(times)
-    rates = np.array([decay_rate_finite(params, grid, n, t) for t in times])
-    return DecayCurve(times=times, rates=rates, params=params, sideband=n)
+    return DecayCurve(times=times, rates=_rates(params, grid, n, times), params=params, sideband=n)
 
 
 def survival_curve(
     params: SystemParams, grid: MomentumGrid, n: int, times, method: str = "perturbative"
 ) -> SurvivalCurve:
+    """P_e(t) on a time grid, either |C_e(t)|^2 or exp(-R(t) t), with P_e(0) = 1.
+
+    A perturbative P_e past 1 + 1e-6 means second order is unreliable there:
+    it is clipped to 1, and one UserWarning per curve names the largest
+    value and the number of clipped times.
+    """
+    if method not in ("perturbative", "exponential"):
+        raise InvalidArgument(f"unknown method {method!r}")
     times = check_times(times, positive=False)
-    probs = np.array([survival_probability(params, grid, n, t, method) for t in times])
+    start = int(times[0] == 0.0)
+    probs = np.ones_like(times)
+    later = times[start:]
+    if later.size and method == "exponential":
+        probs[start:] = [math.exp(-r * t) for r, t in zip(_rates(params, grid, n, later), later)]
+    elif later.size:
+        probs[start:] = [abs(c) ** 2 for c in _amplitudes(params, grid, n, later)]
+        over = probs > 1.0 + 1e-6
+        if over.any():
+            warnings.warn(
+                f"perturbative P_e up to {probs[over].max():.6g} overshoots 1 at {np.count_nonzero(over)} "
+                f"of {times.size} times, clipped to 1; second order is unreliable here",
+                stacklevel=2,
+            )
+        probs = np.clip(probs, 0.0, 1.0)
     return SurvivalCurve(times=times, probabilities=probs, method=method)

@@ -14,7 +14,7 @@ Algorithms:
     padded start order, normalized with the linear sum rule
     J_0(x) + 2*sum_m J_{2m}(x) = 1, which also fixes the overall sign.
     Below 1e-8 its step factor 2m/x would overflow the rescaling.
-  * roots: sign-change bracketing on a 0.1 grid, then bisection.
+  * roots: sign-change bracketing on a 0.1 grid from x = n, then bisection.
 
 Absolute error is at most 2e-15 for |x| <= 50 (all |n| <= 1024) and
 5e-14 for 50 < |x| <= 2000 (|n| <= 200), measured against
@@ -98,9 +98,10 @@ def bessel_j(n: int, x: float) -> float:
 def bessel_j_zero(n: int, k: int) -> float:
     """k-th positive root of J_n, n >= 0, k >= 1.
 
-    Brackets by sampling J_n at step 0.1 starting just above x = 0 (the
-    trivial zero of J_n at the origin for n >= 1 is not counted), then
-    bisects to an interval width of 1e-12.
+    Brackets by sampling J_n at step 0.1, then bisects to an interval width
+    of 1e-12. The scan starts at x = 0.05 for n = 0 and at x = n for n >= 1:
+    J_n has no positive root at or below n, and the trivial zero at the
+    origin is not counted.
     """
     n = int(n)
     if n < 0 or n > MAX_ORDER:
@@ -108,7 +109,7 @@ def bessel_j_zero(n: int, k: int) -> float:
     if not (k >= 1 and k % 1 == 0):
         raise InvalidArgument(f"root index must be an integer >= 1, got {k}")
     step = 0.1
-    x_prev = 0.05
+    x_prev = max(0.05, float(n))
     f_prev = bessel_j(n, x_prev)
     found = 0
     x = x_prev

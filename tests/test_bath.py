@@ -31,6 +31,13 @@ def test_grid_single_cavity():
     assert grid.energies.tolist() == [3.0 - 2.0]
 
 
+def test_grid_carries_cos_k_for_the_energies():
+    p = make(n_cavities=41, omega_c=-1.3, xi=0.7)
+    grid = build_grid(p)
+    assert np.array_equal(grid.cos_k, np.cos(grid.momenta))
+    assert np.array_equal(grid.energies, p.omega_c - 2.0 * p.xi * np.cos(grid.momenta))
+
+
 def test_grid_four_cavities():
     grid = build_grid(make(n_cavities=4, omega_c=0.0))
     assert grid.energies == pytest.approx([-2.0, 0.0, 2.0, 0.0], abs=1e-15)

@@ -288,6 +288,16 @@ def test_overflowing_input_exits_3(argv, capsys):
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
 
 
+def test_perturbative_overshoot_is_one_warning_line(capsys):
+    argv = ["survival", "--g", "2", "--omega-c", "2", "--drive-amp", "0", "--n-cavities", "5",
+            "--t-max", "3", "--t-steps", "3"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == "t,P_e\n1,0.487333055362\n2,1\n3,1\n"
+    assert err.startswith("warning: perturbative P_e up to ") and err.count("\n") == 1, err
+    assert "overshoots 1 at 2 of 3 times" in err
+
+
 def test_overflowing_sinc_argument_exits_0(capsys):
     # At t = 1e308 the arguments (delta - 2 xi cos k) t / 2 pass the float
     # range, where sinc^2 < 1/max^2 rounds to 0: R(t) is a finite 0, not an error.

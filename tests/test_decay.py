@@ -1,7 +1,11 @@
 """Decay rates, survival amplitudes, modulation spectrum, regime classifier."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -9,11 +13,14 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from floquet_zeno import decay
 from floquet_zeno.bath import build_grid, memory_function, response_spectrum
 from floquet_zeno.decay import (
     ANTI_ZENO,
+    CHUNK_ELEMENTS,
     DECOUPLED,
     INDETERMINATE,
+    SCALED_ABOVE,
     ZENO,
     check_single_sideband,
     classify_regime,
@@ -424,4 +431,132 @@ def test_perturbative_overshoot_warns_and_clips():
         warnings.simplefilter("always")
         value = survival_probability(p, grid, 0, 3.0)
     assert value == 1.0
-    assert any("overshoot" in str(w.message) for w in caught)
+    assert len(caught) == 1 and "overshoot" in str(caught[0].message)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = survival_curve(p, grid, 0, [0.0, 1.0, 2.0, 3.0])
+    assert list(curve.probabilities[2:]) == [1.0, 1.0]
+    assert 0.0 < curve.probabilities[1] < 1.0
+    largest = max(abs(survival_amplitude(p, grid, 0, t)) ** 2 for t in (2.0, 3.0))
+    assert [str(w.message) for w in caught] == [
+        f"perturbative P_e up to {largest:.6g} overshoots 1 at 2 of 4 times, clipped to 1; "
+        "second order is unreliable here"
+    ]
+
+
+# --- the chunked lattice-sum kernel -------------------------------------------
+
+
+def _seed_sinc_sq(x):
+    # The per-time sinc^2 the kernel replaced, kept as the byte reference.
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-4
+    x2 = x[small] * x[small]
+    out[small] = (1.0 - x2 / 6.0 + x2 * x2 / 120.0) ** 2
+    s = np.sin(x[~small]) / x[~small]
+    out[~small] = s * s
+    return out
+
+
+def _seed_rate(p, grid, n, t):
+    detuning = p.delta - 2.0 * p.xi * np.cos(grid.momenta) + n * p.drive_freq
+    jn = bessel_j(n, p.chi)
+    return float(t * p.g**2 / grid.n_cavities * jn * jn * _seed_sinc_sq(detuning * t / 2.0).sum())
+
+
+def _seed_survival(p, grid, n, t):
+    x = (2.0 * p.xi * np.cos(grid.momenta) - p.delta - n * p.drive_freq) * t
+    small = np.abs(x) < 0.1
+    ramp = np.empty_like(x)
+    x2 = x[small] * x[small]
+    ramp[small] = x[small] * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
+    ramp[~small] = (x[~small] - np.sin(x[~small])) / (x[~small] * x[~small])
+    window = complex(0.5 * _seed_sinc_sq(0.5 * x).sum(), ramp.sum())
+    jn = bessel_j(n, p.chi)
+    phase = complex(math.cos(0.5 * p.omega * t), math.sin(0.5 * p.omega * t))
+    amplitude = phase * (1.0 - t * t * p.g**2 / grid.n_cavities * jn * jn * window)
+    return min(abs(amplitude) ** 2, 1.0)
+
+
+KERNEL_POINTS = [fig3(1.0, 1.0), fig3(3.0, 1.0), fig3(3.0, J0_ROOT), make(omega_c=1.37, drive_amp=4.1, g=0.05)]
+SHORT = np.linspace(0.05, 20.0, 97)
+# Plain rows, rows past SCALED_ABOVE, and rows where bound * t overflows.
+LONG = np.concatenate([SHORT, np.geomspace(1e100, 1.7e308, 40)])
+
+
+@pytest.mark.filterwarnings("ignore:perturbative P_e up to")  # N = 1 on resonance overshoots
+@pytest.mark.parametrize("n_cavities", [1, 2, 41, 4001])
+@pytest.mark.parametrize("point", range(len(KERNEL_POINTS)))
+def test_curves_equal_their_one_time_case_bit_for_bit(n_cavities, point):
+    p = dataclasses.replace(KERNEL_POINTS[point], n_cavities=n_cavities)
+    grid = build_grid(p)
+    rates = decay_curve(p, grid, 0, LONG).rates
+    assert np.array_equal(rates, [decay_rate_finite(p, grid, 0, t) for t in LONG])
+    # Below SCALED_ABOVE, SHORT always, the bytes are those of the per-time sum.
+    plain = (LONG <= SCALED_ABOVE / (abs(p.delta) + 2.0 * p.xi)) | (LONG <= SHORT[-1])
+    assert np.array_equal(rates[plain], [_seed_rate(p, grid, 0, t) for t in LONG[plain]])
+    times = np.concatenate([[0.0], SHORT])
+    for method in ("perturbative", "exponential"):
+        probs = survival_curve(p, grid, 0, times, method).probabilities
+        assert np.array_equal(probs, [survival_probability(p, grid, 0, t, method) for t in times])
+    probs = survival_curve(p, grid, 0, times).probabilities
+    assert np.array_equal(probs[1:], [_seed_survival(p, grid, 0, t) for t in SHORT])
+    probs = survival_curve(p, grid, 0, LONG, "exponential").probabilities
+    assert np.array_equal(probs, [math.exp(-r * t) for r, t in zip(rates, LONG)])
+
+
+def test_chunk_boundaries(monkeypatch):
+    p = fig3(1.0, 1.0)
+    grid = build_grid(p)
+    times = np.linspace(0.5, 10.0, 7)
+    whole = decay_curve(p, grid, 0, times).rates
+    survival = survival_curve(p, grid, 0, times).probabilities
+    # Two times per chunk: chunks of 2, 2, 2 and 1 rows.
+    monkeypatch.setattr(decay, "CHUNK_ELEMENTS", 2 * p.n_cavities + 1)
+    assert np.array_equal(decay_curve(p, grid, 0, times).rates, whole)
+    assert np.array_equal(survival_curve(p, grid, 0, times).probabilities, survival)
+    assert np.array_equal(whole, [decay_rate_finite(p, grid, 0, t) for t in times])
+
+
+def test_more_modes_than_a_chunk_gives_one_time_per_chunk():
+    p = make(n_cavities=CHUNK_ELEMENTS + 3)
+    grid = build_grid(p)
+    times = [0.5, 2.0, 7.0]
+    rates = decay_curve(p, grid, 0, times).rates
+    assert np.array_equal(rates, [_seed_rate(p, grid, 0, t) for t in times])
+    probs = survival_curve(p, grid, 0, times).probabilities
+    assert np.array_equal(probs, [_seed_survival(p, grid, 0, t) for t in times])
+
+
+def test_curve_peak_allocation_does_not_grow_with_the_times():
+    # Unchunked, a 200-time N = 4001 curve holds 6.4 MB per (times x modes)
+    # temporary; in chunks of CHUNK_ELEMENTS each is about 0.5 MB.
+    p = make(n_cavities=4001, g=0.05)
+    grid = build_grid(p)
+    times = np.linspace(0.1, 20.0, 200)
+    for compute in (decay_curve, survival_curve):
+        tracemalloc.start()
+        try:
+            compute(p, grid, 0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, (compute.__name__, peak)
+
+
+@pytest.mark.parametrize("t", [1e100, 1e150, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("point", [fig3(1.0, 1.0), fig3(3.0, 1.0)], ids=["in-band", "out-of-band"])
+def test_rate_times_t_past_the_underflow_against_mpmath(point, t):
+    # R(t) t = (t^2 g^2 / N) J_0^2 sum_k sinc^2(x_k) on the same float
+    # arguments x_k, summed in 60-digit arithmetic. Each sinc^2 underflows
+    # past t ~ 1e154, but R(t) t stays O(1).
+    grid = build_grid(point)
+    detuning = point.delta - 2.0 * point.xi * np.cos(grid.momenta)
+    jn = bessel_j(0, point.chi)
+    with mpmath.workdps(60):
+        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, detuning * t / 2.0))
+        expected = float(mpmath.mpf(t) ** 2 * point.g**2 / grid.n_cavities * jn * jn * total)
+    rate = decay_rate_finite(point, grid, 0, t)
+    assert 1e-3 < expected < 10.0
+    assert rate * t == pytest.approx(expected, rel=1e-12)
+    assert survival_probability(point, grid, 0, t, "exponential") == pytest.approx(math.exp(-expected), rel=1e-11)

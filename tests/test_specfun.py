@@ -137,6 +137,14 @@ def test_large_order_roots_against_scipy(n, k):
     assert bessel_j_zero(n, k) == pytest.approx(scipy.special.jn_zeros(n, k)[-1], abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 5, 50, 150])
+def test_root_scan_from_x_equal_n(n):
+    # J_n has no positive root at or below n, so the scan starts there.
+    assert bessel_j(n, float(n)) > 0.0
+    for k in (1, 2):
+        assert bessel_j_zero(n, k) == pytest.approx(scipy.special.jn_zeros(n, k)[-1], abs=1e-12)
+
+
 def test_second_j0_root_bracket():
     root = bessel_j_zero(0, 2)
     assert 5.0 < root < 6.0
