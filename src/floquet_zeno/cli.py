@@ -214,10 +214,9 @@ def _cmd_sweep(args) -> list[str]:
             n = _sideband(args, params)
             if args.quantity == "regime":
                 return decay.classify_regime(params, n, args.t).regime, ""
-            grid = build_grid(params)
             if args.quantity == "rate":
-                return _fmt(decay.decay_rate_finite(params, grid, n, args.t)), ""
-            return _fmt(decay.decay_rate_longtime(params, grid, n).rate), ""
+                return _fmt(decay.decay_rate_finite(params, build_grid(params), n, args.t)), ""
+            return _fmt(decay.decay_rate_longtime(params, n).rate), ""
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             return "", type(exc).__name__
 

@@ -154,15 +154,18 @@ def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> Flo
     return _structured(params, grid, 0, np.array([0]), np.array([n]))
 
 
-def _eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, bright then dark, and the eigenvector matrix with
-    columns aligned with them."""
-    n, blocks = fm.n_cavities, fm.emitter.size
+def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bright and dark columns of one block's basis change, then the
+    bright eigenvalues and eigenvectors, shaped (blocks, bright rows, values).
+
+    The basis change is the same in every block: the emitter, modes
+    j = 0 .. N/2 with each pair merged into the bright (|j> + |N-j>)/sqrt(2),
+    then the dark (|j> - |N-j>)/sqrt(2), whose quasi-energy in block s is
+    photon[s, j].
+    """
+    n = fm.n_cavities
     half = n // 2
     pairs = np.arange(1, (n + 1) // 2)  # j with partner N - j != j
-    # One block's basis change, the same in every block: the emitter,
-    # modes j = 0 .. N/2 with each pair merged into the bright
-    # (|j> + |N-j>)/sqrt(2), then the dark (|j> - |N-j>)/sqrt(2).
     basis = np.zeros((n + 1, n + 1))
     basis[np.arange(half + 2), np.arange(half + 2)] = 1.0
     dark = np.arange(half + 2, n + 1)
@@ -176,11 +179,15 @@ def _eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    vectors = np.hstack((
-        (bright @ vectors.reshape(blocks, half + 2, -1)).reshape(fm.dim, -1),
-        np.kron(np.eye(blocks), basis[:, dark]),
-    ))
-    return np.concatenate((values, fm.photon[:, pairs].ravel())), vectors
+    return bright, basis[:, dark], values, vectors.reshape(fm.emitter.size, half + 2, -1)
+
+
+def _eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, bright then dark, and the eigenvector matrix with
+    columns aligned with them."""
+    bright, dark, values, vectors = _bright_eigensystem(fm)
+    vectors = np.hstack(((bright @ vectors).reshape(fm.dim, -1), np.kron(np.eye(fm.emitter.size), dark)))
+    return np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel())), vectors
 
 
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
@@ -252,11 +259,15 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     """Drive-phase-averaged probability alpha -> beta after time t.
 
     Propagates |alpha, m=0> with exp(-i H_F t) and sums the squared
-    amplitude of beta over every Fourier block.
+    amplitude of beta over every Fourier block. Only the eigenvector rows
+    of alpha and beta are built: a dark eigenvector lives in one block, so
+    the dark terms enter the m = 0 amplitude alone.
     """
     check_time(t, positive=False)
-    values, vectors = _eigensystem(fm)
-    source = vectors[fm.index(alpha, 0)]
-    targets = vectors[[fm.index(beta, m) for m in range(-fm.truncation, fm.truncation + 1)]]
-    amp = targets @ (np.exp(-1j * values * t) * source)
+    fm.index(alpha, 0), fm.index(beta, 0)  # IndexError for a state outside 0..N
+    bright, dark, values, vectors = _bright_eigensystem(fm)
+    rows = bright[[alpha, beta]] @ vectors  # (blocks, 2, values)
+    zero = fm.truncation
+    amp = rows[:, 1] @ (np.exp(-1j * values * t) * rows[zero, 0])
+    amp[zero] += (np.exp(-1j * fm.photon[zero, 1 : 1 + dark.shape[1]] * t) * dark[alpha] * dark[beta]).sum()
     return float((np.abs(amp) ** 2).sum())

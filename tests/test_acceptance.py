@@ -84,7 +84,7 @@ def test_criterion_04_golden_rule_limit():
     cases = [(0.0, 1.0, 0), (1.0, 1.0, 0), (-1.5, 1.0, 0), (4.5, 1.2, -1)]
     for delta, chi, n in cases:
         p = make(omega_c=2.0 + delta, drive_amp=chi * 6.0)
-        golden = decay_rate_longtime(p, build_grid(p), n).rate
+        golden = decay_rate_longtime(p, n).rate
         late = decay_rate_continuum(p, n, 200.0)
         worst = max(worst, abs(late - golden) / golden)
     elapsed = time.perf_counter() - start

@@ -299,14 +299,25 @@ def test_perturbative_overshoot_is_one_warning_line(capsys):
 
 
 def test_overflowing_sinc_argument_exits_0(capsys):
-    # At t = 1e308 the arguments (delta - 2 xi cos k) t / 2 pass the float
-    # range, where sinc^2 < 1/max^2 rounds to 0: R(t) is a finite 0, not an error.
+    # At t = 1e308 some arguments (delta - 2 xi cos k) t / 2 pass the float
+    # range; those terms are dropped and R(t) stays finite, not an error.
     assert run(["decay-rate", "--t-max", "1e308", "--t-steps", "2"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     header, *table = rows(out.encode())
     assert header == ["t", "R"] and len(table) == 2
     assert all(math.isfinite(float(cell)) for row in table for cell in row)
+
+
+def test_exponential_survival_up_to_the_float_range(capsys):
+    # R(t) t stays O(1) at every time, also where (delta - 2 xi cos k) t
+    # overflows for some modes: no P_e rounds to 0 or 1.
+    assert run(["survival", "--method", "exponential", "--t-max", "1e308", "--t-steps", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, *table = rows(out.encode())
+    assert header == ["t", "P_e"] and len(table) == 4
+    assert all(0.0 < float(p) < 1.0 for _, p in table), table
 
 
 @pytest.mark.parametrize("command", [["classify"], ["decay-rate", "--t-steps", "5"]])

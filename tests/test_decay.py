@@ -65,15 +65,14 @@ def test_rate_single_resonant_mode():
 
 def test_rate_past_the_float_range():
     # At t = 1e308 the sinc^2 argument of the off-resonant mode (detuning
-    # 4 xi) overflows; its true term is below 1/max^2 and rounds to 0,
-    # while the resonant mode (detuning 0) keeps sinc^2 = 1: R = t g^2 / 2.
-    # No RuntimeWarning, which this suite turns into an error.
+    # 4 xi) overflows and its term, at most 4 / (16 t), is dropped, while
+    # the resonant mode (detuning 0) keeps sinc^2 = 1: R = t g^2 / 2.
+    # No RuntimeWarning, which this suite turns into an error. Points with
+    # no mode on resonance are checked against mpmath below.
     p = make(n_cavities=2, omega_c=4.0, drive_amp=0.0)
     grid = build_grid(p)
     for t in (1e308, 1.7976931348623157e308):
         assert decay_rate_finite(p, grid, 0, t) == pytest.approx(t * 0.25**2 / 2.0, rel=1e-14)
-    off = make()  # no mode on resonance: every term rounds to 0
-    assert decay_rate_finite(off, build_grid(off), 0, 1e308) == 0.0
 
 
 def test_rate_suppressed_at_decoupling_point():
@@ -139,28 +138,28 @@ def test_unknown_method_is_rejected_at_time_zero():
 def test_longtime_band_center():
     # 2 pi g^2 J_0(0)^2 rho(0) with rho(0) = 1/(2 pi): rate = g^2 = 0.0625.
     p = make(omega_c=2.0, drive_amp=0.0)
-    result = decay_rate_longtime(p, build_grid(p), 0)
+    result = decay_rate_longtime(p, 0)
     assert result.resonant
     assert result.rate == pytest.approx(0.0625, rel=1e-12)
 
 
 def test_longtime_outside_band():
     p = make(omega_c=5.0, drive_freq=50.0, drive_amp=0.0)
-    result = decay_rate_longtime(p, build_grid(p), 0)
+    result = decay_rate_longtime(p, 0)
     assert not result.resonant
     assert result.rate == 0.0
 
 
 def test_longtime_at_decoupling_point():
     p = make(omega_c=2.5, drive_amp=J0_ROOT * 6.0)
-    result = decay_rate_longtime(p, build_grid(p), 0)
+    result = decay_rate_longtime(p, 0)
     assert result.rate <= 1e-24
 
 
 def test_longtime_band_edge_raises():
     p = make(omega_c=4.0, drive_amp=0.0)  # delta = 2 xi exactly
     with pytest.raises(BandEdgeSingularity):
-        decay_rate_longtime(p, build_grid(p), 0)
+        decay_rate_longtime(p, 0)
 
 
 def test_continuum_matches_dense_grid():
@@ -175,7 +174,7 @@ def test_continuum_matches_dense_grid():
 def test_continuum_approaches_golden_rule():
     for delta in (0.0, 1.0, -1.5):
         p = make(omega_c=2.0 + delta)
-        golden = decay_rate_longtime(p, build_grid(p), 0).rate
+        golden = decay_rate_longtime(p, 0).rate
         late = decay_rate_continuum(p, 0, 200.0)
         assert abs(late - golden) / golden <= 0.02
 
@@ -195,7 +194,7 @@ def test_overlap_route_equals_momentum_route():
 
 def test_overlap_longtime_limit_is_golden_rule():
     p = fig3(1.0, 1.0)
-    golden = decay_rate_longtime(p, build_grid(p), 0).rate
+    golden = decay_rate_longtime(p, 0).rate
     assert abs(decay_rate_overlap(p, 0, 500.0) - golden) / golden <= 1e-2
 
 
@@ -349,15 +348,17 @@ KK_GRID = build_grid(make(n_cavities=4001))
 @given(
     delta=st.floats(-8.0, 8.0),
     chi=st.floats(0.5, 3.0),
-    t=st.floats(math.log(0.05), math.log(100.0)).map(math.exp),
+    t=st.floats(math.log(1e-3), math.log(100.0)).map(math.exp),
 )
 @example(delta=1.0, chi=1.0, t=0.05)  # Zeno
 @example(delta=3.0, chi=1.0, t=10.0)  # AntiZeno
+@example(delta=3.0, chi=1.0, t=0.001)  # out of band: never Zeno
+@example(delta=0.0, chi=2.5, t=math.e)  # in band, kernel narrower than the band: R(t) above golden
 def test_regime_labels_agree_with_the_golden_rule(delta, chi, t):
     p = make(omega_c=2.0 + delta, drive_amp=chi * 6.0, n_cavities=4001)
     n = default_sideband(p)
     try:
-        golden = decay_rate_longtime(p, KK_GRID, n).rate
+        golden = decay_rate_longtime(p, n).rate
     except BandEdgeSingularity:
         reject()
     regime = classify_regime(p, n, t).regime
@@ -544,17 +545,20 @@ def test_curve_peak_allocation_does_not_grow_with_the_times():
         assert peak < 3.5e6, (compute.__name__, peak)
 
 
-@pytest.mark.parametrize("t", [1e100, 1e150, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("t", [1e100, 1e150, 1e160, 1e200, 1e300, 7.5e307, 1e308])
 @pytest.mark.parametrize("point", [fig3(1.0, 1.0), fig3(3.0, 1.0)], ids=["in-band", "out-of-band"])
 def test_rate_times_t_past_the_underflow_against_mpmath(point, t):
     # R(t) t = (t^2 g^2 / N) J_0^2 sum_k sinc^2(x_k) on the same float
     # arguments x_k, summed in 60-digit arithmetic. Each sinc^2 underflows
-    # past t ~ 1e154, but R(t) t stays O(1).
+    # past t ~ 1e154, but R(t) t stays O(1). Past t ~ 4e307 some detuning * t
+    # overflow at this point; the sum runs over the arguments that stay finite.
     grid = build_grid(point)
     detuning = point.delta - 2.0 * point.xi * np.cos(grid.momenta)
     jn = bessel_j(0, point.chi)
+    with np.errstate(over="ignore"):
+        arguments = detuning * t / 2.0
     with mpmath.workdps(60):
-        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, detuning * t / 2.0))
+        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, arguments[np.isfinite(arguments)]))
         expected = float(mpmath.mpf(t) ** 2 * point.g**2 / grid.n_cavities * jn * jn * total)
     rate = decay_rate_finite(point, grid, 0, t)
     assert 1e-3 < expected < 10.0

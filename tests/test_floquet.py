@@ -1,6 +1,7 @@
 """Extended-space Hamiltonian: structure, spectra, resolvent, reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ def test_averaged_probability_matches_dense(n_cavities):
         for t in (0.7, 3.7):
             expected = dense_transition_probability(fm, alpha, beta, t)
             assert abs(averaged_transition_probability(fm, alpha, beta, t) - expected) <= 1e-12, (alpha, beta, t)
+
+
+def test_averaged_probability_builds_only_the_rows_it_reads():
+    # The full eigenvector matrix at N = 41, M = 8 is 714 x 714 floats (4.1 MB);
+    # the rows of alpha and beta in each block need a fraction of that.
+    p = make()
+    fm = build_floquet_matrix(p, build_grid(p), 8)
+    tracemalloc.start()
+    try:
+        averaged_transition_probability(fm, TLS, TLS, 3.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def dense_solve(fm, energy, source):
