@@ -1,16 +1,31 @@
 """Exact propagation in the one-excitation subspace, used as ground truth.
 
-Integrates i dc/dt = H(t) c for the amplitude vector (c_e, c_k1 .. c_kN)
-with the time-dependent Hamiltonian evaluated exactly at the integrator
-stage times:
+Solves i dc/dt = H(t) c for the amplitude vector (c_e, c_k1 .. c_kN)
+with the time-dependent Hamiltonian
 
     H_ee   = +(omega + A cos(nu t)) / 2
     H_kk   = -(omega + A cos(nu t)) / 2 + eps_k
     H_ek   = g / sqrt(N)
 
-Nothing here touches the Floquet construction or the perturbative decay
-formulas; agreement between the two is a genuine cross-check, not a
-shared-code artifact.
+in the interaction picture of its diagonal. The diagonal phases have
+the closed form Phi(t) = int_0^t H_ee = t (omega + A sinc(nu t)) / 2,
+so with
+
+    c_e = exp(-i Phi(t)) a,    c_k = exp(-i (eps_k t - Phi(t))) b_k
+
+RK45 integrates only the coupling,
+
+    a'   = -i (g / sqrt(N)) sum_k exp(+i theta_k(t)) b_k
+    b_k' = -i (g / sqrt(N)) exp(-i theta_k(t)) a
+
+with theta_k(t) = (omega - eps_k) t + A t sinc(nu t), and never has to
+resolve the emitter's or the modes' own rotation. |c_e| = |a|, and the
+frame is unitary, so the norm is the same in both pictures.
+
+The phase is the elementary integral of the drive, not the Bessel
+expansion the Floquet layer uses, and nothing here touches the Floquet
+construction or the perturbative decay formulas; agreement between the
+two is a genuine cross-check, not a shared-code artifact.
 """
 
 import math
@@ -20,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid
-from .errors import InvalidArgument, NormDrift, StepLimitExceeded
+from .errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
 from .params import SurvivalCurve, SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
-# RK45 settings, read at each call. These hold the norm drift under 1e-9
-# out to t = 100/xi.
+# RK45 settings, read at each call. In the interaction frame these hold
+# the norm drift to 3.1e-13 at g = 0.05 and 1.4e-12 at g = 0.25 out to
+# t = 100/xi, at about 108 steps per drive period at the defaults.
 RTOL = 1e-11
 ATOL = 1e-13
 MAX_STEPS = 1_000_000
@@ -57,43 +73,75 @@ def excited_state(grid: MomentumGrid) -> OneQuantumState:
     return OneQuantumState(c_e=1.0 + 0.0j, c_k=np.zeros(grid.n_cavities, dtype=complex), time=0.0)
 
 
+def _sinc(x: float) -> float:
+    # 1 at x = 0, which a subnormal nu times t can round to; 0 where nu t overflows.
+    if math.isinf(x):
+        return 0.0
+    return math.sin(x) / x if x else 1.0
+
+
+def _frame(params: SystemParams, grid: MomentumGrid, t: float) -> np.ndarray:
+    """exp(i (Phi, eps_k t - Phi)) at absolute time t: lab amplitudes times this are frame amplitudes."""
+    phi = 0.5 * t * (params.omega + params.drive_amp * _sinc(params.drive_freq * t))  # Phi(t)
+    if not math.isfinite(abs(phi) + abs(t) * float(np.abs(grid.energies).max())):
+        raise NonFiniteResult(f"the frame phase overflows at t = {t:g}")
+    return np.exp(1j * np.concatenate(([phi], grid.energies * t - phi)))
+
+
 def _rhs(params: SystemParams, grid: MomentumGrid):
-    eps = grid.energies
-    coupling = params.g / math.sqrt(grid.n_cavities)
-    omega, amp, nu = params.omega, params.drive_amp, params.drive_freq
+    minus_i_detuning = -1j * (params.omega - grid.energies)
+    coupling = -1j * params.g / math.sqrt(grid.n_cavities)
+    amp, nu = params.drive_amp, params.drive_freq
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        drive = 0.5 * (omega + amp * math.cos(nu * t))
+        # exp(-i theta_k(t)); vdot conjugates it back for the emitter row.
+        # RK45 passes a numpy t; a float nu t overflows to inf without a warning.
+        rotation = np.exp(minus_i_detuning * t - 1j * (amp * t * _sinc(nu * float(t))))
         out = np.empty_like(y)
-        out[0] = -1j * (drive * y[0] + coupling * y[1:].sum())
-        out[1:] = -1j * ((eps - drive) * y[1:] + coupling * y[0])
+        out[0] = coupling * np.vdot(rotation, y[1:])
+        np.multiply(rotation, coupling * y[0], out=out[1:])
         return out
 
     return rhs
 
 
 def _integrate(params, grid, y0, t0, t1, sample_times=None):
-    # Returns (y(t1), [|c_e|^2 at sample_times]); sample_times must be
-    # increasing and lie in (t0, t1]. Backward runs (t1 < t0) are allowed
-    # and used by the time-reversal checks; no sampling there.
+    # Returns (y(t1), [|c_e|^2 at sample_times]) for lab amplitudes y0 at
+    # t0; sample_times must be increasing and lie in (t0, t1]. Backward
+    # runs (t1 < t0) are allowed and used by the time-reversal checks; no
+    # sampling there.
     if t1 == t0:
         return y0.copy(), []
+    # Refuse upfront a run the in-loop check would stop anyway: the fastest
+    # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
+    # g, and over twelve configurations RK45 took 1.5x (omega = 1e6) to
+    # 50x (one mode) this many steps. In Python floats an overflow gives an
+    # inf estimate, which is refused too.
+    lo, hi = float(grid.energies.min()), float(grid.energies.max())
+    rate = max(abs(params.omega - lo), abs(params.omega - hi)) + params.drive_amp + params.g
+    estimate = rate * abs(t1 - t0)
+    if not estimate <= MAX_STEPS:
+        raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
+    y_start = _frame(params, grid, t0) * y0
+    back = _frame(params, grid, t1).conj()
     # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
-    stepper = sys.modules[__name__].RK45(_rhs(params, grid), t0, y0, t1, rtol=RTOL, atol=ATOL)
+    stepper = sys.modules[__name__].RK45(_rhs(params, grid), t0, y_start, t1, rtol=RTOL, atol=ATOL)
     samples = []
-    pending = list(sample_times) if sample_times is not None else []
+    pending = np.asarray(sample_times if sample_times is not None else [], dtype=float)
     steps = 0
     while stepper.status == "running":
         if steps >= MAX_STEPS:
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t = {stepper.t:g}")
         stepper.step()
         steps += 1
-        while pending and stepper.t_old < pending[0] <= stepper.t:
-            y_s = stepper.dense_output()(pending.pop(0))
-            samples.append(float(abs(y_s[0]) ** 2))
+        due = int(np.searchsorted(pending, stepper.t, side="right"))
+        if due:
+            # |c_e| = |a|, so samples need no transform back to the lab frame.
+            samples.extend(np.abs(stepper.dense_output()(pending[:due])[0]) ** 2)
+            pending = pending[due:]
     if stepper.status == "failed":
         raise StepLimitExceeded(f"step size underflow at t = {stepper.t:g}")
-    return stepper.y, samples
+    return back * stepper.y, samples
 
 
 def _check_norm(y: np.ndarray, where: str) -> None:

@@ -1,6 +1,7 @@
 """CLI contract: CSV shape, exit codes, determinism, parameter layering."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +205,17 @@ def test_survival_oracle_method(capsys):
     values = [float(line.split(",")[1]) for line in out[1:]]
     assert len(values) == 4
     assert all(0.0 < v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("flag, value", [("--g", "1e6"), ("--omega", "1e300")])
+def test_oracle_run_past_the_step_budget_is_refused_upfront(flag, value, capsys):
+    # Each would take about two minutes of stepping before the in-loop check.
+    argv = ["survival", "--method", "oracle", "--n-cavities", "5", "--t-max", "1", "--t-steps", "2", flag, value]
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "StepLimitExceeded" in err[0]
 
 
 def test_survival_methods_agree_weak_coupling(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from floquet_zeno import oracle
 from floquet_zeno.bath import build_grid
 from floquet_zeno.decay import decay_rate_longtime, survival_probability
-from floquet_zeno.errors import InvalidArgument, NormDrift, StepLimitExceeded
+from floquet_zeno.errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
 from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix
 from floquet_zeno.oracle import (
     OneQuantumState,
@@ -59,6 +60,82 @@ def test_norm_preserved_under_strong_drive():
     assert abs(state.norm_sq() - 1.0) <= 1e-9
 
 
+def test_frame_phase_past_the_float_range_is_a_typed_error():
+    # One mode at the emitter frequency: a cheap run (estimate 1 step)
+    # whose phase Phi = omega t / 2 = 5e309 overflows.
+    p = make(n_cavities=1, omega=1e300, omega_c=1e300, g=1e-10, drive_amp=0.0)
+    grid = build_grid(p)
+    assert grid.energies[0] == p.omega
+    with pytest.raises(NonFiniteResult):
+        propagate(p, grid, excited_state(grid), 1e10)
+
+
+def test_norm_drift_at_weak_coupling():
+    p = make(g=0.05)
+    grid = build_grid(p)
+    state = propagate(p, grid, excited_state(grid), 100.0)
+    assert abs(state.norm_sq() - 1.0) <= 1e-12
+
+
+def lab_frame_reference(p, grid, y0, t):
+    """The lab-frame Schrodinger equation by DOP853 at tight tolerances, written out here."""
+    from scipy.integrate import solve_ivp
+
+    coupling = p.g / math.sqrt(grid.n_cavities)
+
+    def rhs(s, y):
+        drive = 0.5 * (p.omega + p.drive_amp * math.cos(p.drive_freq * s))
+        out = np.empty_like(y)
+        out[0] = -1j * (drive * y[0] + coupling * y[1:].sum())
+        out[1:] = -1j * ((grid.energies - drive) * y[1:] + coupling * y[0])
+        return out
+
+    return solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+
+
+@pytest.mark.parametrize("t", [0.7, 3.0, 11.0])
+def test_frame_matches_the_lab_frame_equation(t):
+    p = make(n_cavities=11)  # delta = 1, chi = 1
+    grid = build_grid(p)
+    start = excited_state(grid)
+    state = propagate(p, grid, start, t)
+    reference = lab_frame_reference(p, grid, np.concatenate(([start.c_e], start.c_k)), t)
+    assert np.abs(np.concatenate(([state.c_e], state.c_k)) - reference).max() <= 1e-10
+
+
+def test_propagation_composes_at_absolute_times():
+    p = make()
+    grid = build_grid(p)
+    middle = propagate(p, grid, excited_state(grid), 2.0)
+    stepped = propagate(p, grid, middle, 5.0)
+    direct = propagate(p, grid, excited_state(grid), 5.0)
+    assert abs(stepped.c_e - direct.c_e) <= 1e-9
+    assert float(np.max(np.abs(stepped.c_k - direct.c_k))) <= 1e-9
+
+
+def test_reversal_from_a_later_start_time_returns_to_start():
+    p = make()
+    grid = build_grid(p)
+    start = dataclasses.replace(excited_state(grid), time=3.0)
+    back = propagate(p, grid, propagate(p, grid, start, 8.5), 3.0)
+    assert back.time == 3.0
+    assert abs(back.c_e - 1.0) <= 1e-7
+    assert float(np.max(np.abs(back.c_k))) <= 1e-7
+
+
+@pytest.mark.parametrize("drive_freq, drive_phase", [(5e-324, 1.0), (1e308, 0.0)])
+def test_free_phase_at_extreme_drive_frequencies(drive_freq, drive_phase):
+    # Phi(t) = t (omega + A sinc(nu t)) / 2: a subnormal nu is a constant
+    # drive A, and past the float range nu t the drive averages out.
+    p = make(g=0.0, drive_amp=1.0, drive_freq=drive_freq)
+    grid = build_grid(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (0.7, 3.0, 11.0):
+            c_e = propagate(p, grid, excited_state(grid), t).c_e
+            assert abs(c_e - np.exp(-0.5j * (p.omega + drive_phase * p.drive_amp) * t)) <= 1e-12
+
+
 def test_time_reversal_returns_to_start():
     p = make()
     grid = build_grid(p)
@@ -81,9 +158,27 @@ def test_tolerance_refinement_is_converged(monkeypatch):
 def test_step_budget_enforced(monkeypatch):
     p = make()
     grid = build_grid(p)
-    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
-    with pytest.raises(StepLimitExceeded):
+    # Above the upfront estimate (9.25 * 50 = 462 steps), below the ~5000
+    # steps the run takes, so the in-loop check is the one that fires.
+    monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
+    with pytest.raises(StepLimitExceeded, match="exceeded 1000 steps"):
         propagate(p, grid, excited_state(grid), 50.0)
+
+
+@pytest.mark.parametrize("overrides", [dict(g=1e6), dict(omega=1e300), dict(omega=1.7e308, omega_c=-1.7e308)])
+def test_step_estimate_refuses_before_building_a_stepper(overrides, monkeypatch):
+    # The last estimate overflows to inf, and an inf estimate is refused too.
+    class Unbuildable:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(oracle, "RK45", Unbuildable)
+    p = make(n_cavities=5, **overrides)
+    grid = build_grid(p)
+    with pytest.raises(StepLimitExceeded, match="estimated"):
+        propagate(p, grid, excited_state(grid), 1.0)
+    with pytest.raises(StepLimitExceeded, match="estimated"):
+        survival_curve_exact(p, grid, [0.5, 1.0])
 
 
 def test_rejects_non_finite_times():
