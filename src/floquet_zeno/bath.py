@@ -20,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandEdgeSingularity
-from .params import SystemParams
+from .params import SystemParams, check_size
 from .specfun import bessel_j
 
 EDGE_GUARD = 1e-9  # in units of xi
+
+# A grid and one lattice sum over it take about 57 bytes per cavity; at this
+# ceiling a one-time decay-rate call peaks near 85 MB (see the README).
+MAX_CAVITIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +39,7 @@ class MomentumGrid:
 
 
 def build_grid(params: SystemParams) -> MomentumGrid:
-    n = params.n_cavities
+    n = check_size("n_cavities", params.n_cavities, MAX_CAVITIES)
     momenta = 2.0 * math.pi * np.arange(n) / n
     cos_k = np.cos(momenta)
     energies = params.omega_c - 2.0 * params.xi * cos_k

@@ -21,10 +21,10 @@ import warnings
 import numpy as np
 
 from . import decay, oracle
-from .bath import build_grid, spectral_density
+from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
-from .params import CONFIG_KEYS, SystemParams, default_sideband, from_mapping, parse_config
+from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, parse_config
 from .specfun import bessel_j_zero
 
 DEFAULTS = {
@@ -38,6 +38,11 @@ DEFAULTS = {
 }
 
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
+
+# Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
+# decay-rate table at the defaults takes about 4 s and 160 MB; a sweep
+# about 75 us and 240 bytes per point (see the README).
+MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError (x ** 2) or
 # ZeroDivisionError (1 / underflowed x) where numpy would return inf;
@@ -61,6 +66,16 @@ def _fmt(value) -> str:
 
 def _row(*cells) -> str:
     return ",".join(_fmt(c) for c in cells)
+
+
+def _write_csv(lines: list[str], path: str | None) -> None:
+    """The one CSV file format: UTF-8 lines joined by LF with a final LF, to path or to stdout."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -118,6 +133,7 @@ def _time_grid(args) -> np.ndarray:
     t_min = args.t_min if args.t_min is not None else args.t_max / args.t_steps
     if not 0.0 < t_min <= args.t_max:
         raise ConfigError(f"--t-min must lie in (0, t-max], got {t_min!r}")
+    check_size("--t-steps", args.t_steps, MAX_ROWS)
     return np.linspace(t_min, args.t_max, args.t_steps)
 
 
@@ -129,14 +145,16 @@ def _observation_time(t: float) -> float:
     return t
 
 
+def _rate_table(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> list[str]:
+    curve = decay.decay_curve(params, grid, n, times)
+    return ["t,R", *(_row(t, r) for t, r in zip(curve.times, curve.rates))]
+
+
 def _cmd_decay_rate(args) -> list[str]:
     params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     n = _sideband(args, params)
-    curve = decay.decay_curve(params, grid, n, _time_grid(args))
-    lines = ["t,R"]
-    lines.extend(_row(t, r) for t, r in zip(curve.times, curve.rates))
-    return lines
+    return _rate_table(params, grid, n, _time_grid(args))
 
 
 def _cmd_survival(args) -> list[str]:
@@ -195,6 +213,7 @@ def _sweep_values(args) -> np.ndarray:
         raise ConfigError(f"--start and --stop must be finite, got {args.start!r} and {args.stop!r}")
     if args.start == args.stop:
         raise ConfigError("--start and --stop must differ")
+    check_size("--count", args.count, MAX_ROWS)
     values = np.linspace(args.start, args.stop, args.count)
     if args.param == "n_cavities":
         values = np.array([int(round(v)) for v in values])
@@ -227,46 +246,28 @@ def _cmd_sweep(args) -> list[str]:
 
 
 def _cmd_reproduce_fig3(args) -> list[str]:
-    # Three decay-rate curves at g = 0.25, N = 41, xi = 1, sideband 0:
-    # climbing (delta=1, chi=1), descending (delta=3, chi=1), and
-    # suppressed (delta=3, chi at the first root of J_0). The physics
-    # fixes only chi = A/nu; every nu gives the same curves at sideband 0,
-    # and --nu picks the value used to realize chi. A curve whose emitter
-    # has a second sideband in band at that nu gets a warning.
+    # decay-rate at the defaults with --sideband 0 for three (delta, chi):
+    # climbing (1, 1), descending (3, 1) and suppressed (3, first root of
+    # J_0). At sideband 0 only chi = A/nu enters R(t), so --nu only picks
+    # how chi is realized; a curve with a second sideband in band at that
+    # nu gets a warning instead of the refusal.
     if not args.nu > 0.0:
         raise ConfigError(f"--nu must be > 0, got {args.nu!r}")
-    nu = args.nu
     times = _time_grid(args)
-    chi_root = bessel_j_zero(0, 1)
     cases = [
         ("fig3_blue.csv", 1.0, 1.0),
         ("fig3_red.csv", 3.0, 1.0),
-        ("fig3_green.csv", 3.0, chi_root),
+        ("fig3_green.csv", 3.0, bessel_j_zero(0, 1)),
     ]
     os.makedirs(args.out_dir, exist_ok=True)
     for name, delta, chi in cases:
-        params = from_mapping(
-            {
-                "omega": 2.0,
-                "omega_c": 2.0 + delta,
-                "xi": 1.0,
-                "g": 0.25,
-                "n_cavities": 41,
-                "drive_amp": chi * nu,
-                "drive_freq": nu,
-            }
-        )
+        params = _resolve_params({**DEFAULTS, "drive_freq": args.nu, "delta": delta, "chi": chi})
         try:
             decay.check_single_sideband(params, 0)
         except SecondSideband as exc:
             print(f"warning: {name}: {exc}", file=sys.stderr)
-        grid = build_grid(params)
-        curve = decay.decay_curve(params, grid, 0, times)
         path = os.path.join(args.out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,R\n")
-            for t, r in zip(curve.times, curve.rates):
-                fh.write(_row(t, r) + "\n")
+        _write_csv(_rate_table(params, build_grid(params), 0, times), path)
         print(f"wrote {path}", file=sys.stderr)
     return []
 
@@ -349,12 +350,7 @@ def run(argv=None) -> int:
         with np.errstate(all="ignore"):
             lines = args.handler(args)
         if lines:
-            text = "\n".join(lines) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write_csv(lines, args.out)
     except (ConfigError, OSError) as exc:
         # OSError: an --out or --out-dir that cannot be written.
         print(f"error: {exc}", file=sys.stderr)

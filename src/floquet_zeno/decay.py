@@ -93,7 +93,7 @@ def _ramp_sine(x: np.ndarray) -> np.ndarray:
 
 
 def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) -> np.ndarray:
-    """Fill out[..., i] with row_sums(coeff * t_i, t_i), each a sum over the modes.
+    """Fill out[..., i] with row_sums(coeff * t_i), each a sum over the modes.
 
     The arguments are built CHUNK_ELEMENTS at a time (one time per chunk
     once the modes alone exceed that), so the peak allocation does not grow
@@ -102,7 +102,7 @@ def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) ->
     rows = max(1, CHUNK_ELEMENTS // coeff.size)
     for start in range(0, times.size, rows):
         t = times[start : start + rows, None]
-        out[..., start : start + rows] = row_sums(coeff * t, t)
+        out[..., start : start + rows] = row_sums(coeff * t)
     return out
 
 
@@ -115,14 +115,14 @@ def _detuning(params: SystemParams, grid: MomentumGrid, n: int) -> tuple[np.ndar
     return detuning, abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
 
 
-def _rate_sums(x: np.ndarray, t) -> np.ndarray:
+def _rate_sums(x: np.ndarray) -> np.ndarray:
     # sum_k sinc^2(x_k / 2) over the last axis, x = detuning * t.
     s = _sinc(x / 2.0)
     return (s * s).sum(axis=-1)
 
 
 def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
-    """R(t) at checked, increasing times > 0; decay_rate_finite is its one-time case.
+    """R(t) at checked, increasing times > 0, with decay_rate_finite's bytes at each time.
 
     Rows with bound * t <= SCALED_ABOVE go through the chunked kernel; the
     later ones, which no default time grid reaches, go through
@@ -141,7 +141,7 @@ def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) 
     return np.concatenate((rates, [decay_rate_finite(params, grid, n, t) for t in times[plain:]]))
 
 
-def _window_sums(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+def _window_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sum_k sinc^2(x_k / 2) / 2 and sum_k (x_k - sin x_k) / x_k^2 over the last axis, x = a_k t.
     s = _sinc(0.5 * x)
     return 0.5 * (s * s).sum(axis=-1), _ramp_sine(x).sum(axis=-1)
@@ -199,9 +199,11 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2).
 
-    The one-time case of decay_curve's kernel, without its set-up. Past
-    bound * t = SCALED_ABOVE, R(t) is (g^2 / N) J_n(chi)^2 sum_k s (s t)
-    with s = sinc((delta - 2 xi cos k + n nu) t / 2), so R(t) t does not
+    A scalar twin of decay_curve's chunked kernel, with the same bytes; a
+    sweep calls it once per point, where routing the one time through the
+    chunk loop would cost about 5% more. Past bound * t = SCALED_ABOVE,
+    R(t) is (g^2 / N) J_n(chi)^2 sum_k s (s t) with
+    s = sinc((delta - 2 xi cos k + n nu) t / 2), so R(t) t does not
     underflow. The sum runs over the arguments that stay finite: where
     detuning * t overflows, the term, at most 4 / (detuning^2 t), is dropped.
     """
@@ -209,7 +211,7 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
     jn = bessel_j(n, params.chi)
     detuning, bound = _detuning(params, grid, n)
     if bound * t <= SCALED_ABOVE or bound == math.inf:
-        factor, total = t, _rate_sums(detuning * t, t)
+        factor, total = t, _rate_sums(detuning * t)
     else:
         with np.errstate(over="ignore"):
             x = detuning * t

@@ -58,6 +58,11 @@ class OrderTooLarge(NumericalError):
     """Bessel order outside the implementation ceiling."""
 
 
+class SizeTooLarge(NumericalError):
+    """A size the input sets (cavities, times, sweep points, Floquet entries
+    or bright rows) exceeds its ceiling; refused before anything that large is built."""
+
+
 class ArgumentOutOfRange(NumericalError):
     """Bessel argument outside the supported range."""
 

@@ -47,13 +47,21 @@ import numpy as np
 
 from .bath import MomentumGrid
 from .errors import EigenFailure, InvalidArgument, SingularResolvent, TruncationTooSmall
-from .params import SystemParams, check_time, default_sideband
+from .params import SystemParams, check_size, check_time, default_sideband
 from .specfun import bessel_j
 
 # System index of the excited-emitter state; photon mode j is 1 + j.
 TLS = 0
 
 RESIDUAL_TOLERANCE = 1e-8
+
+# Ceilings on what a matrix of 2M+1 blocks over N modes allocates, chosen
+# from costs measured on a 2-core VM (see the README): the structured
+# entries (2M+1)(2M+1+N), about 70 bytes each at green_coefficient's peak,
+# and the bright rows (2M+1)(floor(N/2)+2), whose eigenvectors
+# quasi_energies expands to a dim x dim matrix with dim < 2 rows.
+MAX_ENTRIES = 1 << 21
+MAX_BRIGHT_ROWS = 3000
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +74,18 @@ class FloquetMatrix:
     coupling[s, s'].
     """
 
-    truncation: int  # M; the reduced matrix uses 0 (single block)
-    n_cavities: int
     emitter: np.ndarray  # (2M+1,)
     photon: np.ndarray  # (2M+1, N)
     coupling: np.ndarray  # (2M+1, 2M+1)
+
+    @property
+    def truncation(self) -> int:
+        """M; the reduced matrix has 0 (a single block)."""
+        return self.emitter.size // 2
+
+    @property
+    def n_cavities(self) -> int:
+        return self.photon.shape[1]
 
     @property
     def dim(self) -> int:
@@ -121,7 +136,7 @@ def default_truncation(params: SystemParams) -> int:
     return max(8, math.ceil(params.chi) + 6, abs(default_sideband(params)) + 4)
 
 
-def _structured(params, grid, truncation, emitter_blocks, photon_blocks) -> FloquetMatrix:
+def _structured(params, grid, emitter_blocks, photon_blocks) -> FloquetMatrix:
     # Block s holds the emitter at Fourier index emitter_blocks[s] and the
     # field at photon_blocks[s]; the coupling order is their difference.
     nu = params.drive_freq
@@ -130,8 +145,6 @@ def _structured(params, grid, truncation, emitter_blocks, photon_blocks) -> Floq
     bessel = np.array([bessel_j(int(k), params.chi) for k in q])
     couplings = params.g * bessel / math.sqrt(grid.n_cavities)
     return FloquetMatrix(
-        truncation=truncation,
-        n_cavities=grid.n_cavities,
         emitter=0.5 * params.omega + emitter_blocks * nu,
         photon=grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
         coupling=couplings[np.searchsorted(q, orders)],
@@ -145,13 +158,15 @@ def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -
         raise TruncationTooSmall(
             f"M = {m_max} < |{n_star}| + 2 needed for the near-resonant sideband"
         )
+    blocks = 2 * m_max + 1
+    check_size("Floquet entries (2M+1)(2M+1+N)", blocks * (blocks + grid.n_cavities), MAX_ENTRIES)
     m = np.arange(-m_max, m_max + 1)
-    return _structured(params, grid, m_max, m, m)
+    return _structured(params, grid, m, m)
 
 
 def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> FloquetMatrix:
     """Single-block (N+1)-dimensional near-resonant matrix for sideband n."""
-    return _structured(params, grid, 0, np.array([0]), np.array([n]))
+    return _structured(params, grid, np.array([0]), np.array([n]))
 
 
 def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -165,6 +180,7 @@ def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.n
     """
     n = fm.n_cavities
     half = n // 2
+    check_size("bright rows (2M+1)(floor(N/2)+2)", fm.emitter.size * (half + 2), MAX_BRIGHT_ROWS)
     pairs = np.arange(1, (n + 1) // 2)  # j with partner N - j != j
     basis = np.zeros((n + 1, n + 1))
     basis[np.arange(half + 2), np.arange(half + 2)] = 1.0

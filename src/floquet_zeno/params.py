@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgument, Negative, NonFinite, NonPositive, OrderTooLarge, ZeroCavities
+from .errors import (
+    ConfigError,
+    InvalidArgument,
+    Negative,
+    NonFinite,
+    NonPositive,
+    OrderTooLarge,
+    SizeTooLarge,
+    ZeroCavities,
+)
 
 CONFIG_KEYS = ("omega", "omega_c", "xi", "g", "n_cavities", "drive_amp", "drive_freq")
 
@@ -112,6 +121,17 @@ def check_times(times, positive: bool = True) -> np.ndarray:
     check_time(float(times[0]), positive)  # increasing, so the ends bound every entry
     check_time(float(times[-1]), positive)
     return times
+
+
+def check_size(what: str, size: int, ceiling: int) -> int:
+    """Return size if it is at most ceiling, else raise SizeTooLarge.
+
+    Callers pass a size computed in Python ints, before allocating, so a
+    huge request is refused at once rather than by the allocator.
+    """
+    if size > ceiling:
+        raise SizeTooLarge(f"{what} = {size} exceeds the ceiling {ceiling}")
+    return size
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from floquet_zeno import bath, cli
 from floquet_zeno.cli import run
+from floquet_zeno.specfun import bessel_j_zero
 
 J0_ROOT = 2.4048255576957733
 
@@ -388,6 +390,58 @@ def test_reproduce_fig3_nu(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fig3_blue.csv", "fig3_green.csv", "fig3_red.csv"]
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
     assert [line.split(":")[1].strip() for line in warnings] == ["fig3_red.csv", "fig3_green.csv"]
+
+
+@pytest.mark.parametrize("nu", ["6", "4"])
+def test_reproduce_fig3_files_are_decay_rate_at_sideband_0(nu, tmp_path, capsys):
+    # At nu = 4 the red and green curves warn; their files stay the
+    # explicit-sideband decay-rate tables all the same.
+    grid = ["--t-max", "7", "--t-steps", "9"]
+    assert run(["reproduce-fig3", "--nu", nu, "--out-dir", str(tmp_path)] + grid) == 0
+    capsys.readouterr()
+    for name, delta, chi in (("blue", "1", "1"), ("red", "3", "1"), ("green", "3", repr(bessel_j_zero(0, 1)))):
+        argv = ["decay-rate", "--delta", delta, "--chi", chi, "--drive-freq", nu, "--sideband", "0"] + grid
+        assert run(argv) == 0
+        assert (tmp_path / f"fig3_{name}.csv").read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["floquet-spectrum", "--truncation", "1000000"],  # (2M+1)^2 couplings alone: 29.1 TiB
+        ["decay-rate", "--n-cavities", "100000000000"],
+        ["decay-rate", "--t-steps", "1000000000000"],
+        ["reproduce-fig3", "--t-steps", "1000000000000"],
+        ["sweep", "--param", "chi", "--start", "0", "--stop", "1", "--count", "1000000000000"],
+    ],
+)
+def test_size_past_its_ceiling_exits_3_at_once(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error: SizeTooLarge: ") and err.count("\n") == 1, err
+
+
+def test_row_and_cavity_ceilings_admit_their_size(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ROWS", 3)
+    monkeypatch.setattr(bath, "MAX_CAVITIES", 5)
+    sweep = ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2"]
+    for argv, code in (
+        (["decay-rate", "--t-steps", "3", "--n-cavities", "5"], 0),
+        (["decay-rate", "--t-steps", "4", "--n-cavities", "5"], 3),
+        (["decay-rate", "--t-steps", "3", "--n-cavities", "6"], 3),
+        (sweep + ["--count", "3", "--n-cavities", "5"], 0),
+        (sweep + ["--count", "4", "--n-cavities", "5"], 3),
+    ):
+        assert run(argv) == code, argv
+    assert "SizeTooLarge" in capsys.readouterr().err
+    # A swept N past the ceiling fails that point only.
+    argv = ["sweep", "--param", "n_cavities", "--start", "5", "--stop", "6", "--count", "2"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "6,,SizeTooLarge"
 
 
 def test_sweep_reports_overflow_per_point(tmp_path):

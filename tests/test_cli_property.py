@@ -4,12 +4,16 @@ Every argv ends in exit 0 with finite CSV cells, exit 2 (configuration)
 or exit 3 (numerical failure), never in an exception or a traceback.
 Sizes (--n-cavities, --truncation, --t-steps, --count) stay small and
 fixed, and the oracle method is left out, so no draw asks for a large
-allocation or a long integration.
+allocation or a long integration. reproduce-fig3 writes its three files
+into a fresh directory per example, and their cells are checked instead
+of stdout.
 """
 
 import contextlib
 import io
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,8 @@ from floquet_zeno.cli import run
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 PARAM_FLAGS = ("omega", "omega-c", "xi", "g", "drive-amp", "drive-freq", "delta", "chi")
 SWEEP_PARAMS = ("omega", "omega_c", "xi", "g", "drive_amp", "drive_freq", "delta", "chi")
-COMMANDS = ("classify", "decay-rate", "spectral-density", "survival", "floquet-spectrum", "sweep")
+COMMANDS = ("classify", "decay-rate", "spectral-density", "survival", "floquet-spectrum", "sweep", "reproduce-fig3")
+FIG3_FILES = ("fig3_blue.csv", "fig3_red.csv", "fig3_green.csv")
 
 
 def _flag(name: str, value) -> str:
@@ -36,6 +41,8 @@ def argvs(draw) -> list[str]:
         if draw(st.booleans()):
             argv.append(_flag("xi", draw(FLOATS)))
         return argv
+    if command == "reproduce-fig3":
+        return argv + [_flag("nu", draw(FLOATS)), _flag("t-max", draw(FLOATS)), "--t-steps=3"]
     # sorted: set order follows PYTHONHASHSEED, and the draws must not.
     for name in sorted(draw(st.sets(st.sampled_from(PARAM_FLAGS), max_size=3))):
         argv.append(_flag(name, draw(FLOATS)))
@@ -77,19 +84,29 @@ def _is_number(cell: str) -> bool:
 @given(argv=argvs())
 def test_every_argv_exits_0_2_or_3_with_finite_cells(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    assert code in (0, 2, 3), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code != 0:
-        assert out.getvalue() == ""
-        return
-    header, *rows = [line.split(",") for line in out.getvalue().splitlines()]
-    assert rows
-    for row in rows:
-        assert len(row) == len(header)
-        numbers = [float(cell) for cell in row if _is_number(cell)]
-        assert all(math.isfinite(x) for x in numbers), row
-    if argv[0] == "sweep":
+    fig3 = argv[0] == "reproduce-fig3"
+    with tempfile.TemporaryDirectory() as out_dir:
+        if fig3:
+            argv = argv + ["--out-dir=" + out_dir]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+            return
+        if fig3:
+            assert out.getvalue() == ""
+            tables = [(Path(out_dir) / name).read_text(encoding="utf-8") for name in FIG3_FILES]
+        else:
+            tables = [out.getvalue()]
+    for table in tables:
+        header, *rows = [line.split(",") for line in table.splitlines()]
+        assert rows
         for row in rows:
-            assert (row[1] == "") == (row[2] != ""), row
+            assert len(row) == len(header)
+            numbers = [float(cell) for cell in row if _is_number(cell)]
+            assert all(math.isfinite(x) for x in numbers), row
+        if argv[0] == "sweep":
+            for row in rows:
+                assert (row[1] == "") == (row[2] != ""), row

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from floquet_zeno import floquet
 from floquet_zeno.bath import build_grid
-from floquet_zeno.errors import SingularResolvent, TruncationTooSmall
+from floquet_zeno.errors import SingularResolvent, SizeTooLarge, TruncationTooSmall
 from floquet_zeno.floquet import (
     TLS,
     averaged_transition_probability,
@@ -111,6 +112,26 @@ def test_truncation_too_small():
     with pytest.raises(TruncationTooSmall):
         build_floquet_matrix(p9, build_grid(p9), 2)
     build_floquet_matrix(p9, build_grid(p9), 3)
+
+
+def test_floquet_sizes_are_checked_at_their_ceilings(monkeypatch):
+    # N = 5, M = 3: 7 blocks, 7 (7 + 5) = 84 structured entries and
+    # 7 (5 // 2 + 2) = 28 bright rows; each ceiling admits its size exactly.
+    p = make(n_cavities=5)
+    grid = build_grid(p)
+    monkeypatch.setattr(floquet, "MAX_ENTRIES", 84)
+    monkeypatch.setattr(floquet, "MAX_BRIGHT_ROWS", 28)
+    fm = build_floquet_matrix(p, grid, 3)
+    quasi_energies(fm)
+    averaged_transition_probability(fm, TLS, TLS, 1.0)
+    monkeypatch.setattr(floquet, "MAX_BRIGHT_ROWS", 27)
+    with pytest.raises(SizeTooLarge, match="bright rows"):
+        quasi_energies(fm)
+    with pytest.raises(SizeTooLarge, match="bright rows"):
+        averaged_transition_probability(fm, TLS, TLS, 1.0)
+    monkeypatch.setattr(floquet, "MAX_ENTRIES", 83)
+    with pytest.raises(SizeTooLarge, match="Floquet entries"):
+        build_floquet_matrix(p, grid, 3)
 
 
 def test_default_truncation_floor_and_growth():

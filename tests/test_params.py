@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, ZeroCavities
+from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, SizeTooLarge, ZeroCavities
 from floquet_zeno.params import (
     SystemParams,
+    check_size,
     default_sideband,
     from_mapping,
     parse_config,
@@ -19,6 +20,12 @@ def make(**overrides) -> SystemParams:
     fields = dict(omega=2.0, omega_c=3.0, xi=1.0, g=0.25, n_cavities=41, drive_amp=6.0, drive_freq=6.0)
     fields.update(overrides)
     return SystemParams(**fields)
+
+
+def test_check_size_admits_its_ceiling_and_refuses_one_more():
+    assert check_size("rows", 7, 7) == 7
+    with pytest.raises(SizeTooLarge, match=r"^rows = 8 exceeds the ceiling 7$"):
+        check_size("rows", 8, 7)
 
 
 def test_derived_fields():
