@@ -198,20 +198,26 @@ def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.n
     return bright, basis[:, dark], values, vectors.reshape(fm.emitter.size, half + 2, -1)
 
 
-def _eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, bright then dark, and the eigenvector matrix with
-    columns aligned with them."""
-    bright, dark, values, vectors = _bright_eigensystem(fm)
-    vectors = np.hstack(((bright @ vectors).reshape(fm.dim, -1), np.kron(np.eye(fm.emitter.size), dark)))
-    return np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel())), vectors
-
-
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
-    """Full real spectrum with orthonormal eigenvectors, ascending."""
-    values, vectors = _eigensystem(fm)
+    """Full real spectrum with orthonormal eigenvectors, ascending.
+
+    Each eigenvector is written once, straight into its ascending column:
+    a bright one block by block, a dark one as its single +- pair.
+    """
+    bright, dark, values, vectors = _bright_eigensystem(fm)
+    blocks, size = fm.emitter.size, fm.n_cavities + 1
+    values = np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel()))  # bright, then dark by block
     order = np.argsort(values, kind="stable")
-    # take() keeps the columns C-contiguous, so edge_weights sums in row order.
-    return QuasiEnergySpectrum(eigenvalues=values[order], eigenvectors=np.take(vectors, order, axis=1))
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    bright_columns, dark_columns = column[: vectors.shape[2]], column[vectors.shape[2] :].reshape(blocks, -1)
+    out = np.zeros((fm.dim, fm.dim))
+    for s in range(blocks):
+        out[s * size : (s + 1) * size, bright_columns] = bright @ vectors[s]
+    offsets = size * np.arange(blocks)[:, None]
+    for rows in (dark.argmax(axis=0), dark.argmin(axis=0)):
+        out[offsets + rows, dark_columns] = dark[rows, np.arange(rows.size)]
+    return QuasiEnergySpectrum(eigenvalues=values[order], eigenvectors=out)
 
 
 def edge_weights(fm: FloquetMatrix, spectrum: QuasiEnergySpectrum) -> np.ndarray:

@@ -9,9 +9,10 @@ import pytest
 
 from floquet_zeno import oracle
 from floquet_zeno.bath import build_grid
+from floquet_zeno.cli import run
 from floquet_zeno.decay import decay_rate_longtime, survival_probability
 from floquet_zeno.errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
-from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix
+from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix, quasi_energies
 from floquet_zeno.oracle import (
     OneQuantumState,
     excited_state,
@@ -155,14 +156,123 @@ def test_tolerance_refinement_is_converged(monkeypatch):
     assert abs(loose - tight) <= 1e-8
 
 
+def stepper_sizes(monkeypatch) -> list[int]:
+    """Record the size of y0 for every stepper built: N+1 for a direct run, (N+1)^2 for the period map."""
+    sizes = []
+
+    class Recording(oracle.RK45):
+        def __init__(self, fun, t0, y0, t_bound, **kwargs):
+            sizes.append(y0.size)
+            super().__init__(fun, t0, y0, t_bound, **kwargs)
+
+    monkeypatch.setattr(oracle, "RK45", Recording)
+    return sizes
+
+
+def force(monkeypatch, route):
+    if route == "map":
+        monkeypatch.setattr(oracle, "MAP_OVERHEAD", 1e300)  # c(N) = 1
+    else:
+        monkeypatch.setattr(oracle, "MAP_MAX_ENTRIES", 0)
+
+
 def test_step_budget_enforced(monkeypatch):
     p = make()
     grid = build_grid(p)
-    # Above the upfront estimate (9.25 * 50 = 462 steps), below the ~5000
-    # steps the run takes, so the in-loop check is the one that fires.
-    monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
-    with pytest.raises(StepLimitExceeded, match="exceeded 1000 steps"):
-        propagate(p, grid, excited_state(grid), 50.0)
+    sizes = stepper_sizes(monkeypatch)
+    # A direct run of 0.9 periods: above the upfront estimate (9.25 * 0.94
+    # = 8.7 steps), below the ~106 steps it takes, so the in-loop check is
+    # the one that fires.
+    monkeypatch.setattr(oracle, "MAX_STEPS", 50)
+    with pytest.raises(StepLimitExceeded, match="exceeded 50 steps"):
+        propagate(p, grid, excited_state(grid), 0.9 * p.period)
+    assert sizes == [p.n_cavities + 1]
+
+
+def test_step_budget_enforced_in_the_period_map(monkeypatch):
+    p = make()
+    grid = build_grid(p)
+    sizes = stepper_sizes(monkeypatch)
+    # Three periods take the map (c(41) = 2.28); the estimate is 29 steps,
+    # and its one-period run takes about 88.
+    monkeypatch.setattr(oracle, "MAX_STEPS", 50)
+    with pytest.raises(StepLimitExceeded, match="exceeded 50 steps"):
+        propagate(p, grid, excited_state(grid), 3.0 * p.period)
+    assert sizes == [(p.n_cavities + 1) ** 2]
+
+
+@pytest.mark.parametrize("t", [11.0, 100.0])
+def test_period_map_matches_direct_integration(t, monkeypatch):
+    p = make()
+    grid = build_grid(p)
+    sizes = stepper_sizes(monkeypatch)
+    times = np.linspace(t / 200, t, 200)
+    results = {}
+    for route in ("map", "direct"):
+        with monkeypatch.context() as m:
+            force(m, route)
+            state = propagate(p, grid, excited_state(grid), t)
+            back = propagate(p, grid, state, 0.0)
+            curve = survival_curve_exact(p, grid, times).probabilities
+        results[route] = np.concatenate(([state.c_e], state.c_k, [back.c_e], back.c_k)), curve
+    assert sizes == [42**2] * 3 + [42] * 3
+    assert np.abs(results["map"][0] - results["direct"][0]).max() <= 1e-10
+    assert np.abs(results["map"][1] - results["direct"][1]).max() <= 1e-10
+
+
+def test_period_map_samples_whole_periods(monkeypatch):
+    # Samples on exact multiples of T read the period run at its ends.
+    p = make(g=0.05)
+    grid = build_grid(p)
+    times = np.arange(1, 31) * p.period
+    curves = {}
+    for route in ("map", "direct"):
+        with monkeypatch.context() as m:
+            force(m, route)
+            curves[route] = survival_curve_exact(p, grid, times).probabilities
+    assert np.abs(curves["map"] - curves["direct"]).max() <= 1e-10
+
+
+def test_period_map_checks_the_unitarity_of_its_period(monkeypatch):
+    p = make()
+    grid = build_grid(p)
+    monkeypatch.setattr(oracle, "NORM_TOLERANCE", 1e-20)
+    with pytest.raises(NormDrift, match="one-period propagator"):
+        propagate(p, grid, excited_state(grid), 11.0)
+
+
+def test_runs_below_break_even_stay_direct(monkeypatch):
+    # The benchmark's short horizons (at most 0.9 T) and a drive too fast
+    # for rate T >= 1 keep the vector run; their bytes do not depend on
+    # the map's constants.
+    sizes = stepper_sizes(monkeypatch)
+    for delta, chi in ((1.0, 1.0), (3.0, 1.0), (3.0, J0_ROOT)):
+        p = make(g=0.05, omega_c=2.0 + delta, drive_amp=6.0 * chi)
+        grid = build_grid(p)
+        for fraction in (0.15, 0.3, 0.5, 0.7, 0.9):
+            times = np.linspace(fraction * p.period / 50, fraction * p.period, 50)
+            probs = survival_curve_exact(p, grid, times).probabilities
+            with monkeypatch.context() as m:
+                force(m, "direct")
+                assert survival_curve_exact(p, grid, times).probabilities.tobytes() == probs.tobytes()
+    fast = make(g=0.05, drive_amp=1.0, drive_freq=1e308)
+    grid = build_grid(fast)
+    survival_curve_exact(fast, grid, np.linspace(1.0, 100.0, 5))
+    assert set(sizes) == {42}
+
+
+@pytest.mark.parametrize("extra", [[], ["--drive-freq", "1e308", "--t-max", "10"]])
+def test_cli_oracle_runs_below_break_even_stay_direct(extra, monkeypatch, capsys):
+    # The benchmark's cold oracle command spans 1.9 periods.
+    argv = ["survival", "--method", "oracle", "--g", "0.05", "--delta", "1", "--drive-amp", "0",
+            "--t-max", "2", "--t-steps", "10", *extra]
+    sizes = stepper_sizes(monkeypatch)
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    force(monkeypatch, "direct")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+    assert sizes == [42, 42]
 
 
 @pytest.mark.parametrize("overrides", [dict(g=1e6), dict(omega=1e300), dict(omega=1.7e308, omega_c=-1.7e308)])
@@ -255,6 +365,27 @@ def test_floquet_average_matches_period_mean():
     mean_exact = float(np.trapezoid(curve.probabilities, window) / p.period)
     averaged = averaged_transition_probability(fm, TLS, TLS, t_mid)
     assert abs(averaged - mean_exact) <= 5e-2
+
+
+def test_sambe_amplitude_matches_the_oracle():
+    # Three-way check through the paper's operator: c_e(t) = sum_m (-1)^m
+    # exp(i m nu t) <e,m| exp(-i H_F t) |e,0> from the quasi-energy basis
+    # against the period map, out to t = 1e4 (9549 periods). The oracle's
+    # own error sets the 1e-9 there: 3.4e-10 at RTOL 1e-11, 9e-12 at 1e-13.
+    p = make(n_cavities=11)  # delta = 1, chi = 1
+    grid = build_grid(p)
+    times = np.array([11.0, 100.0, 1e4])
+    exact = survival_curve_exact(p, grid, times).probabilities
+    fm = build_floquet_matrix(p, grid, 12)
+    spectrum = quasi_energies(fm)
+    m = np.arange(-12, 13)
+    rows = spectrum.eigenvectors[[fm.index(TLS, k) for k in m]]
+    evolved = np.exp(-1j * np.outer(spectrum.eigenvalues, times)) * spectrum.eigenvectors[fm.index(TLS, 0)][:, None]
+    blocks = np.einsum("mj,jt->tm", rows, evolved) * np.exp(1j * p.drive_freq * np.outer(times, m))
+    signed = np.abs(blocks @ (-1.0) ** m) ** 2
+    assert np.all(np.abs(signed - exact) <= [1e-11, 1e-11, 1e-9])
+    # Without the drive-phase sign the sum is off by 4e-6 to 1e-2.
+    assert np.all(np.abs(np.abs(blocks.sum(axis=1)) ** 2 - exact) > 1e-6)
 
 
 def test_survival_curve_exact_conventions():
