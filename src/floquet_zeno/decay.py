@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid, spectral_density
-from .errors import InvalidArgument, QuadratureFailure, SecondSideband
+from .errors import InvalidArgument, NonFiniteResult, QuadratureFailure, SecondSideband
 from .params import SurvivalCurve, SystemParams, check_time, check_times, resonant_sidebands
 from .specfun import MAX_ORDER, bessel_j, sinc
 
@@ -51,6 +51,14 @@ CHUNK_ELEMENTS = 1 << 16
 # to 0 while R(t) t stays O(1). Such times sum s (s t) with s = sinc(x)
 # instead of t sum s^2. Below it the rates keep their bytes.
 SCALED_ABOVE = 1e150
+
+# Ceiling on xi * t for the two quadrature routes, whose sinc^2 kernel
+# narrows to a width of about 1 / (xi t) of the band. Past it the overlap
+# route's quad can miss the peak and report its tails, 1e-3 of the rate,
+# as converged. In a seeded scan (see the README) both routes agreed with
+# each other and the golden rule within 1e-3 at every draw up to
+# xi t = 2e3; from 3e3 on some draws failed that way.
+MAX_XI_T = 2e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +90,12 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 
 def _ramp_sine(x: np.ndarray) -> np.ndarray:
-    # (x - sin x) / x^2 with a series branch where x - sin x cancels.
+    # (x - sin x) / x^2 with a series branch where x - sin x cancels. Past
+    # |x| = 1.3e154, x^2 overflows and the term, about 1/x, reads as 0.
     small = np.abs(x) < 0.1
     out = x - np.sin(x)
-    np.divide(out, x * x, out=out, where=~small)
+    with np.errstate(over="ignore"):
+        np.divide(out, x * x, out=out, where=~small)
     xs = x[small]
     x2 = xs * xs
     out[small] = xs * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
@@ -109,10 +119,15 @@ def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) ->
 def _detuning(params: SystemParams, grid: MomentumGrid, n: int) -> tuple[np.ndarray, float]:
     """delta - 2 xi cos k + n nu per mode, and a bound >= its magnitude.
 
-    With bound * t finite no argument detuning * t overflows.
+    With bound * t finite no argument detuning * t overflows. A finite
+    bound bounds every mode; only when it overflows are the modes checked,
+    and one that overflows raises NonFiniteResult.
     """
     detuning = params.delta - 2.0 * params.xi * grid.cos_k + n * params.drive_freq
-    return detuning, abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
+    bound = abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
+    if bound == math.inf and not np.isfinite(detuning).all():
+        raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
+    return detuning, bound
 
 
 def _rate_sums(x: np.ndarray) -> np.ndarray:
@@ -122,19 +137,17 @@ def _rate_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
-    """R(t) at checked, increasing times > 0, with decay_rate_finite's bytes at each time.
+    """R(t) at checked, increasing times >= 0, with decay_rate_finite's bytes at each time > 0.
 
-    Rows with bound * t <= SCALED_ABOVE go through the chunked kernel; the
-    later ones, which no default time grid reaches, go through
+    R(0) = 0. Rows with bound * t <= SCALED_ABOVE go through the chunked
+    kernel; the later ones, which no default time grid reaches, go through
     decay_rate_finite one at a time.
     """
     jn = bessel_j(n, params.chi)
     detuning, bound = _detuning(params, grid, n)
+    # As in decay_rate_finite, a bound that overflows itself leaves every row plain.
     with np.errstate(over="ignore"):
-        reach = bound * times
-    # A bound that overflows itself may hide a non-finite detuning, which
-    # stays an error: every row is plain then.
-    plain = times.size if bound == math.inf else int(np.count_nonzero(reach <= SCALED_ABOVE))
+        plain = times.size if bound == math.inf else int(np.count_nonzero(bound * times <= SCALED_ABOVE))
     head = times[:plain]
     totals = _chunked(detuning, head, _rate_sums, np.empty_like(head))
     rates = head * params.g**2 / grid.n_cavities * jn * jn * totals
@@ -143,14 +156,23 @@ def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) 
 
 def _window_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sum_k sinc^2(x_k / 2) / 2 and sum_k (x_k - sin x_k) / x_k^2 over the last axis, x = a_k t.
-    s = _sinc(0.5 * x)
-    return 0.5 * (s * s).sum(axis=-1), _ramp_sine(x).sum(axis=-1)
+    return 0.5 * _rate_sums(x), _ramp_sine(x).sum(axis=-1)
 
 
 def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> list[complex]:
-    """C_e(t) at checked times > 0: the kernel behind survival_curve and survival_amplitude."""
+    """C_e(t) at checked, increasing times >= 0: the kernel behind survival_curve and survival_amplitude.
+
+    C_e(0) = 1. Before any row, a last time t at which t^2 g^2 J_n(chi)^2 / N,
+    the largest argument max_k |a_k| t or the phase omega t / 2 is not
+    finite raises NonFiniteResult; each grows with t, so no earlier row
+    overflows there.
+    """
     jn = bessel_j(n, params.chi)
-    a = 2.0 * params.xi * grid.cos_k - params.delta - n * params.drive_freq
+    a = -_detuning(params, grid, n)[0]
+    t = float(times[-1])
+    scale, reach = t * t * params.g**2 / grid.n_cavities * jn * jn, float(np.abs(a).max()) * t
+    if not all(map(math.isfinite, (scale, reach, 0.5 * params.omega * t))):
+        raise NonFiniteResult(f"the perturbative amplitude overflows at t = {t:g}")
     windows = _chunked(a, times, _window_sums, np.empty((2, times.size)))
     amplitudes = []
     for t, real, imag in zip(times, *windows):
@@ -179,6 +201,15 @@ def _quad_checked(func, a: float, b: float, **kwargs) -> float:
     return value
 
 
+def _quad_limit(params: SystemParams, t: float) -> int:
+    # Both quadrature routes see t only as xi t once omega is scaled by xi:
+    # they refuse it past MAX_XI_T, and their subinterval limit follows it.
+    reach = params.xi * check_time(t)
+    if not reach <= MAX_XI_T:
+        raise QuadratureFailure(f"xi t = {reach:g} exceeds {MAX_XI_T:g}, past which quad can miss the oscillations")
+    return max(200, int(10.0 * reach))
+
+
 def check_single_sideband(params: SystemParams, n: int) -> None:
     """Raise SecondSideband if another sideband m != n is in band with |J_m(chi)| >= DECOUPLING_THRESHOLD.
 
@@ -200,12 +231,12 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2).
 
     A scalar twin of decay_curve's chunked kernel, with the same bytes; a
-    sweep calls it once per point, where routing the one time through the
-    chunk loop would cost about 5% more. Past bound * t = SCALED_ABOVE,
-    R(t) is (g^2 / N) J_n(chi)^2 sum_k s (s t) with
-    s = sinc((delta - 2 xi cos k + n nu) t / 2), so R(t) t does not
-    underflow. The sum runs over the arguments that stay finite: where
-    detuning * t overflows, the term, at most 4 / (detuning^2 t), is dropped.
+    sweep calls it once per point, where routing the one time through
+    _rates would cost about 10 us more per call at N = 2001. Past
+    bound * t = SCALED_ABOVE, R(t) is (g^2 / N) J_n(chi)^2 sum_k s (s t)
+    with s = sinc((delta - 2 xi cos k + n nu) t / 2), so R(t) t does not
+    underflow. Where detuning * t overflows, the phase of sin^2 cannot be
+    resolved and the term is its phase average, 2 / (detuning^2 t).
     """
     t = float(check_time(t))
     jn = bessel_j(n, params.chi)
@@ -215,9 +246,15 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
     else:
         with np.errstate(over="ignore"):
             x = detuning * t
-        s = _sinc(x[np.isfinite(x)] / 2.0)
-        factor, total = 1.0, (s * (s * t)).sum()
-    return float(factor * params.g**2 / grid.n_cavities * jn * jn * total)
+        finite = np.isfinite(x)
+        s = _sinc(x[finite] / 2.0)
+        far = detuning[~finite]
+        factor, total = 1.0, (s * (s * t)).sum() + (2.0 / far / far / t).sum()
+    # In Python floats, so an R(t) past the float range (a mode on resonance) overflows without a warning.
+    rate = factor * params.g**2 / grid.n_cavities * jn * jn * float(total)
+    if not math.isfinite(rate):
+        raise NonFiniteResult(f"R(t) overflows at t = {t:g}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -250,7 +287,7 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     (the integrand is even about pi), with a breakpoint at the resonant
     momentum when omega_f lies inside the band.
     """
-    check_time(t)
+    limit = _quad_limit(params, t)
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -260,9 +297,7 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
         return s * s
 
     points = [math.acos(omega_f / two_xi)] if abs(omega_f) < two_xi else None
-    value = _quad_checked(
-        integrand, 0.0, math.pi, points=points, limit=max(200, int(10.0 * t)), epsabs=1e-13, epsrel=1e-10
-    )
+    value = _quad_checked(integrand, 0.0, math.pi, points=points, limit=limit, epsabs=1e-13, epsrel=1e-10)
     jn = bessel_j(n, params.chi)
     return float(t * params.g**2 * jn * jn * value / math.pi)
 
@@ -275,7 +310,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     quadrature as an algebraic endpoint weight, which keeps this route
     independent of the momentum-space one.
     """
-    check_time(t)
+    limit = _quad_limit(params, t)
     omega_f = params.delta + n * params.drive_freq
     two_xi = 2.0 * params.xi
     half_t = t / 2.0
@@ -286,9 +321,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
 
     # 2 pi int f_n g_n domega with f_n = (t / 2 pi) sinc^2(...) and
     # g_n = g^2 J_n^2 (1/pi) (4 xi^2 - omega^2)^(-1/2).
-    value = _quad_checked(
-        kernel, -two_xi, two_xi, weight="alg", wvar=(-0.5, -0.5), limit=max(200, int(10.0 * t))
-    )
+    value = _quad_checked(kernel, -two_xi, two_xi, weight="alg", wvar=(-0.5, -0.5), limit=limit)
     jn = bessel_j(n, params.chi)
     return float(t * params.g**2 * jn * jn * value / math.pi)
 
@@ -303,9 +336,7 @@ def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: floa
     so C_e(t) = exp(i omega t / 2) [1 - (t^2 g^2 / N) J_n(chi)^2
     sum_k (sinc^2(x/2) / 2 + i (x - sin x) / x^2)].
     """
-    if check_time(t, positive=False) == 0.0:
-        return 1.0 + 0.0j
-    return complex(_amplitudes(params, grid, n, np.array([t], dtype=float))[0])
+    return complex(_amplitudes(params, grid, n, np.array([check_time(t, positive=False)], dtype=float))[0])
 
 
 def survival_probability(
@@ -376,7 +407,7 @@ def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> Deca
 def survival_curve(
     params: SystemParams, grid: MomentumGrid, n: int, times, method: str = "perturbative"
 ) -> SurvivalCurve:
-    """P_e(t) on a time grid, either |C_e(t)|^2 or exp(-R(t) t), with P_e(0) = 1.
+    """P_e(t) on a time grid, either |C_e(t)|^2 or exp(-R(t) t); P_e(0) = 1 is an ordinary row.
 
     A perturbative P_e past 1 + 1e-6 means second order is unreliable there:
     it is clipped to 1, and one UserWarning per curve names the largest
@@ -385,13 +416,14 @@ def survival_curve(
     if method not in ("perturbative", "exponential"):
         raise InvalidArgument(f"unknown method {method!r}")
     times = check_times(times, positive=False)
-    start = int(times[0] == 0.0)
-    probs = np.ones_like(times)
-    later = times[start:]
-    if later.size and method == "exponential":
-        probs[start:] = [math.exp(-r * t) for r, t in zip(_rates(params, grid, n, later), later)]
-    elif later.size:
-        probs[start:] = [abs(c) ** 2 for c in _amplitudes(params, grid, n, later)]
+    if method == "exponential":
+        # In Python floats an R(t) t past the float range gives exp(-inf) = 0 without a warning.
+        rates = _rates(params, grid, n, times).tolist()
+        probs = np.array([math.exp(-r * t) for r, t in zip(rates, times.tolist())])
+    else:
+        # |C_e|^2 past the float range reads as inf and is clipped below.
+        with np.errstate(over="ignore"):
+            probs = np.array([abs(c) ** 2 for c in _amplitudes(params, grid, n, times)])
         over = probs > 1.0 + 1e-6
         if over.any():
             warnings.warn(

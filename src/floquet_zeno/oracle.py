@@ -170,11 +170,12 @@ def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samp
 
 def _integrate(params, grid, y0, t0, t1, sample_times=None):
     # Returns (y(t1), [|c_e|^2 at sample_times]) for lab amplitudes y0 at
-    # t0; sample_times must be increasing and lie in (t0, t1]. Backward
+    # t0; sample_times must be increasing and lie in [t0, t1]. Backward
     # runs (t1 < t0) are allowed and used by the time-reversal checks; no
     # sampling there. A run past the break-even goes through _period_map.
+    pending = np.asarray(sample_times if sample_times is not None else [], dtype=float)
     if t1 == t0:
-        return y0.copy(), []
+        return y0.copy(), [abs(y0[0]) ** 2] * pending.size
     # Refuse upfront a run the in-loop check would stop anyway: the fastest
     # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
     # g, and over twelve configurations RK45 took 1.5x (omega = 1e6) to
@@ -185,7 +186,6 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     estimate = rate * abs(t1 - t0)
     if not estimate <= MAX_STEPS:
         raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
-    pending = np.asarray(sample_times if sample_times is not None else [], dtype=float)
     if _map_pays(params, rate, abs(t1 - t0), grid.n_cavities + 1, pending.size):
         return _period_map(params, grid, y0, t0, t1, pending)
     y_start = _frame(params, grid, t0) * y0
@@ -275,12 +275,6 @@ def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times):
     times = check_times(times, positive=False)
     state = excited_state(grid)
     y0 = np.concatenate(([state.c_e], state.c_k)).astype(complex)
-    sample = times[times > 0.0]
-    probs = [1.0] * int((times == 0.0).sum())
-    if sample.size:
-        y, collected = _integrate(params, grid, y0, 0.0, float(sample[-1]), sample_times=sample)
-        _check_norm(y, f"propagating 0 -> {sample[-1]:g}")
-        probs.extend(collected)
-    if len(probs) != times.size:
-        raise StepLimitExceeded("integrator terminated before all sample times")
+    y, probs = _integrate(params, grid, y0, 0.0, float(times[-1]), sample_times=times)
+    _check_norm(y, f"propagating 0 -> {times[-1]:g}")
     return SurvivalCurve(times=times, probabilities=np.array(probs), method="oracle")

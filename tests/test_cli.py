@@ -302,6 +302,17 @@ def test_overflowing_input_exits_3(argv, capsys):
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("extra", [[], ["--g", "0"], ["--omega", "4"]], ids=["defaults", "g-0", "omega-4"])
+def test_perturbative_survival_past_the_float_range_exits_3(extra, capsys):
+    # t^2 overflows in the amplitude (t^2 g^2 is nan at g = 0, and omega t / 2
+    # overflows at omega = 4): refused before any row, where the rows once
+    # held nan or math.cos raised a bare ValueError.
+    assert run(["survival", "--t-max", "1e308"] + extra) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: NonFiniteResult: the perturbative amplitude overflows at t = 1e+308\n"
+
+
 def test_perturbative_overshoot_is_one_warning_line(capsys):
     argv = ["survival", "--g", "2", "--omega-c", "2", "--drive-amp", "0", "--n-cavities", "5",
             "--t-max", "3", "--t-steps", "3"]
@@ -314,7 +325,8 @@ def test_perturbative_overshoot_is_one_warning_line(capsys):
 
 def test_overflowing_sinc_argument_exits_0(capsys):
     # At t = 1e308 some arguments (delta - 2 xi cos k) t / 2 pass the float
-    # range; those terms are dropped and R(t) stays finite, not an error.
+    # range; those terms are their phase average and R(t) stays finite, not
+    # an error.
     assert run(["decay-rate", "--t-max", "1e308", "--t-steps", "2"]) == 0
     out, err = capsys.readouterr()
     assert err == ""

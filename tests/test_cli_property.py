@@ -7,11 +7,17 @@ fixed, and the oracle method is left out, so no draw asks for a large
 allocation or a long integration. reproduce-fig3 writes its three files
 into a fresh directory per example, and their cells are checked instead
 of stdout.
+
+Before running each argv the test writes it, flushed, to
+floquet_zeno_cli_property_argv.txt in the system temp directory
+(tempfile.gettempdir()), so a run that dies in a fatal-error dump
+leaves the argv that killed it there.
 """
 
 import contextlib
 import io
 import math
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -25,6 +31,7 @@ PARAM_FLAGS = ("omega", "omega-c", "xi", "g", "drive-amp", "drive-freq", "delta"
 SWEEP_PARAMS = ("omega", "omega_c", "xi", "g", "drive_amp", "drive_freq", "delta", "chi")
 COMMANDS = ("classify", "decay-rate", "spectral-density", "survival", "floquet-spectrum", "sweep", "reproduce-fig3")
 FIG3_FILES = ("fig3_blue.csv", "fig3_red.csv", "fig3_green.csv")
+LAST_ARGV = Path(tempfile.gettempdir()) / "floquet_zeno_cli_property_argv.txt"
 
 
 def _flag(name: str, value) -> str:
@@ -88,6 +95,7 @@ def test_every_argv_exits_0_2_or_3_with_finite_cells(argv):
     with tempfile.TemporaryDirectory() as out_dir:
         if fig3:
             argv = argv + ["--out-dir=" + out_dir]
+        LAST_ARGV.write_text(shlex.join(argv) + "\n", encoding="utf-8")  # closed, so flushed
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         assert code in (0, 2, 3), (code, err.getvalue())

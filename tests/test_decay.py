@@ -19,6 +19,7 @@ from floquet_zeno.decay import (
     ANTI_ZENO,
     CHUNK_ELEMENTS,
     DECOUPLED,
+    MAX_XI_T,
     INDETERMINATE,
     SCALED_ABOVE,
     ZENO,
@@ -34,7 +35,14 @@ from floquet_zeno.decay import (
     survival_curve,
     survival_probability,
 )
-from floquet_zeno.errors import BandEdgeSingularity, ConfigError, InvalidArgument, SecondSideband
+from floquet_zeno.errors import (
+    BandEdgeSingularity,
+    ConfigError,
+    InvalidArgument,
+    NonFiniteResult,
+    QuadratureFailure,
+    SecondSideband,
+)
 from floquet_zeno.floquet import averaged_transition_probability, reduced_hamiltonian
 from floquet_zeno.params import SystemParams, default_sideband, validate
 from floquet_zeno.specfun import bessel_j
@@ -65,8 +73,8 @@ def test_rate_single_resonant_mode():
 
 def test_rate_past_the_float_range():
     # At t = 1e308 the sinc^2 argument of the off-resonant mode (detuning
-    # 4 xi) overflows and its term, at most 4 / (16 t), is dropped, while
-    # the resonant mode (detuning 0) keeps sinc^2 = 1: R = t g^2 / 2.
+    # 4 xi) overflows and its term is its phase average 2 / (16 t), beside
+    # which the resonant mode (detuning 0, sinc^2 = 1) gives R = t g^2 / 2.
     # No RuntimeWarning, which this suite turns into an error. Points with
     # no mode on resonance are checked against mpmath below.
     p = make(n_cavities=2, omega_c=4.0, drive_amp=0.0)
@@ -196,6 +204,44 @@ def test_overlap_longtime_limit_is_golden_rule():
     p = fig3(1.0, 1.0)
     golden = decay_rate_longtime(p, 0).rate
     assert abs(decay_rate_overlap(p, 0, 500.0) - golden) / golden <= 1e-2
+
+
+@pytest.mark.parametrize(
+    "overrides, t",
+    [({}, 1e5), ({"xi": 10.0}, 1e4), ({}, 3e8), ({"xi": 1e-3}, 1e12)],
+    ids=["silent-at-xi-t-1e5", "silent-at-xi-10", "limit-overflow", "small-xi"],
+)
+def test_quadrature_routes_refuse_past_their_ceiling(overrides, t):
+    # At xi t = 1e5 the overlap route reported 2e-4 of the golden rate as
+    # converged, and past t ~ 2e8 both routes raised a bare OverflowError
+    # from their subinterval limit.
+    p = make(omega_c=2.0, drive_amp=6.0, **overrides)
+    for route in (decay_rate_continuum, decay_rate_overlap):
+        with pytest.raises(QuadratureFailure, match="exceeds"):
+            route(p, 0, t)
+
+
+def test_quadrature_limit_follows_xi_t():
+    # The subinterval limit follows xi t, not t: at xi = 1e-6 a t of 1e9
+    # is xi t = 1e3, well inside the ceiling, where 10 t overflowed quad's
+    # C int limit.
+    p = make(omega_c=2.0, drive_amp=6.0, xi=1e-6, g=1e-3)
+    golden = decay_rate_longtime(p, 0).rate
+    a, b = decay_rate_continuum(p, 0, 1e9), decay_rate_overlap(p, 0, 1e9)
+    assert abs(a - b) / max(a, b) <= 1e-3
+    assert abs(a - golden) / golden <= 1e-2
+
+
+def test_quadrature_routes_agree_at_their_ceiling():
+    # A seeded sample of the scan behind MAX_XI_T (see the README).
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        xi = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        p = make(xi=xi, omega_c=2.0 + rng.uniform(-1.9, 1.9) * xi, drive_amp=6.0 * rng.uniform(0.3, 2.0))
+        golden = decay_rate_longtime(p, 0).rate
+        a, b = decay_rate_continuum(p, 0, MAX_XI_T / xi), decay_rate_overlap(p, 0, MAX_XI_T / xi)
+        assert abs(a - b) / max(a, b) <= 1e-3
+        assert max(abs(a - golden), abs(b - golden)) / golden <= 1e-3
 
 
 def test_amplitude_at_zero_time():
@@ -551,16 +597,82 @@ def test_rate_times_t_past_the_underflow_against_mpmath(point, t):
     # R(t) t = (t^2 g^2 / N) J_0^2 sum_k sinc^2(x_k) on the same float
     # arguments x_k, summed in 60-digit arithmetic. Each sinc^2 underflows
     # past t ~ 1e154, but R(t) t stays O(1). Past t ~ 4e307 some detuning * t
-    # overflow at this point; the sum runs over the arguments that stay finite.
+    # overflow at this point; such a term is the phase average of sin^2,
+    # 1 / (2 x_k^2) = 2 / (detuning_k t)^2.
     grid = build_grid(point)
     detuning = point.delta - 2.0 * point.xi * np.cos(grid.momenta)
     jn = bessel_j(0, point.chi)
     with np.errstate(over="ignore"):
         arguments = detuning * t / 2.0
+    finite = np.isfinite(arguments)
     with mpmath.workdps(60):
-        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, arguments[np.isfinite(arguments)]))
+        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, arguments[finite]))
+        total += mpmath.fsum(2 / (mpmath.mpf(d) * t) ** 2 for d in detuning[~finite])
         expected = float(mpmath.mpf(t) ** 2 * point.g**2 / grid.n_cavities * jn * jn * total)
     rate = decay_rate_finite(point, grid, 0, t)
     assert 1e-3 < expected < 10.0
     assert rate * t == pytest.approx(expected, rel=1e-12)
     assert survival_probability(point, grid, 0, t, "exponential") == pytest.approx(math.exp(-expected), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"g": 0.0}, {"omega": 4.0}, {"g": 1e-3, "drive_amp": 6.0 * J0_ROOT}],
+    ids=["defaults", "g-0", "omega-4", "weak-at-J0-root"],
+)
+def test_perturbative_survival_past_the_float_range_is_refused(overrides):
+    # At t = 1e308, t^2 overflows in the amplitude; at g = 0, where P_e = 1,
+    # t^2 g^2 is nan. Refused before any row, with no RuntimeWarning (the
+    # numpy overflow) and no ValueError (math.cos of an infinite phase).
+    p = make(**overrides)
+    grid = build_grid(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for compute in (
+            lambda: survival_curve(p, grid, 0, [0.0, 1.0, 1e308]),
+            lambda: survival_probability(p, grid, 0, 1e308),
+            lambda: survival_amplitude(p, grid, 0, 1e308),
+        ):
+            with pytest.raises(NonFiniteResult, match="perturbative amplitude overflows at t = 1e"):
+                compute()
+        # The exponential route stays finite there.
+        assert 0.0 <= survival_probability(p, grid, 0, 1e308, "exponential") <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore:perturbative P_e up to")
+def test_perturbative_refusal_starts_where_the_amplitude_overflows():
+    # t^2 g^2 J_0^2 / N, max |a_k| t and omega t / 2 are finite at 1e150
+    # and the row is computed; at 1.4e154 t^2 alone overflows.
+    p = make()
+    grid = build_grid(p)
+    assert survival_curve(p, grid, 0, [1e150]).probabilities.tolist() == [1.0]
+    with pytest.raises(NonFiniteResult):
+        survival_curve(p, grid, 0, [1e150, 1.4e154])
+
+
+def test_an_overflowing_detuning_is_refused_at_every_time():
+    # delta = omega_c - omega overflows, so every detuning is infinite: R(t)
+    # and C_e(t) have no finite value, not even at t = 0.
+    p = make(omega=-1e308, omega_c=1e308)
+    grid = build_grid(p)
+    for times in ([0.0], [0.0, 1.0]):
+        for method in ("perturbative", "exponential"):
+            with pytest.raises(NonFiniteResult, match="detuning"):
+                survival_curve(p, grid, 0, times, method)
+    with pytest.raises(NonFiniteResult, match="detuning"):
+        decay_rate_finite(p, grid, 0, 1.0)
+    with pytest.raises(NonFiniteResult, match="detuning"):
+        survival_amplitude(p, grid, 0, 0.0)
+
+
+def test_an_overflowing_bound_over_finite_detunings_keeps_plain_rows():
+    # |delta| + 2 xi + |n nu| overflows while delta + n nu = 0, so every mode
+    # sits on resonance: R(t) = t g^2 J_-1(chi)^2, the plain row, at every t.
+    p = make(omega=0.0, omega_c=1e308, drive_amp=1e308, drive_freq=1e308)
+    grid = build_grid(p)
+    jn = bessel_j(-1, p.chi)
+    times = [0.0, 1.0, 1e200]
+    probs = survival_curve(p, grid, -1, times, "exponential").probabilities
+    assert probs.tolist() == [1.0, pytest.approx(math.exp(-p.g**2 * jn * jn)), 0.0]
+    assert decay_curve(p, grid, -1, times[1:]).rates == pytest.approx([t * p.g**2 * jn * jn for t in times[1:]])
+    assert survival_curve(p, grid, -1, times[:2]).probabilities[0] == 1.0

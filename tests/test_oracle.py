@@ -233,6 +233,21 @@ def test_period_map_samples_whole_periods(monkeypatch):
     assert np.abs(curves["map"] - curves["direct"]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("route", ["map", "direct"])
+def test_a_time_zero_sample_is_an_ordinary_row(route, monkeypatch):
+    # One run samples t = 0 like any other time: P_e(0) = 1 exactly, and
+    # the later rows keep their bytes.
+    p = make()
+    grid = build_grid(p)
+    sizes = stepper_sizes(monkeypatch)
+    force(monkeypatch, route)
+    times = np.linspace(11.0 / 50, 11.0, 50)
+    with_zero = survival_curve_exact(p, grid, np.concatenate(([0.0], times))).probabilities
+    assert with_zero[0] == 1.0
+    assert with_zero[1:].tobytes() == survival_curve_exact(p, grid, times).probabilities.tobytes()
+    assert sizes == [(p.n_cavities + 1) ** (2 if route == "map" else 1)] * 2
+
+
 def test_period_map_checks_the_unitarity_of_its_period(monkeypatch):
     p = make()
     grid = build_grid(p)
