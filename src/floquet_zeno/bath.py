@@ -53,7 +53,7 @@ def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) 
     """
     jn = bessel_j(n, params.chi)
     phases = np.exp(1j * t * 2.0 * params.xi * grid.cos_k)
-    return (params.g**2 / grid.n_cavities) * jn * jn * complex(phases.sum())
+    return (params.g_squared / grid.n_cavities) * jn * jn * complex(phases.sum())
 
 
 def spectral_density(xi: float, omega: float) -> float:
@@ -73,4 +73,4 @@ def spectral_density(xi: float, omega: float) -> float:
 def response_spectrum(params: SystemParams, n: int, omega: float) -> float:
     """g_n(omega) = g^2 J_n(chi)^2 rho(omega)."""
     jn = bessel_j(n, params.chi)
-    return params.g**2 * jn * jn * spectral_density(params.xi, omega)
+    return params.g_squared * jn * jn * spectral_density(params.xi, omega)

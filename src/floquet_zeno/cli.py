@@ -44,8 +44,8 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 # about 75 us and 240 bytes per point (see the README).
 MAX_ROWS = 1 << 20
 
-# Python float arithmetic raises OverflowError (x ** 2) or
-# ZeroDivisionError (1 / underflowed x) where numpy would return inf;
+# Python float arithmetic raises OverflowError or ZeroDivisionError
+# (1 / underflowed x) where numpy would return inf;
 # either way the point cannot be computed. Argument checks raise InvalidArgument,
 # a ConfigError, so any other ValueError comes from inside a computation.
 NUMERICAL_FAILURES = (NumericalError, ArithmeticError, ValueError)

@@ -150,7 +150,7 @@ def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) 
         plain = times.size if bound == math.inf else int(np.count_nonzero(bound * times <= SCALED_ABOVE))
     head = times[:plain]
     totals = _chunked(detuning, head, _rate_sums, np.empty_like(head))
-    rates = head * params.g**2 / grid.n_cavities * jn * jn * totals
+    rates = head * params.g_squared / grid.n_cavities * jn * jn * totals
     return np.concatenate((rates, [decay_rate_finite(params, grid, n, t) for t in times[plain:]]))
 
 
@@ -170,14 +170,14 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     jn = bessel_j(n, params.chi)
     a = -_detuning(params, grid, n)[0]
     t = float(times[-1])
-    scale, reach = t * t * params.g**2 / grid.n_cavities * jn * jn, float(np.abs(a).max()) * t
+    scale, reach = t * t * params.g_squared / grid.n_cavities * jn * jn, float(np.abs(a).max()) * t
     if not all(map(math.isfinite, (scale, reach, 0.5 * params.omega * t))):
         raise NonFiniteResult(f"the perturbative amplitude overflows at t = {t:g}")
     windows = _chunked(a, times, _window_sums, np.empty((2, times.size)))
     amplitudes = []
     for t, real, imag in zip(times, *windows):
         phase = complex(math.cos(0.5 * params.omega * t), math.sin(0.5 * params.omega * t))
-        amplitudes.append(phase * (1.0 - t * t * params.g**2 / grid.n_cavities * jn * jn * complex(real, imag)))
+        amplitudes.append(phase * (1.0 - t * t * params.g_squared / grid.n_cavities * jn * jn * complex(real, imag)))
     return amplitudes
 
 
@@ -251,7 +251,7 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
         far = detuning[~finite]
         factor, total = 1.0, (s * (s * t)).sum() + (2.0 / far / far / t).sum()
     # In Python floats, so an R(t) past the float range (a mode on resonance) overflows without a warning.
-    rate = factor * params.g**2 / grid.n_cavities * jn * jn * float(total)
+    rate = factor * params.g_squared / grid.n_cavities * jn * jn * float(total)
     if not math.isfinite(rate):
         raise NonFiniteResult(f"R(t) overflows at t = {t:g}")
     return rate
@@ -277,7 +277,7 @@ def decay_rate_longtime(params: SystemParams, n: int) -> LongTimeRate:
     if rho == 0.0:
         return LongTimeRate(resonant=False, rate=0.0)
     jn = bessel_j(n, params.chi)
-    return LongTimeRate(resonant=True, rate=2.0 * math.pi * params.g**2 * jn * jn * rho)
+    return LongTimeRate(resonant=True, rate=2.0 * math.pi * params.g_squared * jn * jn * rho)
 
 
 def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
@@ -299,7 +299,7 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     points = [math.acos(omega_f / two_xi)] if abs(omega_f) < two_xi else None
     value = _quad_checked(integrand, 0.0, math.pi, points=points, limit=limit, epsabs=1e-13, epsrel=1e-10)
     jn = bessel_j(n, params.chi)
-    return float(t * params.g**2 * jn * jn * value / math.pi)
+    return float(t * params.g_squared * jn * jn * value / math.pi)
 
 
 def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
@@ -323,7 +323,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     # g_n = g^2 J_n^2 (1/pi) (4 xi^2 - omega^2)^(-1/2).
     value = _quad_checked(kernel, -two_xi, two_xi, weight="alg", wvar=(-0.5, -0.5), limit=limit)
     jn = bessel_j(n, params.chi)
-    return float(t * params.g**2 * jn * jn * value / math.pi)
+    return float(t * params.g_squared * jn * jn * value / math.pi)
 
 
 def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> complex:

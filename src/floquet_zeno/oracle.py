@@ -13,7 +13,7 @@ so with
 
     c_e = exp(-i Phi(t)) a,    c_k = exp(-i (eps_k t - Phi(t))) b_k
 
-RK45 integrates only the coupling,
+DOP853, the 8th-order Dormand-Prince pair, integrates only the coupling,
 
     a'   = -i (g / sqrt(N)) sum_k exp(+i theta_k(t)) b_k
     b_k' = -i (g / sqrt(N)) exp(-i theta_k(t)) a
@@ -23,8 +23,8 @@ resolve the emitter's or the modes' own rotation. |c_e| = |a|, and the
 frame is unitary, so the norm is the same in both pictures.
 
 H(t) repeats with the drive period T = 2 pi / nu, so a run that spans
-more than c(N) = (MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1)
-periods (2.3 at N = 41) integrates the (N+1) x (N+1) propagator over
+more than c(N) = (MAP_SETUP + MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1)
+periods (3.3 at N = 41) integrates the (N+1) x (N+1) propagator over
 one period only and reaches t0 + kT + r as U(t0 + r, t0) U(t0 + T, t0)^k.
 Its integration cost then no longer grows with t; only the k
 matrix-vector products do, about 2 us each at N = 41. A shorter run, a
@@ -49,25 +49,23 @@ from .errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceed
 from .params import SurvivalCurve, SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
-# RK45 settings, read at each call. In the interaction frame these hold
-# the norm drift to 3.1e-13 at g = 0.05 and 1.4e-12 at g = 0.25 out to
-# t = 100/xi, at about 108 steps per drive period at the defaults.
+# DOP853 settings, read at each call. In the interaction frame the direct
+# route holds the norm drift to 3.2e-13 at g = 0.05 and 1.9e-12 at
+# g = 0.25 out to t = 100/xi, at about 26 steps per period at the defaults.
 RTOL = 1e-11
 ATOL = 1e-13
 MAX_STEPS = 1_000_000
-# A run that spans more drive periods than c(N) = (MAP_OVERHEAD + (N+1)^2)
-# / (MAP_OVERHEAD + N+1) integrates one period of the propagator and
-# powers it (_period_map), which costs about c(N) direct periods. On a
-# 2-core VM (median of 7, g = 0.05) c was 1.5, 1.7, 2.5, 4.3, 7.3, 12.0,
-# 20.8 and 37.2 at N = 11, 21, 41, 71, 101, 151, 201 and 301; the fitted
-# MAP_OVERHEAD runs from 250 (N = 11) to 2200 (N = 301), and 1300 puts
-# c(41) at 2.28.
-MAP_OVERHEAD = 1300.0
+# A run that spans more drive periods than c(N) = (MAP_SETUP + MAP_OVERHEAD
+# + (N+1)^2) / (MAP_OVERHEAD + N+1) integrates one period of the propagator
+# and powers it (_period_map), which costs about c(N) direct periods. On a
+# 2-core VM (medians of 7, g = 0.05, 100 samples) c was 1.6, 2.1, 3.8, 5.8,
+# 9.7, 19.4, 32.3, 67.1, 105 and 139 at N = 11, 21, 41, 71, 101, 151, 201,
+# 301, 401 and 463; the fit is within 22% of each and puts c(41) at 3.34.
+MAP_OVERHEAD = 1100.0
+MAP_SETUP = 950.0
 # Ceiling on the map's complex entries, (N+1)(N+1 + samples); past it a
-# run integrates directly. RK45 keeps about twenty (N+1)^2 arrays: a 183 MB
-# peak RSS at N = 463 with 100 samples, where c(N) asks for 123 periods. At
-# 2^20 entries (N = 974, 100 samples over 420 periods) the map took
-# 11.5 s and 452 MB against 8.1 s and 82 MB direct.
+# run integrates directly. DOP853 keeps about 45 (N+1)^2 arrays: a 238 MB
+# peak RSS at N = 463 with 100 samples, where c(N) asks for 139 periods.
 MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -83,12 +81,13 @@ class OneQuantumState:
 
 def __getattr__(name: str):
     # scipy.integrate takes about half a second to import and only
-    # _integrate uses it, so `RK45` is bound on first access.
+    # _integrate uses it, so the stepper, scipy's DOP853, is bound on first
+    # access, under the name RK45 by which the benchmark's tracer replaces it.
     if name == "RK45":
-        from scipy.integrate import RK45
+        from scipy.integrate import DOP853
 
-        globals()["RK45"] = RK45
-        return RK45
+        globals()["RK45"] = DOP853
+        return DOP853
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -118,7 +117,7 @@ def _rhs(params: SystemParams, grid: MomentumGrid, columns: int = 0):
     amp, nu = params.drive_amp, params.drive_freq
 
     def rotation(t) -> np.ndarray:
-        # exp(-i theta_k(t)). RK45 passes a numpy t; a float nu t overflows
+        # exp(-i theta_k(t)). DOP853 passes a numpy t; a float nu t overflows
         # to inf without a warning.
         return np.exp(minus_i_detuning * t - 1j * (amp * t * _sinc(nu * float(t))))
 
@@ -157,14 +156,14 @@ def _steps(stepper):
 
 def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samples: int) -> bool:
     # The route rule. The map integrates one period of N+1 columns, which
-    # costs (MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1) direct periods.
+    # costs c(N) direct periods (see MAP_OVERHEAD).
     # rate T >= 1 keeps the whole periods below the step estimate, and the
     # propagator with the sampled emitter rows within MAP_MAX_ENTRIES.
     period = params.period
     return (
         rate * period >= 1.0
         and columns * (columns + samples) <= MAP_MAX_ENTRIES
-        and span / period > (MAP_OVERHEAD + columns * columns) / (MAP_OVERHEAD + columns)
+        and span / period > (MAP_SETUP + MAP_OVERHEAD + columns * columns) / (MAP_OVERHEAD + columns)
     )
 
 
@@ -178,9 +177,10 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
         return y0.copy(), [abs(y0[0]) ** 2] * pending.size
     # Refuse upfront a run the in-loop check would stop anyway: the fastest
     # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
-    # g, and over twelve configurations RK45 took 1.5x (omega = 1e6) to
-    # 50x (one mode) this many steps. In Python floats an overflow gives an
-    # inf estimate, which is refused too.
+    # g, and over twelve configurations a direct DOP853 run took 1.55x
+    # (A = 60) to 3.2x (one mode) this many steps; only a coupling far
+    # below that rate (omega = 1e6: 0.64x) lets it step faster, so such a
+    # run can be refused early. An overflow gives an inf estimate, refused too.
     lo, hi = float(grid.energies.min()), float(grid.energies.max())
     rate = max(abs(params.omega - lo), abs(params.omega - hi)) + params.drive_amp + params.g
     estimate = rate * abs(t1 - t0)
@@ -204,7 +204,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
 
 def _period_map(params, grid, y0, t0, t1, sample_times):
     # The lab Hamiltonian repeats with period T, so U(t0 + kT + r, t0) =
-    # U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965). One RK45 run carries
+    # U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965). One DOP853 run carries
     # the frame propagator, diag(frame(t0)) at t0, over one period (T < 0
     # backward), and each time reads U(t0 + r, t0) off the dense output of
     # the step that holds t0 + r: the emitter row for a sample, as much

@@ -21,6 +21,7 @@ from .errors import (
     InvalidArgument,
     Negative,
     NonFinite,
+    NonFiniteResult,
     NonPositive,
     OrderTooLarge,
     SizeTooLarge,
@@ -51,6 +52,14 @@ class SystemParams:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.drive_freq
+
+    @property
+    def g_squared(self) -> float:
+        """g^2, or NonFiniteResult where it passes the float range (g > 1.3e154)."""
+        try:
+            return self.g**2
+        except OverflowError:
+            raise NonFiniteResult(f"g^2 overflows at g = {self.g:g}") from None
 
 
 def validate(params: SystemParams) -> SystemParams:

@@ -290,7 +290,7 @@ def test_non_finite_input_exits_2(argv, capsys):
     "argv",
     [
         ["classify", "--drive-freq", "1e-313"],  # -delta / nu overflows: no finite sideband
-        ["decay-rate", "--g", "1.4e154"],  # g ** 2 raises OverflowError
+        ["decay-rate", "--g", "1.4e154"],  # g^2 overflows: NonFiniteResult
         ["spectral-density", "--xi", "1e-320", "--omega", "0"],  # rho = 1/(2 pi xi) exceeds the float range
     ],
 )
@@ -460,7 +460,7 @@ def test_sweep_reports_overflow_per_point(tmp_path):
     argv = ["sweep", "--param", "g", "--start", "0.25", "--stop", "1.4e154", "--count", "2", "--quantity", "rate"]
     table = rows(run_to_file(argv, tmp_path / "overflow.csv"))
     assert float(table[1][1]) > 0.0 and table[1][2] == ""
-    assert table[2][1:] == ["", "OverflowError"]
+    assert table[2][1:] == ["", "NonFiniteResult"]
 
 
 def test_no_subcommand_exits_2():

@@ -676,3 +676,26 @@ def test_an_overflowing_bound_over_finite_detunings_keeps_plain_rows():
     assert probs.tolist() == [1.0, pytest.approx(math.exp(-p.g**2 * jn * jn)), 0.0]
     assert decay_curve(p, grid, -1, times[1:]).rates == pytest.approx([t * p.g**2 * jn * jn for t in times[1:]])
     assert survival_curve(p, grid, -1, times[:2]).probabilities[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda p, grid: decay_rate_finite(p, grid, 0, 1.0),
+        lambda p, grid: survival_curve(p, grid, 0, [0.0]),
+        lambda p, grid: survival_curve(p, grid, 0, [0.0], "exponential"),
+        lambda p, grid: decay_curve(p, grid, 0, [1.0]),
+        lambda p, grid: decay_rate_longtime(p, 0),
+        lambda p, grid: decay_rate_continuum(p, 0, 1.0),
+        lambda p, grid: decay_rate_overlap(p, 0, 1.0),
+        lambda p, grid: memory_function(grid, p, 0, 1.0),
+        lambda p, grid: response_spectrum(p, 0, 0.5),
+    ],
+    ids=["finite", "survival-at-0", "exponential-at-0", "curve", "longtime", "continuum", "overlap", "memory",
+         "response"],
+)
+def test_g_squared_past_the_float_range_is_refused(kernel):
+    # g^2 overflows past g = 1.3e154; in Python floats g ** 2 raised a bare OverflowError.
+    p = make(g=1e200)
+    with pytest.raises(NonFiniteResult, match="g\\^2 overflows"):
+        kernel(p, build_grid(p))

@@ -1,6 +1,7 @@
-"""scipy.integrate is loaded only by the code that calls quad or RK45.
+"""scipy.integrate is loaded only by the code that calls quad or the oracle's stepper.
 
-`decay.quad` and `oracle.RK45` stay module attributes that resolve on
+`decay.quad` and `oracle.RK45` (scipy's DOP853, under the name the
+benchmark's tracer replaces) stay module attributes that resolve on
 first access, and each call site looks the name up on the module when it
 runs, so a replaced attribute (a counting wrapper, a subclass) is used.
 """

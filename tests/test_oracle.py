@@ -181,24 +181,48 @@ def test_step_budget_enforced(monkeypatch):
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
     # A direct run of 0.9 periods: above the upfront estimate (9.25 * 0.94
-    # = 8.7 steps), below the ~106 steps it takes, so the in-loop check is
+    # = 8.7 steps), below the 26 steps it takes, so the in-loop check is
     # the one that fires.
-    monkeypatch.setattr(oracle, "MAX_STEPS", 50)
-    with pytest.raises(StepLimitExceeded, match="exceeded 50 steps"):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 15)
+    with pytest.raises(StepLimitExceeded, match="exceeded 15 steps"):
         propagate(p, grid, excited_state(grid), 0.9 * p.period)
     assert sizes == [p.n_cavities + 1]
 
 
 def test_step_budget_enforced_in_the_period_map(monkeypatch):
-    p = make()
+    p = make(n_cavities=11)
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
-    # Three periods take the map (c(41) = 2.28); the estimate is 29 steps,
-    # and its one-period run takes about 88.
-    monkeypatch.setattr(oracle, "MAX_STEPS", 50)
-    with pytest.raises(StepLimitExceeded, match="exceeded 50 steps"):
-        propagate(p, grid, excited_state(grid), 3.0 * p.period)
+    # 2.1 periods take the map (c(11) = 1.97); the estimate is 20.3 steps,
+    # and its one-period run takes 26.
+    monkeypatch.setattr(oracle, "MAX_STEPS", 23)
+    with pytest.raises(StepLimitExceeded, match="exceeded 23 steps"):
+        propagate(p, grid, excited_state(grid), 2.1 * p.period)
     assert sizes == [(p.n_cavities + 1) ** 2]
+
+
+@pytest.mark.parametrize(
+    "overrides, t, floor",
+    [(dict(drive_amp=60.0), 2.0, 1.0), (dict(xi=10.0), 2.0, 1.0), (dict(omega=1e6), 1e-4, 0.5)],
+    ids=["A-60", "xi-10", "omega-1e6"],
+)
+def test_direct_steps_against_the_upfront_estimate(overrides, t, floor, monkeypatch):
+    # The lowest ratios of steps taken to the estimate, rate |t1 - t0|, that
+    # _integrate's comment states: about 1.55 and 1.9, and 0.64 far off resonance.
+    p = make(**overrides)
+    grid = build_grid(p)
+    steps = []
+
+    class Counting(oracle.RK45):
+        def step(self):
+            steps.append(self.t)
+            return super().step()
+
+    monkeypatch.setattr(oracle, "RK45", Counting)
+    force(monkeypatch, "direct")
+    propagate(p, grid, excited_state(grid), t)
+    rate = float(np.abs(p.omega - grid.energies).max()) + p.drive_amp + p.g
+    assert len(steps) >= floor * rate * t
 
 
 @pytest.mark.parametrize("t", [11.0, 100.0])
@@ -386,7 +410,8 @@ def test_sambe_amplitude_matches_the_oracle():
     # Three-way check through the paper's operator: c_e(t) = sum_m (-1)^m
     # exp(i m nu t) <e,m| exp(-i H_F t) |e,0> from the quasi-energy basis
     # against the period map, out to t = 1e4 (9549 periods). The oracle's
-    # own error sets the 1e-9 there: 3.4e-10 at RTOL 1e-11, 9e-12 at 1e-13.
+    # own error sets the 1e-9 there: 4.5e-11 at RTOL 1e-11 (3.6e-10 on
+    # RK45), 1.1e-12 at 1e-13.
     p = make(n_cavities=11)  # delta = 1, chi = 1
     grid = build_grid(p)
     times = np.array([11.0, 100.0, 1e4])
