@@ -46,7 +46,7 @@ SEPARATION = 10.0
 # many at a time, so each float temporary stays near 0.5 MB.
 CHUNK_ELEMENTS = 1 << 16
 
-# Past this bound * t an argument x = detuning * t / 2 can pass 5e149, where
+# Past this reach * t an argument x = detuning * t / 2 can pass 5e149, where
 # sinc^2(x) ~ 1/x^2 nears the smallest double; past about 1e154 it underflows
 # to 0 while R(t) t stays O(1). Such times sum s (s t) with s = sinc(x)
 # instead of t sum s^2. Below it the rates keep their bytes.
@@ -117,17 +117,16 @@ def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) ->
 
 
 def _detuning(params: SystemParams, grid: MomentumGrid, n: int) -> tuple[np.ndarray, float]:
-    """delta - 2 xi cos k + n nu per mode, and a bound >= its magnitude.
+    """delta - 2 xi cos k + n nu per mode, and its reach max_k |detuning_k|.
 
-    With bound * t finite no argument detuning * t overflows. A finite
-    bound bounds every mode; only when it overflows are the modes checked,
-    and one that overflows raises NonFiniteResult.
+    With reach * t finite no argument detuning * t overflows. A mode whose
+    detuning overflows raises NonFiniteResult, so the reach is finite.
     """
     detuning = params.delta - 2.0 * params.xi * grid.cos_k + n * params.drive_freq
-    bound = abs(params.delta) + 2.0 * params.xi + abs(n * params.drive_freq)
-    if bound == math.inf and not np.isfinite(detuning).all():
+    reach = float(np.abs(detuning).max())
+    if not math.isfinite(reach):
         raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
-    return detuning, bound
+    return detuning, reach
 
 
 def _rate_sums(x: np.ndarray) -> np.ndarray:
@@ -139,18 +138,21 @@ def _rate_sums(x: np.ndarray) -> np.ndarray:
 def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
     """R(t) at checked, increasing times >= 0, with decay_rate_finite's bytes at each time > 0.
 
-    R(0) = 0. Rows with bound * t <= SCALED_ABOVE go through the chunked
+    R(0) = 0. Rows with reach * t <= SCALED_ABOVE go through the chunked
     kernel; the later ones, which no default time grid reaches, go through
-    decay_rate_finite one at a time.
+    decay_rate_finite one at a time. A plain R(t) past the float range (a
+    mode on resonance) raises NonFiniteResult, as decay_rate_finite does.
     """
     jn = bessel_j(n, params.chi)
-    detuning, bound = _detuning(params, grid, n)
-    # As in decay_rate_finite, a bound that overflows itself leaves every row plain.
+    detuning, reach = _detuning(params, grid, n)
     with np.errstate(over="ignore"):
-        plain = times.size if bound == math.inf else int(np.count_nonzero(bound * times <= SCALED_ABOVE))
+        plain = int(np.count_nonzero(reach * times <= SCALED_ABOVE))
     head = times[:plain]
     totals = _chunked(detuning, head, _rate_sums, np.empty_like(head))
-    rates = head * params.g_squared / grid.n_cavities * jn * jn * totals
+    with np.errstate(over="ignore"):
+        rates = head * params.g_squared / grid.n_cavities * jn * jn * totals
+    if not np.isfinite(rates).all():
+        raise NonFiniteResult(f"R(t) overflows at t = {head[~np.isfinite(rates)][0]:g}")
     return np.concatenate((rates, [decay_rate_finite(params, grid, n, t) for t in times[plain:]]))
 
 
@@ -168,10 +170,10 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     overflows there.
     """
     jn = bessel_j(n, params.chi)
-    a = -_detuning(params, grid, n)[0]
-    t = float(times[-1])
-    scale, reach = t * t * params.g_squared / grid.n_cavities * jn * jn, float(np.abs(a).max()) * t
-    if not all(map(math.isfinite, (scale, reach, 0.5 * params.omega * t))):
+    detuning, reach = _detuning(params, grid, n)
+    a, t = -detuning, float(times[-1])
+    scale = t * t * params.g_squared / grid.n_cavities * jn * jn
+    if not all(map(math.isfinite, (scale, reach * t, 0.5 * params.omega * t))):
         raise NonFiniteResult(f"the perturbative amplitude overflows at t = {t:g}")
     windows = _chunked(a, times, _window_sums, np.empty((2, times.size)))
     amplitudes = []
@@ -233,15 +235,16 @@ def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float
     A scalar twin of decay_curve's chunked kernel, with the same bytes; a
     sweep calls it once per point, where routing the one time through
     _rates would cost about 10 us more per call at N = 2001. Past
-    bound * t = SCALED_ABOVE, R(t) is (g^2 / N) J_n(chi)^2 sum_k s (s t)
-    with s = sinc((delta - 2 xi cos k + n nu) t / 2), so R(t) t does not
-    underflow. Where detuning * t overflows, the phase of sin^2 cannot be
-    resolved and the term is its phase average, 2 / (detuning^2 t).
+    reach * t = SCALED_ABOVE, with reach = max_k |detuning_k|, R(t) is
+    (g^2 / N) J_n(chi)^2 sum_k s (s t) with s = sinc((delta - 2 xi cos k
+    + n nu) t / 2), so R(t) t does not underflow. Where detuning * t
+    overflows, the phase of sin^2 cannot be resolved and the term is its
+    phase average, 2 / (detuning^2 t).
     """
     t = float(check_time(t))
     jn = bessel_j(n, params.chi)
-    detuning, bound = _detuning(params, grid, n)
-    if bound * t <= SCALED_ABOVE or bound == math.inf:
+    detuning, reach = _detuning(params, grid, n)
+    if reach * t <= SCALED_ABOVE:
         factor, total = t, _rate_sums(detuning * t)
     else:
         with np.errstate(over="ignore"):

@@ -22,15 +22,15 @@ with theta_k(t) = (omega - eps_k) t + A t sinc(nu t), and never has to
 resolve the emitter's or the modes' own rotation. |c_e| = |a|, and the
 frame is unitary, so the norm is the same in both pictures.
 
-H(t) repeats with the drive period T = 2 pi / nu, so a run that spans
-more than c(N) = (MAP_SETUP + MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1)
-periods (3.3 at N = 41) integrates the (N+1) x (N+1) propagator over
-one period only and reaches t0 + kT + r as U(t0 + r, t0) U(t0 + T, t0)^k.
-Its integration cost then no longer grows with t; only the k
-matrix-vector products do, about 2 us each at N = 41. A shorter run, a
-run whose step-estimate rate times T is below 1 (k could then pass the
-step estimate), and a run whose propagator and sampled emitter rows
-exceed MAP_MAX_ENTRIES integrate the state vector directly.
+H(t) repeats with the drive period T = 2 pi / nu, so U(t0 + kT + r, t0)
+= U(t0 + r, t0) U(t0 + T, t0)^k, and one DOP853 run serves both routes.
+Past c(N) = (MAP_SETUP + MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1)
+periods (3.3 at N = 41) it carries the (N+1) x (N+1) propagator over
+one period and powers it k times; the cost then grows with t only
+through the k matrix-vector products, about 2 us each at N = 41.
+Otherwise (a shorter run, a step-estimate rate times T below 1, or
+more than MAP_MAX_ENTRIES entries) it carries the state vector itself
+to t1, with k = 0.
 
 The phase is the elementary integral of the drive, not the Bessel
 expansion the Floquet layer uses, and nothing here touches the Floquet
@@ -57,15 +57,17 @@ ATOL = 1e-13
 MAX_STEPS = 1_000_000
 # A run that spans more drive periods than c(N) = (MAP_SETUP + MAP_OVERHEAD
 # + (N+1)^2) / (MAP_OVERHEAD + N+1) integrates one period of the propagator
-# and powers it (_period_map), which costs about c(N) direct periods. On a
-# 2-core VM (medians of 7, g = 0.05, 100 samples) c was 1.6, 2.1, 3.8, 5.8,
-# 9.7, 19.4, 32.3, 67.1, 105 and 139 at N = 11, 21, 41, 71, 101, 151, 201,
-# 301, 401 and 463; the fit is within 22% of each and puts c(41) at 3.34.
+# and powers it, which costs about c(N) direct periods. On a 2-core VM
+# (medians of 7, g = 0.05, 100 samples) c was 1.6, 2.1, 3.8, 5.8, 9.7,
+# 19.4, 32.3, 67.1, 105 and 139 at N = 11, 21, 41, 71, 101, 151, 201, 301,
+# 401 and 463; the fit is within 22% of each and puts c(41) at 3.34.
 MAP_OVERHEAD = 1100.0
 MAP_SETUP = 950.0
 # Ceiling on the map's complex entries, (N+1)(N+1 + samples); past it a
 # run integrates directly. DOP853 keeps about 45 (N+1)^2 arrays: a 238 MB
 # peak RSS at N = 463 with 100 samples, where c(N) asks for 139 periods.
+# A dense-output read of either run takes as many times at once as keep it
+# within this many entries, and at least one.
 MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -111,7 +113,7 @@ def _frame(params: SystemParams, grid: MomentumGrid, t: float) -> np.ndarray:
     return np.exp(1j * np.concatenate(([phi], grid.energies * t - phi)))
 
 
-def _rhs(params: SystemParams, grid: MomentumGrid, columns: int = 0):
+def _rhs(params: SystemParams, grid: MomentumGrid, columns: int):
     minus_i_detuning = -1j * (params.omega - grid.energies)
     coupling = -1j * params.g / math.sqrt(grid.n_cavities)
     amp, nu = params.drive_amp, params.drive_freq
@@ -138,119 +140,110 @@ def _rhs(params: SystemParams, grid: MomentumGrid, columns: int = 0):
         np.multiply(phases[:, None], coupling * y[0], out=out[1:])
         return out.ravel()
 
-    return columns_rhs if columns else rhs
-
-
-def _steps(stepper):
-    """Advance stepper to its bound, yielding after each step, within MAX_STEPS."""
-    steps = 0
-    while stepper.status == "running":
-        if steps >= MAX_STEPS:
-            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t = {stepper.t:g}")
-        stepper.step()
-        steps += 1
-        yield
-    if stepper.status == "failed":
-        raise StepLimitExceeded(f"step size underflow at t = {stepper.t:g}")
+    # One column, a state vector, costs 4.6 us per call here, 13.2 in columns_rhs (N = 41).
+    return rhs if columns == 1 else columns_rhs
 
 
 def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samples: int) -> bool:
     # The route rule. The map integrates one period of N+1 columns, which
     # costs c(N) direct periods (see MAP_OVERHEAD).
-    # rate T >= 1 keeps the whole periods below the step estimate, and the
-    # propagator with the sampled emitter rows within MAP_MAX_ENTRIES.
+    # rate T >= 1 gives each period at least one estimated step, which a
+    # power replaces at less cost, and the propagator with the sampled
+    # emitter rows stays within MAP_MAX_ENTRIES. A span past the float
+    # range stays direct, where its inf estimate is refused.
     period = params.period
     return (
         rate * period >= 1.0
         and columns * (columns + samples) <= MAP_MAX_ENTRIES
-        and span / period > (MAP_SETUP + MAP_OVERHEAD + columns * columns) / (MAP_OVERHEAD + columns)
+        and (MAP_SETUP + MAP_OVERHEAD + columns * columns) / (MAP_OVERHEAD + columns) < span / period < math.inf
     )
 
 
 def _integrate(params, grid, y0, t0, t1, sample_times=None):
-    # Returns (y(t1), [|c_e|^2 at sample_times]) for lab amplitudes y0 at
-    # t0; sample_times must be increasing and lie in [t0, t1]. Backward
-    # runs (t1 < t0) are allowed and used by the time-reversal checks; no
-    # sampling there. A run past the break-even goes through _period_map.
+    # Returns (y(t1), |c_e|^2 at sample_times) for lab amplitudes y0 at t0;
+    # sample_times must be increasing and lie in [t0, t1]. Backward runs
+    # (t1 < t0) are allowed and used by the time-reversal checks; no
+    # sampling there.
     pending = np.asarray(sample_times if sample_times is not None else [], dtype=float)
     if t1 == t0:
         return y0.copy(), [abs(y0[0]) ** 2] * pending.size
-    # Refuse upfront a run the in-loop check would stop anyway: the fastest
-    # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
-    # g, and over twelve configurations a direct DOP853 run took 1.55x
-    # (A = 60) to 3.2x (one mode) this many steps; only a coupling far
-    # below that rate (omega = 1e6: 0.64x) lets it step faster, so such a
-    # run can be refused early. An overflow gives an inf estimate, refused too.
+    n = grid.n_cavities + 1
     lo, hi = float(grid.energies.min()), float(grid.energies.max())
     rate = max(abs(params.omega - lo), abs(params.omega - hi)) + params.drive_amp + params.g
-    estimate = rate * abs(t1 - t0)
+    # U(t0 + kT + r, t0) = U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965): one
+    # run carries diag(frame(t0)) basis from t0 to bound, and each time is
+    # read at t0 + r and powered over its k whole periods (T < 0 backward).
+    # The direct run has no whole periods: basis = y0, v = [1], bound = t1.
+    ends = np.append(pending, t1)
+    if _map_pays(params, rate, abs(t1 - t0), n, pending.size):
+        period = math.copysign(params.period, t1 - t0)
+        turns = np.floor((ends - t0) / period)
+        reads = t0 + np.clip(ends - t0 - turns * period, *sorted((0.0, period)))
+        bound, basis, v = t0 + period, np.eye(n), y0
+    else:
+        turns, reads = np.zeros(ends.size), ends
+        bound, basis, v = t1, y0[:, None], np.ones(1)
+    # Refuse upfront a run the in-loop check would stop anyway: the fastest
+    # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
+    # g, and over twelve configurations a direct run took 1.55x (A = 60) to
+    # 3.2x (one mode) this rate times its span in steps; only a coupling far
+    # below that rate (omega = 1e6: 0.64x) steps faster. The map spans one
+    # period, and each power counts as a step, though it costs less (1.9,
+    # 9.1 and 48 us at N = 41, 201 and 463). An inf estimate is refused.
+    estimate = rate * abs(bound - t0) + turns[-1]
     if not estimate <= MAX_STEPS:
         raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
-    if _map_pays(params, rate, abs(t1 - t0), grid.n_cavities + 1, pending.size):
-        return _period_map(params, grid, y0, t0, t1, pending)
-    y_start = _frame(params, grid, t0) * y0
-    back = _frame(params, grid, t1).conj()
-    # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
-    stepper = sys.modules[__name__].RK45(_rhs(params, grid), t0, y_start, t1, rtol=RTOL, atol=ATOL)
-    samples = []
-    for _ in _steps(stepper):
-        due = int(np.searchsorted(pending, stepper.t, side="right"))
-        if due:
-            # |c_e| = |a|, so samples need no transform back to the lab frame.
-            samples.extend(np.abs(stepper.dense_output()(pending[:due])[0]) ** 2)
-            pending = pending[due:]
-    return back * stepper.y, samples
-
-
-def _period_map(params, grid, y0, t0, t1, sample_times):
-    # The lab Hamiltonian repeats with period T, so U(t0 + kT + r, t0) =
-    # U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965). One DOP853 run carries
-    # the frame propagator, diag(frame(t0)) at t0, over one period (T < 0
-    # backward), and each time reads U(t0 + r, t0) off the dense output of
-    # the step that holds t0 + r: the emitter row for a sample, as much
-    # as |c_e| needs, and every row for t1.
-    n = grid.n_cavities + 1
-    period = math.copysign(params.period, t1 - t0)
-    sign = math.copysign(1.0, period)
-    elapsed = np.append(sample_times, t1) - t0
-    turns = np.floor(elapsed / period)
-    reads = t0 + np.clip(elapsed - turns * period, *sorted((0.0, period)))
+    columns = basis.shape[1]
+    start = (_frame(params, grid, t0)[:, None] * basis).ravel()
+    back = _frame(params, grid, float(reads[-1])).conj()
+    sign = math.copysign(1.0, bound - t0)
     order = np.argsort(sign * reads[:-1], kind="stable")
     ahead = sign * reads[order]
-    rows = np.empty((sample_times.size, n), dtype=complex)
-    # Dense output holds n^2 entries per time; read them a bounded batch at a time.
-    batch = max(1, MAP_MAX_ENTRIES // (n * n))
-    start = np.diag(_frame(params, grid, t0)).ravel()
-    stepper = sys.modules[__name__].RK45(_rhs(params, grid, n), t0, start, t0 + period, rtol=RTOL, atol=ATOL)
-    done, end = 0, None
-    for _ in _steps(stepper):
+    rows = np.empty((pending.size, columns), dtype=complex)
+    # Dense output holds the whole state per time; read it a bounded batch at a time.
+    batch = max(1, MAP_MAX_ENTRIES // start.size)
+    # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
+    stepper = sys.modules[__name__].RK45(_rhs(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
+    steps, done, end = 0, 0, None
+    while stepper.status == "running":
+        if steps >= MAX_STEPS:
+            raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t = {stepper.t:g}")
+        stepper.step()
+        steps += 1
         due = int(np.searchsorted(ahead, sign * stepper.t, side="right"))
-        last = end is None and sign * reads[-1] <= sign * stepper.t
-        if due > done or last:
+        passed = end is None and sign * reads[-1] < sign * stepper.t
+        if due > done or passed:
             dense = stepper.dense_output()
             for first in range(done, due, batch):
                 index = order[first : min(due, first + batch)]
-                rows[index] = dense(reads[index])[:n].T
+                # The emitter row, as much as |c_e| = |a| needs.
+                rows[index] = dense(reads[index])[:columns].T
             done = due
-            if last:
-                end = dense(reads[-1]).reshape(n, n)
-    u = _frame(params, grid, t0 + period).conj()[:, None] * stepper.y.reshape(n, n)
+            if passed:
+                end = dense(reads[-1])
+            del dense  # seven states; not kept through the next step
+    if stepper.status == "failed":
+        raise StepLimitExceeded(f"step size underflow at t = {stepper.t:g}")
+    # A last read on the run's end, as the direct run's always is, takes the stepper's own state.
+    end = (stepper.y if end is None else end).reshape(n, columns)
     periods = int(turns[-1])
-    defect = periods * float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if defect > NORM_TOLERANCE:
-        raise NormDrift(f"the one-period propagator drifts by {defect:g} over {periods} periods")
-    # Its polar factor, so powering adds no drift of its own.
-    left, _, right = np.linalg.svd(u)
-    u = left @ right
-    amplitudes = np.empty(sample_times.size, dtype=complex)
+    if periods:
+        u = _frame(params, grid, bound).conj()[:, None] * stepper.y.reshape(n, n)
+        defect = periods * float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+        if defect > NORM_TOLERANCE:
+            raise NormDrift(f"the one-period propagator drifts by {defect:g} over {periods} periods")
+        # Its polar factor, so powering adds no drift of its own.
+        left, _, right = np.linalg.svd(u)
+        u = left @ right
+    amplitudes = np.empty(pending.size, dtype=complex)
     stops = np.searchsorted(turns[:-1], np.arange(periods + 1), side="right")
-    v, first = y0, 0
+    first = 0
     for k, stop in enumerate(stops):
         amplitudes[first:stop] = rows[first:stop] @ v
         first = stop
         if k < periods:
             v = u @ v
-    return _frame(params, grid, reads[-1]).conj() * (end @ v), np.abs(amplitudes) ** 2
+    return back * (end @ v), np.abs(amplitudes) ** 2
 
 
 def _check_norm(y: np.ndarray, where: str) -> None:

@@ -335,6 +335,17 @@ def test_overflowing_sinc_argument_exits_0(capsys):
     assert all(math.isfinite(float(cell)) for row in table for cell in row)
 
 
+def test_far_detunings_exit_0(capsys):
+    # Every detuning is about 1e307 at sideband -1, so each term is its
+    # phase average, which underflows: R = 0, not a nan row.
+    argv = ["decay-rate", "--delta", "1e308", "--drive-freq", "0.9e308", "--chi", "1", "--sideband", "-1",
+            "--t-max", "100", "--t-steps", "2"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert rows(out.encode()) == [["t", "R"], ["50", "0"], ["100", "0"]]
+
+
 def test_exponential_survival_up_to_the_float_range(capsys):
     # R(t) t stays O(1) at every time, also where (delta - 2 xi cos k) t
     # overflows for some modes: no P_e rounds to 0 or 1.

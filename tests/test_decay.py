@@ -527,7 +527,7 @@ def _seed_survival(p, grid, n, t):
 
 KERNEL_POINTS = [fig3(1.0, 1.0), fig3(3.0, 1.0), fig3(3.0, J0_ROOT), make(omega_c=1.37, drive_amp=4.1, g=0.05)]
 SHORT = np.linspace(0.05, 20.0, 97)
-# Plain rows, rows past SCALED_ABOVE, and rows where bound * t overflows.
+# Plain rows, rows past SCALED_ABOVE, and rows where detuning * t overflows.
 LONG = np.concatenate([SHORT, np.geomspace(1e100, 1.7e308, 40)])
 
 

@@ -58,6 +58,9 @@ DEFAULTS = validate(SystemParams(omega=2.0, omega_c=3.0, xi=1.0, g=0.25, n_cavit
 STRONG = dataclasses.replace(DEFAULTS, g=10.0)
 # One cavity exactly on resonance: R(t) = t g^2 grows without bound.
 RESONANT = validate(SystemParams(omega=-1e3, omega_c=1e3, xi=1e3, g=10.0, n_cavities=1, drive_amp=0.0, drive_freq=1.0))
+# delta = 1e308 and nu = 0.9e308: at n = -1 every detuning is finite, about
+# 1e307, though |delta| + 2 xi + |n nu| overflows.
+FAR = validate(dataclasses.replace(DEFAULTS, omega_c=DEFAULTS.omega + 1e308, drive_amp=0.9e308, drive_freq=0.9e308))
 
 
 @pytest.mark.filterwarnings("ignore:perturbative P_e up to")
@@ -68,6 +71,7 @@ RESONANT = validate(SystemParams(omega=-1e3, omega_c=1e3, xi=1e3, g=10.0, n_cavi
 @example(point=(STRONG, 0), times=[1e153])  # |C_e|^2 past the float range
 @example(point=(RESONANT, 0), times=[1e100, 1e160])  # R(t) t past the float range
 @example(point=(RESONANT, 0), times=[1e307, 1.7e308])  # R(t) past the float range
+@example(point=(FAR, -1), times=[100.0])  # detuning * t overflows at every mode
 def test_time_kernels_give_finite_values_or_a_typed_error(point, times):
     params, n = point
     grid = build_grid(params)
@@ -91,3 +95,13 @@ def test_time_kernels_give_finite_values_or_a_typed_error(point, times):
         amplitude = _outcome(lambda: survival_amplitude(params, grid, n, t))
         if amplitude is not None:
             assert math.isfinite(amplitude.real) and math.isfinite(amplitude.imag), (t, amplitude)
+
+
+def test_far_detunings_take_the_scaled_rows():
+    # Each detuning * t overflows at t = 100, so every term is its phase
+    # average; the curve row is decay_rate_finite's, bit for bit.
+    grid = build_grid(FAR)
+    rate = decay_rate_finite(FAR, grid, -1, 100.0)
+    assert np.float64(rate).tobytes() == decay_curve(FAR, grid, -1, [100.0]).rates[0].tobytes()
+    probs = survival_curve(FAR, grid, -1, [0.0, 100.0], "exponential").probabilities
+    assert probs.tolist() == [1.0, math.exp(-rate * 100.0)]

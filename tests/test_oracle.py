@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,6 +329,67 @@ def test_step_estimate_refuses_before_building_a_stepper(overrides, monkeypatch)
         propagate(p, grid, excited_state(grid), 1.0)
     with pytest.raises(StepLimitExceeded, match="estimated"):
         survival_curve_exact(p, grid, [0.5, 1.0])
+
+
+def test_map_estimate_charges_one_period_and_each_power(monkeypatch):
+    # t = 100 at the defaults takes the map: rate T = 9.7 steps for its
+    # period plus 95 powers, 104.7 in all, where rate t would be 924.
+    sizes = stepper_sizes(monkeypatch)
+    p = make()
+    grid = build_grid(p)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 104)
+    with pytest.raises(StepLimitExceeded, match="estimated"):
+        propagate(p, grid, excited_state(grid), 100.0)
+    assert sizes == []
+    monkeypatch.setattr(oracle, "MAX_STEPS", 105)
+    propagate(p, grid, excited_state(grid), 100.0)
+    assert sizes == [42**2]
+    # A span past the float range stays off the map: its estimate is inf.
+    with pytest.raises(StepLimitExceeded, match="estimated inf"):
+        propagate(p, grid, dataclasses.replace(excited_state(grid), time=-1.7e308), 1.7e308)
+    assert sizes == [42**2]
+
+
+def test_map_runs_past_the_direct_step_estimate(capsys):
+    # 1.05e5 periods at the defaults: rate t is 1.02e6 steps, past MAX_STEPS,
+    # but the map takes 24 steps and 1.05e5 powers.
+    assert run(["survival", "--method", "oracle", "--t-max", "1.1e5"]) == 0
+    probs = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")[:, 1]
+    assert probs.size == 100 and np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+def test_direct_reads_are_bounded_in_memory(monkeypatch):
+    # 2000 samples within one DOP853 step at N = 4096: one dense-output call
+    # for all of them built a 2000 x 4097 array, a 127 MiB peak.
+    p = make(n_cavities=4096)
+    grid = build_grid(p)
+    steps = []
+
+    class Counting(oracle.RK45):
+        def step(self):
+            steps.append(self.t)
+            return super().step()
+
+    monkeypatch.setattr(oracle, "RK45", Counting)
+    times = np.linspace(0.01 / 2000, 0.01, 2000)
+    tracemalloc.start()
+    try:
+        survival_curve_exact(p, grid, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 1
+    assert peak <= 16 * 2**20
+
+
+def test_batched_reads_keep_their_bytes(monkeypatch):
+    # One sample per dense-output call against all of a step's samples in one.
+    p = make(g=0.05)
+    grid = build_grid(p)
+    times = np.linspace(0.9 * p.period / 50, 0.9 * p.period, 50)
+    whole = survival_curve_exact(p, grid, times).probabilities
+    monkeypatch.setattr(oracle, "MAP_MAX_ENTRIES", p.n_cavities + 1)
+    assert survival_curve_exact(p, grid, times).probabilities.tobytes() == whole.tobytes()
 
 
 def test_rejects_non_finite_times():
