@@ -13,7 +13,8 @@ so with
 
     c_e = exp(-i Phi(t)) a,    c_k = exp(-i (eps_k t - Phi(t))) b_k
 
-DOP853, the 8th-order Dormand-Prince pair, integrates only the coupling,
+DOP853, the 8th-order Dormand-Prince pair (`dop853`, numpy alone, step
+for step scipy's), integrates only the coupling,
 
     a'   = -i (g / sqrt(N)) sum_k exp(+i theta_k(t)) b_k
     b_k' = -i (g / sqrt(N)) exp(-i theta_k(t)) a
@@ -30,7 +31,8 @@ one period and powers it k times; the cost then grows with t only
 through the k matrix-vector products, about 2 us each at N = 41.
 Otherwise (a shorter run, a step-estimate rate times T below 1, or
 more than MAP_MAX_ENTRIES entries) it carries the state vector itself
-to t1, with k = 0.
+to t1, with k = 0. Either way a sample reads only its emitter row off
+the step interpolant; only the end read builds the full state.
 
 The phase is the elementary integral of the drive, not the Bessel
 expansion the Floquet layer uses, and nothing here touches the Floquet
@@ -39,12 +41,12 @@ two is a genuine cross-check, not a shared-code artifact.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bath import MomentumGrid
+from .dop853 import DOP853 as RK45  # the name by which the benchmark's tracer replaces the stepper
 from .errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
 from .params import SurvivalCurve, SystemParams, check_times
 
@@ -64,10 +66,10 @@ MAX_STEPS = 1_000_000
 MAP_OVERHEAD = 1100.0
 MAP_SETUP = 950.0
 # Ceiling on the map's complex entries, (N+1)(N+1 + samples); past it a
-# run integrates directly. DOP853 keeps about 45 (N+1)^2 arrays: a 238 MB
+# run integrates directly. DOP853 keeps about 37 (N+1)^2 arrays: a 158 MB
 # peak RSS at N = 463 with 100 samples, where c(N) asks for 139 periods.
-# A dense-output read of either run takes as many times at once as keep it
-# within this many entries, and at least one.
+# A sample reads only its emitter row off the step interpolant (one entry
+# direct, N+1 on the map), so a step's samples are read in one call.
 MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -79,18 +81,6 @@ class OneQuantumState:
 
     def norm_sq(self) -> float:
         return float(abs(self.c_e) ** 2 + (np.abs(self.c_k) ** 2).sum())
-
-
-def __getattr__(name: str):
-    # scipy.integrate takes about half a second to import and only
-    # _integrate uses it, so the stepper, scipy's DOP853, is bound on first
-    # access, under the name RK45 by which the benchmark's tracer replaces it.
-    if name == "RK45":
-        from scipy.integrate import DOP853
-
-        globals()["RK45"] = DOP853
-        return DOP853
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def excited_state(grid: MomentumGrid) -> OneQuantumState:
@@ -200,10 +190,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     order = np.argsort(sign * reads[:-1], kind="stable")
     ahead = sign * reads[order]
     rows = np.empty((pending.size, columns), dtype=complex)
-    # Dense output holds the whole state per time; read it a bounded batch at a time.
-    batch = max(1, MAP_MAX_ENTRIES // start.size)
-    # Looked up on the module at each call, so a replaced `oracle.RK45` is used.
-    stepper = sys.modules[__name__].RK45(_rhs(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
+    stepper = RK45(_rhs(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
     steps, done, end = 0, 0, None
     while stepper.status == "running":
         if steps >= MAX_STEPS:
@@ -214,10 +201,9 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
         passed = end is None and sign * reads[-1] < sign * stepper.t
         if due > done or passed:
             dense = stepper.dense_output()
-            for first in range(done, due, batch):
-                index = order[first : min(due, first + batch)]
-                # The emitter row, as much as |c_e| = |a| needs.
-                rows[index] = dense(reads[index])[:columns].T
+            # A sample reads only the emitter row, as much as |c_e| = |a| needs.
+            index = order[done:due]
+            rows[index] = dense(reads[index], columns).T
             done = due
             if passed:
                 end = dense(reads[-1])
@@ -235,14 +221,16 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
         # Its polar factor, so powering adds no drift of its own.
         left, _, right = np.linalg.svd(u)
         u = left @ right
+    # Whole periods with no sample only advance v, one u @ v each; the samples
+    # with k whole periods read their rows off v = u^k v0, and the end off u^periods v0.
     amplitudes = np.empty(pending.size, dtype=complex)
-    stops = np.searchsorted(turns[:-1], np.arange(periods + 1), side="right")
-    first = 0
-    for k, stop in enumerate(stops):
+    k, first = 0, 0
+    for stop in np.append(np.flatnonzero(np.diff(turns)) + 1, turns.size):
+        for _ in range(k, int(turns[first])):
+            v = u @ v
+        k = int(turns[first])
         amplitudes[first:stop] = rows[first:stop] @ v
         first = stop
-        if k < periods:
-            v = u @ v
     return back * (end @ v), np.abs(amplitudes) ** 2
 
 

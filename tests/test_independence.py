@@ -1,10 +1,10 @@
 """The reference routes import nothing from the code they check.
 
 The oracle shares no code with the perturbative (`decay`) and Floquet
-paths, and `specfun` is self-contained: scipy, whose special functions
-the tests use as a reference for J_n, is not imported. Imports are read
-from the source with `ast`, function bodies included, so a deferred
-import counts too.
+paths; its stepper, `dop853`, imports nothing but numpy. `specfun` is
+self-contained: scipy, whose special functions the tests use as a
+reference for J_n, is not imported. Imports are read from the source
+with `ast`, function bodies included, so a deferred import counts too.
 """
 
 import ast
@@ -35,8 +35,9 @@ def imported_modules(module: str) -> tuple[set[str], set[str]]:
 @pytest.mark.parametrize(
     "module, allowed, forbidden",
     [
-        ("oracle", {"bath", "errors", "params"}, {"floquet_zeno"}),
+        ("oracle", {"bath", "dop853", "errors", "params"}, {"floquet_zeno"}),
         ("specfun", {"errors"}, {"floquet_zeno", "scipy"}),
+        ("dop853", set(), {"floquet_zeno", "scipy"}),
     ],
 )
 def test_reference_module_imports(module, allowed, forbidden):

@@ -194,8 +194,8 @@ def test_step_budget_enforced_in_the_period_map(monkeypatch):
     p = make(n_cavities=11)
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
-    # 2.1 periods take the map (c(11) = 1.97); the estimate is 20.3 steps,
-    # and its one-period run takes 26.
+    # 2.1 periods take the map (c(11) = 1.97); the estimate is 11.6 steps
+    # (9.6 for the period, one per power), and its one-period run takes 26.
     monkeypatch.setattr(oracle, "MAX_STEPS", 23)
     with pytest.raises(StepLimitExceeded, match="exceeded 23 steps"):
         propagate(p, grid, excited_state(grid), 2.1 * p.period)
