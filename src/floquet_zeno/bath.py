@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandEdgeSingularity
+from .errors import BandEdgeSingularity, InvalidArgument, NonFiniteResult
 from .params import SystemParams, check_size
 from .specfun import bessel_j
 
@@ -51,26 +51,39 @@ def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) 
 
     Negative t is allowed and satisfies g_n(-t) = conj(g_n(t)).
     """
+    if not math.isfinite(t):
+        raise InvalidArgument(f"t must be finite, got {t!r}")
+    phase = t * 2.0 * params.xi
+    if not math.isfinite(phase):
+        raise NonFiniteResult(f"the phase 2 xi t overflows at t = {t:g}")
     jn = bessel_j(n, params.chi)
-    phases = np.exp(1j * t * 2.0 * params.xi * grid.cos_k)
+    phases = np.exp(1j * phase * grid.cos_k)
     return (params.g_squared / grid.n_cavities) * jn * jn * complex(phases.sum())
 
 
 def spectral_density(xi: float, omega: float) -> float:
     """Arcsine reservoir density of states of a band with hopping xi, zero outside the band."""
+    if not (math.isfinite(xi) and xi > 0.0 and math.isfinite(omega)):
+        raise InvalidArgument(f"xi must be finite and > 0 and omega finite, got xi = {xi!r}, omega = {omega!r}")
     half_width = 2.0 * xi
     gap = abs(abs(omega) - half_width)
-    if gap < EDGE_GUARD * xi:
+    if gap < EDGE_GUARD * xi or gap == 0.0:  # the guard underflows to 0 for a subnormal xi
         raise BandEdgeSingularity(
             f"omega = {omega!r} within {EDGE_GUARD:g} xi of the band edge {half_width!r}"
         )
     if abs(omega) > half_width:
         return 0.0
     # Two roots, not sqrt(4 xi^2 - omega^2): the square underflows for tiny xi.
-    return 1.0 / (math.pi * math.sqrt(half_width - abs(omega)) * math.sqrt(half_width + abs(omega)))
+    rho = 1.0 / (math.pi * math.sqrt(half_width - abs(omega)) * math.sqrt(half_width + abs(omega)))
+    if rho == math.inf:
+        raise NonFiniteResult(f"rho overflows at xi = {xi:g}")
+    return rho
 
 
 def response_spectrum(params: SystemParams, n: int, omega: float) -> float:
-    """g_n(omega) = g^2 J_n(chi)^2 rho(omega)."""
+    """g_n(omega) = g^2 J_n(chi)^2 rho(omega); NonFiniteResult past the float range."""
     jn = bessel_j(n, params.chi)
-    return params.g_squared * jn * jn * spectral_density(params.xi, omega)
+    value = params.g_squared * jn * jn * spectral_density(params.xi, omega)
+    if value == math.inf:
+        raise NonFiniteResult(f"g_n(omega) overflows at omega = {omega:g}")
+    return value

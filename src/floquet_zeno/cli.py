@@ -41,7 +41,7 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
 # decay-rate table at the defaults takes about 4 s and 160 MB; a sweep
-# about 75 us and 240 bytes per point (see the README).
+# about 60 us and 250 bytes per point (see the README).
 MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
@@ -177,8 +177,6 @@ def _cmd_survival(args) -> list[str]:
 
 
 def _cmd_spectral_density(args) -> list[str]:
-    if not math.isfinite(args.omega_eval):
-        raise ConfigError(f"--omega must be finite, got {args.omega_eval!r}")
     params = _resolve_params(_param_fields(args))
     rho = spectral_density(params.xi, args.omega_eval)
     return ["omega,rho", _row(args.omega_eval, rho)]
@@ -226,15 +224,21 @@ def _cmd_sweep(args) -> list[str]:
     if args.quantity != "golden-rate":
         _observation_time(args.t)
     fields = _param_fields(args)
+    grid, grid_key = None, None
 
     def evaluate(value) -> tuple[str, str]:
+        nonlocal grid, grid_key
         try:
             params = _resolve_params({**fields, args.param: value})
             n = _sideband(args, params)
             if args.quantity == "regime":
                 return decay.classify_regime(params, n, args.t).regime, ""
             if args.quantity == "rate":
-                return _fmt(decay.decay_rate_finite(params, build_grid(params), n, args.t)), ""
+                # A grid depends on (N, omega_c, xi) alone, so a chi or g sweep builds one.
+                key = (params.n_cavities, params.omega_c, params.xi)
+                if key != grid_key:
+                    grid, grid_key = build_grid(params), key
+                return _fmt(decay.decay_rate_finite(params, grid, n, args.t)), ""
             return _fmt(decay.decay_rate_longtime(params, n).rate), ""
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             return "", type(exc).__name__

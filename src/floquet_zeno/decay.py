@@ -136,24 +136,31 @@ def _rate_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
-    """R(t) at checked, increasing times >= 0, with decay_rate_finite's bytes at each time > 0.
+    """R(t) at checked, increasing times >= 0: the kernel behind decay_curve and decay_rate_finite.
 
     R(0) = 0. Rows with reach * t <= SCALED_ABOVE go through the chunked
-    kernel; the later ones, which no default time grid reaches, go through
-    decay_rate_finite one at a time. A plain R(t) past the float range (a
-    mode on resonance) raises NonFiniteResult, as decay_rate_finite does.
+    kernel. A later row, which no default time grid reaches, is
+    (g^2 / N) J_n(chi)^2 sum_k s (s t) with s = sinc(detuning_k t / 2); a term
+    whose detuning * t overflows is its phase average 2 / (detuning^2 t). An
+    R(t) past the float range (a mode on resonance) raises NonFiniteResult.
     """
     jn = bessel_j(n, params.chi)
     detuning, reach = _detuning(params, grid, n)
-    with np.errstate(over="ignore"):
+    # An overflow shows as a non-finite rate, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
         plain = int(np.count_nonzero(reach * times <= SCALED_ABOVE))
-    head = times[:plain]
-    totals = _chunked(detuning, head, _rate_sums, np.empty_like(head))
-    with np.errstate(over="ignore"):
-        rates = head * params.g_squared / grid.n_cavities * jn * jn * totals
+        factors, totals = times.copy(), np.empty_like(times)
+        _chunked(detuning, times[:plain], _rate_sums, totals[:plain])
+        for i in range(plain, times.size):
+            x = detuning * times[i]
+            finite = np.isfinite(x)
+            s = _sinc(x[finite] / 2.0)
+            far = detuning[~finite]
+            factors[i], totals[i] = 1.0, (s * (s * times[i])).sum() + (2.0 / far / far / times[i]).sum()
+        rates = factors * params.g_squared / grid.n_cavities * jn * jn * totals
     if not np.isfinite(rates).all():
-        raise NonFiniteResult(f"R(t) overflows at t = {head[~np.isfinite(rates)][0]:g}")
-    return np.concatenate((rates, [decay_rate_finite(params, grid, n, t) for t in times[plain:]]))
+        raise NonFiniteResult(f"R(t) overflows at t = {times[~np.isfinite(rates)][0]:g}")
+    return rates
 
 
 def _window_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,34 +237,8 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
-    """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2).
-
-    A scalar twin of decay_curve's chunked kernel, with the same bytes; a
-    sweep calls it once per point, where routing the one time through
-    _rates would cost about 10 us more per call at N = 2001. Past
-    reach * t = SCALED_ABOVE, with reach = max_k |detuning_k|, R(t) is
-    (g^2 / N) J_n(chi)^2 sum_k s (s t) with s = sinc((delta - 2 xi cos k
-    + n nu) t / 2), so R(t) t does not underflow. Where detuning * t
-    overflows, the phase of sin^2 cannot be resolved and the term is its
-    phase average, 2 / (detuning^2 t).
-    """
-    t = float(check_time(t))
-    jn = bessel_j(n, params.chi)
-    detuning, reach = _detuning(params, grid, n)
-    if reach * t <= SCALED_ABOVE:
-        factor, total = t, _rate_sums(detuning * t)
-    else:
-        with np.errstate(over="ignore"):
-            x = detuning * t
-        finite = np.isfinite(x)
-        s = _sinc(x[finite] / 2.0)
-        far = detuning[~finite]
-        factor, total = 1.0, (s * (s * t)).sum() + (2.0 / far / far / t).sum()
-    # In Python floats, so an R(t) past the float range (a mode on resonance) overflows without a warning.
-    rate = factor * params.g_squared / grid.n_cavities * jn * jn * float(total)
-    if not math.isfinite(rate):
-        raise NonFiniteResult(f"R(t) overflows at t = {t:g}")
-    return rate
+    """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2): decay_curve at one time t > 0."""
+    return float(_rates(params, grid, n, np.array([check_time(t)], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -355,11 +336,15 @@ def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) ->
     Fourier transform of the Hermitian extension of the triangular
     window (1 - tau/t) exp(-i omega_f tau) on 0 <= tau <= t; the
     extension makes the transform real: a Fejer kernel of width 1/t
-    centered at omega_f = delta + n nu.
+    centered at omega_f = delta + n nu. A non-finite omega is InvalidArgument.
     """
     check_time(t)
-    omega_f = params.delta + n * params.drive_freq
-    s = sinc((omega - omega_f) * t / 2.0)
+    if not math.isfinite(omega):
+        raise InvalidArgument(f"omega must be finite, got {omega!r}")
+    x = (omega - (params.delta + n * params.drive_freq)) * t / 2.0
+    if not math.isfinite(x):
+        raise NonFiniteResult(f"the phase (omega - omega_f) t / 2 overflows at omega = {omega:g}, t = {t:g}")
+    s = sinc(x)
     return t / (2.0 * math.pi) * (s * s)
 
 

@@ -241,11 +241,21 @@ def _check_norm(y: np.ndarray, where: str) -> None:
 
 
 def propagate(params: SystemParams, grid: MomentumGrid, initial: OneQuantumState, t_final: float) -> OneQuantumState:
-    """Propagate a normalized state to t_final (earlier times allowed)."""
+    """Propagate a normalized state to t_final (earlier times allowed).
+
+    A non-finite time, a c_k of other than N entries, or amplitudes whose
+    squared norm is not within NORM_TOLERANCE of 1 raise InvalidArgument
+    before anything is integrated.
+    """
     for name, t in (("t_final", t_final), ("initial.time", initial.time)):
         if not math.isfinite(t):
             raise InvalidArgument(f"{name} must be finite, got {t!r}")
+    if np.shape(initial.c_k) != (grid.n_cavities,):
+        raise InvalidArgument(f"c_k must hold {grid.n_cavities} amplitudes, got shape {np.shape(initial.c_k)}")
     y0 = np.concatenate(([initial.c_e], initial.c_k)).astype(complex)
+    norm_sq = np.vdot(y0, y0).real  # inf or nan, with no overflow warning, for an amplitude past the float range
+    if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
+        raise InvalidArgument(f"the initial squared norm is {norm_sq:g}, not 1")
     y, _ = _integrate(params, grid, y0, initial.time, t_final)
     _check_norm(y, f"propagating {initial.time:g} -> {t_final:g}")
     return OneQuantumState(c_e=complex(y[0]), c_k=y[1:], time=t_final)

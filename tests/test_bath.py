@@ -1,6 +1,7 @@
 """Momentum grid, reservoir spectral density, memory function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from floquet_zeno.bath import (
     response_spectrum,
     spectral_density,
 )
-from floquet_zeno.errors import BandEdgeSingularity
+from floquet_zeno.errors import BandEdgeSingularity, InvalidArgument, NonFiniteResult
 from floquet_zeno.params import SystemParams, validate
 from floquet_zeno.specfun import bessel_j
 
@@ -143,3 +144,47 @@ def test_response_spectrum_at_decoupling_point():
 def test_response_spectrum_undriven_value():
     p = make(g=0.25, drive_amp=0.0)
     assert response_spectrum(p, 0, 0.0) == pytest.approx(0.0625 / (2.0 * math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "xi, omega, error",
+    [
+        (1.0, math.nan, InvalidArgument),
+        (math.nan, 0.0, InvalidArgument),
+        (1.0, math.inf, InvalidArgument),
+        (math.inf, 0.0, InvalidArgument),
+        (0.0, 0.0, InvalidArgument),
+        (-1.0, 0.0, InvalidArgument),
+        (5e-324, 0.0, NonFiniteResult),  # rho = 1 / (2 pi xi) passes the float range
+        (5e-324, 1e-323, BandEdgeSingularity),  # the edge itself, where the 1e-9 xi guard underflows
+    ],
+)
+def test_spectral_density_outside_its_domain_is_a_typed_error(xi, omega, error):
+    # nan and inf gave nan, (0, 0) a ZeroDivisionError, a negative xi 0.
+    with pytest.raises(error):
+        spectral_density(xi, omega)
+
+
+def test_response_spectrum_and_memory_function_refuse_non_finite_arguments():
+    p = make()
+    grid = build_grid(p)
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            response_spectrum(p, 0, omega)
+    for t in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            memory_function(grid, p, 0, t)
+    # g^2 = 1e308 times rho = 1.6e299 (xi = 1e-300) passes the float range.
+    with pytest.raises(NonFiniteResult, match="g_n"):
+        response_spectrum(make(g=1e154, xi=1e-300), 0, 0.0)
+
+
+def test_memory_function_phase_past_the_float_range_is_refused():
+    # t 2 xi overflows at t = 1e308; numpy printed a RuntimeWarning and returned nan.
+    p = make()
+    grid = build_grid(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteResult, match="phase"):
+            memory_function(grid, p, 0, 1e308)
+        assert math.isfinite(abs(memory_function(grid, p, 0, -1e307)))

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from floquet_zeno import bath, cli
+from floquet_zeno import bath, cli, decay
 from floquet_zeno.cli import run
+from floquet_zeno.params import default_sideband
 from floquet_zeno.specfun import bessel_j_zero
 
 J0_ROOT = 2.4048255576957733
@@ -166,6 +167,53 @@ def test_sweep_reports_per_point_errors(tmp_path):
     assert float(by_value["3"][0]) == 0.0  # off-band: golden rate vanishes
     clean = [v for v in by_value.values() if v[1] == ""]
     assert len(clean) == 4
+
+
+RATE_SWEEPS = [
+    ("n_cavities", "1", "60", []),
+    ("delta", "-3", "3", []),
+    ("xi", "0.3", "2", []),
+    ("omega", "-2", "2", ["--delta", "1"]),
+    ("chi", "0", "5", ["--n-cavities", "2001", "--delta", "1"]),
+    ("g", "0", "2", []),
+]
+
+
+def rate_sweep_argv(param, start, stop, flags) -> list[str]:
+    return ["sweep", "--param", param, "--start", start, "--stop", stop, "--count", "13", "--t", "7", *flags]
+
+
+@pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
+def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags, tmp_path, monkeypatch):
+    # A sweep may keep its grid between points. Each R cell must still be
+    # the one-time rate on a grid built afresh for its own point, and the
+    # grid the sweep passes must equal that fresh grid.
+    fresh_rate = decay.decay_rate_finite
+
+    def checked_rate(params, grid, n, t):
+        fresh = bath.build_grid(params)
+        assert grid.n_cavities == fresh.n_cavities
+        assert grid.cos_k.tobytes() == fresh.cos_k.tobytes() and grid.energies.tobytes() == fresh.energies.tobytes()
+        return fresh_rate(params, grid, n, t)
+
+    monkeypatch.setattr(decay, "decay_rate_finite", checked_rate)
+    argv = rate_sweep_argv(param, start, stop, flags)
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
+    fields = cli._param_fields(cli.build_parser().parse_args(argv))
+    values = np.linspace(float(start), float(stop), 13)
+    assert len(table) == 14
+    for value, (_, cell, error) in zip(values, table[1:]):
+        params = cli._resolve_params({**fields, param: int(round(value)) if param == "n_cavities" else value})
+        expected = cli._fmt(fresh_rate(params, bath.build_grid(params), default_sideband(params), 7.0))
+        assert (cell, error) == (expected, "")
+
+
+@pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
+def test_rate_sweep_builds_a_grid_only_when_n_omega_c_or_xi_moves(param, start, stop, flags, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_grid", lambda params: built.append(params) or bath.build_grid(params))
+    run_to_file(rate_sweep_argv(param, start, stop, flags), tmp_path / "s.csv")
+    assert len(built) == (1 if param in ("chi", "g") else 13)
 
 
 def test_sweep_regime_column(tmp_path):

@@ -332,6 +332,19 @@ def test_modulation_spectrum_peak_and_height():
     assert scan[int(np.argmax(values))] == pytest.approx(omega_f, abs=0.05)
 
 
+def test_modulation_spectrum_outside_its_domain_is_a_typed_error():
+    # A nan omega gave nan and an infinite one a bare math-domain ValueError;
+    # a phase (omega - omega_f) t / 2 past the float range did the same.
+    p = fig3(3.0, 1.0)
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            modulation_spectrum(p, 0, 4.0, omega)
+    for omega, t in ((1e308, 4.0), (-1e308, 4.0), (6.0, 1.7e308)):
+        with pytest.raises(NonFiniteResult, match="phase"):
+            modulation_spectrum(p, 0, t, omega)
+    assert modulation_spectrum(p, 0, 1e307, 4.0) >= 0.0
+
+
 def test_modulation_overlap_reconstructs_rate():
     # 2 pi int f_n g_n domega against the momentum-space route, using the
     # public spectra directly (band edges excluded just above the guard).

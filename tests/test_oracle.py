@@ -382,14 +382,35 @@ def test_direct_reads_are_bounded_in_memory(monkeypatch):
     assert peak <= 16 * 2**20
 
 
-def test_batched_reads_keep_their_bytes(monkeypatch):
-    # One sample per dense-output call against all of a step's samples in one.
+@pytest.mark.parametrize("route", ["map", "direct"])
+def test_row_only_reads_equal_the_full_reads_leading_entries(route, monkeypatch):
+    # A sample reads only its emitter row off the step interpolant (N+1
+    # entries on the map, one direct); each such read must equal the leading
+    # entries of the full read at the same times, bit for bit.
     p = make(g=0.05)
     grid = build_grid(p)
-    times = np.linspace(0.9 * p.period / 50, 0.9 * p.period, 50)
-    whole = survival_curve_exact(p, grid, times).probabilities
-    monkeypatch.setattr(oracle, "MAP_MAX_ENTRIES", p.n_cavities + 1)
-    assert survival_curve_exact(p, grid, times).probabilities.tobytes() == whole.tobytes()
+    sizes = stepper_sizes(monkeypatch)
+    force(monkeypatch, route)
+    checked = []
+
+    class Checking(oracle.RK45):
+        def dense_output(self):
+            dense = super().dense_output()
+
+            def read(t, size=None):
+                part = dense(t, size)
+                if size is not None:
+                    assert part.tobytes() == dense(t)[:size].tobytes()
+                    checked.append(np.size(t))
+                return part
+
+            return read
+
+    monkeypatch.setattr(oracle, "RK45", Checking)
+    times = np.linspace(0.1, 11.0, 60)
+    survival_curve_exact(p, grid, times)
+    assert sizes == [(p.n_cavities + 1) ** (2 if route == "map" else 1)]
+    assert sum(checked) == times.size
 
 
 def test_rejects_non_finite_times():
@@ -409,8 +430,38 @@ def test_unnormalized_input_is_caught():
     p = make()
     grid = build_grid(p)
     bad = OneQuantumState(c_e=2.0 + 0.0j, c_k=np.zeros(p.n_cavities, dtype=complex), time=0.0)
-    with pytest.raises(NormDrift):
+    with pytest.raises(InvalidArgument, match="squared norm"):
         propagate(p, grid, bad, 1.0)
+    # A squared norm within NORM_TOLERANCE of 1 is integrated.
+    near = dataclasses.replace(bad, c_e=complex(1.0 + 1e-8))
+    assert propagate(p, grid, near, 0.5).time == 0.5
+
+
+@pytest.mark.parametrize(
+    "c_e, c_k",
+    [
+        (math.nan, np.zeros(41)),
+        (1.0, np.full(41, math.inf)),
+        (1e200, np.zeros(41)),
+        (1.0, np.full(41, 1e200)),
+        (1.0, np.zeros(40)),
+        (1.0, np.zeros(42)),
+        (1.0, np.zeros((41, 1))),
+        (0.0, np.zeros(41)),
+        (1.0 + 2e-7, np.zeros(41)),
+    ],
+    ids=["nan", "inf", "huge-c_e", "huge-c_k", "short", "long", "column", "norm-0", "off-by-4e-7"],
+)
+def test_initial_state_is_refused_before_integrating(c_e, c_k, monkeypatch):
+    # A nan amplitude raised the stepper's own ValueError, a c_k of the wrong
+    # length numpy's broadcast error, and a squared norm off 1 integrated the
+    # whole run before NormDrift. Each is now InvalidArgument with no stepper built.
+    p = make()
+    grid = build_grid(p)
+    sizes = stepper_sizes(monkeypatch)
+    with pytest.raises(InvalidArgument):
+        propagate(p, grid, OneQuantumState(c_e=complex(c_e), c_k=c_k.astype(complex), time=0.0), 1.0)
+    assert sizes == []
 
 
 def test_weak_coupling_matches_perturbation_theory():
