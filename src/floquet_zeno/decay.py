@@ -6,10 +6,12 @@ that window integral is elementary mode by mode, so C_e(t) is a
 closed-form O(N) sum (see survival_amplitude). Equivalently, the decay
 rate R(t) is the overlap of a modulation spectrum f_n(omega),
 a Fejer kernel of width 1/t centered at omega_f = delta + n nu, with
-the reservoir response g_n(omega). Two exact routes to the same R(t)
-are implemented (momentum sum / sinc^2 form, and the frequency-domain
-overlap integral) plus the long-time golden-rule limit
-R = 2 pi g^2 J_n(chi)^2 rho(delta + n nu).
+the reservoir response g_n(omega). Two routes give the N -> infinity
+R(t) as band sums: the momentum integral as the lattice sum on a ring
+large enough for xi t (decay_rate_continuum), and the frequency-domain
+overlap integral by Gauss-Chebyshev quadrature, whose weight is the
+arcsine density itself (decay_rate_overlap). The long-time golden-rule
+limit is R = 2 pi g^2 J_n(chi)^2 rho(delta + n nu).
 
 Regimes: R(t) climbing with t toward the golden-rule value marks Zeno
 behavior (short observation windows see a broad kernel and decay is
@@ -19,14 +21,13 @@ chi = A/nu at a root of J_n switches the coupling off entirely.
 """
 
 import math
-import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import MomentumGrid, spectral_density
-from .errors import InvalidArgument, NonFiniteResult, QuadratureFailure, SecondSideband
+from .bath import MAX_CAVITIES, MomentumGrid, build_grid, spectral_density
+from .errors import InvalidArgument, NonFiniteResult, SecondSideband, SizeTooLarge
 from .params import SurvivalCurve, SystemParams, check_time, check_times, resonant_sidebands
 from .specfun import MAX_ORDER, bessel_j, sinc
 
@@ -51,15 +52,6 @@ CHUNK_ELEMENTS = 1 << 16
 # to 0 while R(t) t stays O(1). Such times sum s (s t) with s = sinc(x)
 # instead of t sum s^2. Below it the rates keep their bytes.
 SCALED_ABOVE = 1e150
-
-# Ceiling on xi * t for the two quadrature routes, whose sinc^2 kernel
-# narrows to a width of about 1 / (xi t) of the band. Past it the overlap
-# route's quad can miss the peak and report its tails, 1e-3 of the rate,
-# as converged. In a seeded scan (see the README) both routes agreed with
-# each other and the golden rule within 1e-3 at every draw up to
-# xi t = 2e3; from 3e3 on some draws failed that way.
-MAX_XI_T = 2e3
-
 
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
@@ -116,13 +108,13 @@ def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) ->
     return out
 
 
-def _detuning(params: SystemParams, grid: MomentumGrid, n: int) -> tuple[np.ndarray, float]:
-    """delta - 2 xi cos k + n nu per mode, and its reach max_k |detuning_k|.
+def _detuning(params: SystemParams, cos_k: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """delta - 2 xi cos k + n nu per node cos k, and its reach max_k |detuning_k|.
 
     With reach * t finite no argument detuning * t overflows. A mode whose
     detuning overflows raises NonFiniteResult, so the reach is finite.
     """
-    detuning = params.delta - 2.0 * params.xi * grid.cos_k + n * params.drive_freq
+    detuning = params.delta - 2.0 * params.xi * cos_k + n * params.drive_freq
     reach = float(np.abs(detuning).max())
     if not math.isfinite(reach):
         raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
@@ -135,8 +127,8 @@ def _rate_sums(x: np.ndarray) -> np.ndarray:
     return (s * s).sum(axis=-1)
 
 
-def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> np.ndarray:
-    """R(t) at checked, increasing times >= 0: the kernel behind decay_curve and decay_rate_finite.
+def _rates(params: SystemParams, cos_k: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
+    """R(t) at checked, increasing times >= 0: the kernel behind every R(t), over the N nodes cos_k.
 
     R(0) = 0. Rows with reach * t <= SCALED_ABOVE go through the chunked
     kernel. A later row, which no default time grid reaches, is
@@ -145,7 +137,7 @@ def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) 
     R(t) past the float range (a mode on resonance) raises NonFiniteResult.
     """
     jn = bessel_j(n, params.chi)
-    detuning, reach = _detuning(params, grid, n)
+    detuning, reach = _detuning(params, cos_k, n)
     # An overflow shows as a non-finite rate, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         plain = int(np.count_nonzero(reach * times <= SCALED_ABOVE))
@@ -157,7 +149,7 @@ def _rates(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) 
             s = _sinc(x[finite] / 2.0)
             far = detuning[~finite]
             factors[i], totals[i] = 1.0, (s * (s * times[i])).sum() + (2.0 / far / far / times[i]).sum()
-        rates = factors * params.g_squared / grid.n_cavities * jn * jn * totals
+        rates = factors * params.g_squared / cos_k.size * jn * jn * totals
     if not np.isfinite(rates).all():
         raise NonFiniteResult(f"R(t) overflows at t = {times[~np.isfinite(rates)][0]:g}")
     return rates
@@ -177,7 +169,7 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     overflows there.
     """
     jn = bessel_j(n, params.chi)
-    detuning, reach = _detuning(params, grid, n)
+    detuning, reach = _detuning(params, grid.cos_k, n)
     a, t = -detuning, float(times[-1])
     scale = t * t * params.g_squared / grid.n_cavities * jn * jn
     if not all(map(math.isfinite, (scale, reach * t, 0.5 * params.omega * t))):
@@ -191,8 +183,8 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
 
 
 def __getattr__(name: str):
-    # scipy.integrate takes about half a second to import and only the two
-    # quadrature routes below use it, so `quad` is bound on first access.
+    # Nothing here calls quad. `decay.quad` resolves, on first access, only
+    # because the benchmark's tracer wraps that name when it installs.
     if name == "quad":
         from scipy.integrate import quad
 
@@ -201,22 +193,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _quad_checked(func, a: float, b: float, **kwargs) -> float:
-    # Looked up on the module at each call, so a replaced `decay.quad` is used.
-    result = sys.modules[__name__].quad(func, a, b, full_output=1, **kwargs)
-    value, _abserr, _info = result[0], result[1], result[2]
-    if len(result) > 3:
-        raise QuadratureFailure(result[3].strip())
-    return value
+def _band_nodes(params: SystemParams, t: float) -> int:
+    """Nodes N at which a band sum at time t > 0 is its N -> infinity integral to rounding.
 
-
-def _quad_limit(params: SystemParams, t: float) -> int:
-    # Both quadrature routes see t only as xi t once omega is scaled by xi:
-    # they refuse it past MAX_XI_T, and their subinterval limit follows it.
+    In k, sinc^2((omega_f - 2 xi cos k) t / 2) is periodic and entire, and its
+    Fourier coefficients are averages of J_m(2 xi tau) over |tau| <= t, which
+    die off past m = 2 xi t within a layer of width ~ (xi t)^(1/3) (DLMF
+    10.19(iii)). An N-node rule errs by the coefficients past N (Trefethen &
+    Weideman, SIAM Rev. 56, 385 (2014)), so N = 2 xi t + 12 (xi t)^(1/3) + 32
+    (see the README). Past MAX_CAVITIES nodes, SizeTooLarge before anything is built.
+    """
     reach = params.xi * check_time(t)
-    if not reach <= MAX_XI_T:
-        raise QuadratureFailure(f"xi t = {reach:g} exceeds {MAX_XI_T:g}, past which quad can miss the oscillations")
-    return max(200, int(10.0 * reach))
+    nodes = 2.0 * reach + 12.0 * reach ** (1.0 / 3.0) + 32.0
+    if not nodes <= MAX_CAVITIES:
+        raise SizeTooLarge(f"xi t = {reach:g} needs {nodes:.4g} band nodes, past the ceiling {MAX_CAVITIES}")
+    return math.ceil(nodes)
 
 
 def check_single_sideband(params: SystemParams, n: int) -> None:
@@ -238,7 +229,7 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2): decay_curve at one time t > 0."""
-    return float(_rates(params, grid, n, np.array([check_time(t)], dtype=float))[0])
+    return float(_rates(params, grid.cos_k, n, np.array([check_time(t)], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -265,49 +256,29 @@ def decay_rate_longtime(params: SystemParams, n: int) -> LongTimeRate:
 
 
 def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
-    """R(t) in the N -> infinity limit: momentum sum replaced by an integral.
+    """R(t) in the N -> infinity limit, (t g^2 / pi) J_n(chi)^2 int_0^pi sinc^2((omega_f - 2 xi cos k) t / 2) dk.
 
-    Integrates sinc^2((omega_f - 2 xi cos k) t / 2) over k in [0, pi]
-    (the integrand is even about pi), with a breakpoint at the resonant
-    momentum when omega_f lies inside the band.
+    The ring's own lattice sum is the trapezoid rule for that integral, so
+    this is decay_rate_finite on a ring of _band_nodes(params, t) sites.
     """
-    limit = _quad_limit(params, t)
-    omega_f = params.delta + n * params.drive_freq
-    two_xi = 2.0 * params.xi
-    half_t = t / 2.0
-
-    def integrand(k: float) -> float:
-        s = sinc((omega_f - two_xi * math.cos(k)) * half_t)
-        return s * s
-
-    points = [math.acos(omega_f / two_xi)] if abs(omega_f) < two_xi else None
-    value = _quad_checked(integrand, 0.0, math.pi, points=points, limit=limit, epsabs=1e-13, epsrel=1e-10)
-    jn = bessel_j(n, params.chi)
-    return float(t * params.g_squared * jn * jn * value / math.pi)
+    ring = replace(params, n_cavities=_band_nodes(params, t))
+    return decay_rate_finite(ring, build_grid(ring), n, t)
 
 
 def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     """R(t) by the frequency-domain route: 2 pi times the overlap of the
     modulation spectrum with the reservoir response.
 
-    The inverse-square-root band-edge behavior of rho is handed to the
-    quadrature as an algebraic endpoint weight, which keeps this route
-    independent of the momentum-space one.
+    With f_n = (t / 2 pi) sinc^2((omega - omega_f) t / 2) and
+    g_n = g^2 J_n(chi)^2 rho(omega), 2 pi int f_n g_n domega is
+    t g^2 J_n(chi)^2 int sinc^2 rho domega. The arcsine density rho is the
+    Gauss-Chebyshev weight, so the integral is the mean of sinc^2 over the
+    nodes omega_j = 2 xi cos((j + 1/2) pi / N), none of which is a ring
+    momentum's energy.
     """
-    limit = _quad_limit(params, t)
-    omega_f = params.delta + n * params.drive_freq
-    two_xi = 2.0 * params.xi
-    half_t = t / 2.0
-
-    def kernel(omega: float) -> float:
-        s = sinc((omega - omega_f) * half_t)
-        return s * s
-
-    # 2 pi int f_n g_n domega with f_n = (t / 2 pi) sinc^2(...) and
-    # g_n = g^2 J_n^2 (1/pi) (4 xi^2 - omega^2)^(-1/2).
-    value = _quad_checked(kernel, -two_xi, two_xi, weight="alg", wvar=(-0.5, -0.5), limit=limit)
-    jn = bessel_j(n, params.chi)
-    return float(t * params.g_squared * jn * jn * value / math.pi)
+    nodes = _band_nodes(params, t)
+    cos_theta = np.cos((np.arange(nodes) + 0.5) * (math.pi / nodes))
+    return float(_rates(params, cos_theta, n, np.array([t], dtype=float))[0])
 
 
 def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> complex:
@@ -389,7 +360,7 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
 
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:
     times = check_times(times)
-    return DecayCurve(times=times, rates=_rates(params, grid, n, times), params=params, sideband=n)
+    return DecayCurve(times=times, rates=_rates(params, grid.cos_k, n, times), params=params, sideband=n)
 
 
 def survival_curve(
@@ -406,7 +377,7 @@ def survival_curve(
     times = check_times(times, positive=False)
     if method == "exponential":
         # In Python floats an R(t) t past the float range gives exp(-inf) = 0 without a warning.
-        rates = _rates(params, grid, n, times).tolist()
+        rates = _rates(params, grid.cos_k, n, times).tolist()
         probs = np.array([math.exp(-r * t) for r, t in zip(rates, times.tolist())])
     else:
         # |C_e|^2 past the float range reads as inf and is clipped below.

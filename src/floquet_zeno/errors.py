@@ -88,10 +88,6 @@ class SingularResolvent(NumericalError):
     """Resolvent linear solve left a residual above tolerance."""
 
 
-class QuadratureFailure(NumericalError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class StepLimitExceeded(NumericalError):
     """ODE integrator exceeded its step budget or its step size underflowed."""
 

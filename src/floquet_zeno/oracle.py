@@ -80,7 +80,15 @@ class OneQuantumState:
     time: float
 
     def norm_sq(self) -> float:
-        return float(abs(self.c_e) ** 2 + (np.abs(self.c_k) ** 2).sum())
+        return _norm_sq(np.concatenate(([self.c_e], self.c_k)))
+
+
+def _norm_sq(y: np.ndarray) -> float:
+    # sum |y_i|^2 by vdot, which reports no overflow: inf or nan past the float range.
+    norm_sq = float(np.vdot(y, y).real)
+    if not math.isfinite(norm_sq):
+        raise NonFiniteResult(f"the squared norm is {norm_sq!r}, not finite")
+    return norm_sq
 
 
 def excited_state(grid: MomentumGrid) -> OneQuantumState:
@@ -235,7 +243,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
 
 
 def _check_norm(y: np.ndarray, where: str) -> None:
-    drift = abs(float((np.abs(y) ** 2).sum()) - 1.0)
+    drift = abs(_norm_sq(y) - 1.0)
     if drift > NORM_TOLERANCE:
         raise NormDrift(f"norm drifted by {drift:g} {where}")
 

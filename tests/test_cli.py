@@ -1,5 +1,6 @@
 """CLI contract: CSV shape, exit codes, determinism, parameter layering."""
 
+import dataclasses
 import math
 import time
 
@@ -144,6 +145,29 @@ def test_bare_value_error_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numerical error: ValueError: array is too big\n"
+
+
+def test_a_nan_rate_exits_3_with_empty_stdout(monkeypatch, capsys):
+    # No kernel returns nan, so a stand-in curve does; the CSV writer's own
+    # guard refuses the table before any row is written.
+    real = decay.decay_curve
+
+    def nan_curve(params, grid, n, times):
+        curve = real(params, grid, n, times)
+        return dataclasses.replace(curve, rates=np.append(curve.rates[:-1], math.nan))
+
+    monkeypatch.setattr(decay, "decay_curve", nan_curve)
+    assert run(["decay-rate", "--t-steps", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: NonFiniteResult: non-finite result nan\n"
+
+
+def test_an_inf_sweep_rate_is_a_non_finite_result_cell(monkeypatch, tmp_path):
+    monkeypatch.setattr(decay, "decay_rate_finite", lambda params, grid, n, t: math.inf)
+    argv = ["sweep", "--param", "chi", "--start", "0", "--stop", "1", "--count", "2", "--quantity", "rate"]
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
+    assert table[1:] == [["0", "", "NonFiniteResult"], ["1", "", "NonFiniteResult"]]
 
 
 def test_sweep_golden_rate_over_chi(tmp_path):

@@ -281,6 +281,26 @@ def test_period_map_checks_the_unitarity_of_its_period(monkeypatch):
         propagate(p, grid, excited_state(grid), 11.0)
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda p, grid: propagate(p, grid, excited_state(grid), 0.5),
+        lambda p, grid: survival_curve_exact(p, grid, [0.25, 0.5]),
+    ],
+    ids=["propagate", "survival-curve"],
+)
+def test_direct_run_checks_the_norm_of_its_end_state(kernel, monkeypatch):
+    # Half a drive period, below c(N), integrates directly: there is no
+    # period map to check, so the end state's norm is the check.
+    p = make()
+    grid = build_grid(p)
+    sizes = stepper_sizes(monkeypatch)
+    monkeypatch.setattr(oracle, "NORM_TOLERANCE", 1e-20)
+    with pytest.raises(NormDrift, match="norm drifted"):
+        kernel(p, grid)
+    assert sizes == [p.n_cavities + 1]
+
+
 def test_runs_below_break_even_stay_direct(monkeypatch):
     # The benchmark's short horizons (at most 0.9 T) and a drive too fast
     # for rate T >= 1 keep the vector run; their bytes do not depend on
@@ -462,6 +482,20 @@ def test_initial_state_is_refused_before_integrating(c_e, c_k, monkeypatch):
     with pytest.raises(InvalidArgument):
         propagate(p, grid, OneQuantumState(c_e=complex(c_e), c_k=c_k.astype(complex), time=0.0), 1.0)
     assert sizes == []
+
+
+@pytest.mark.parametrize(
+    "c_e, c_k",
+    [(1e200, np.zeros(41)), (0.0, np.full(41, 1e200)), (math.nan, np.zeros(41))],
+    ids=["huge-c_e", "huge-c_k", "nan"],
+)
+def test_norm_sq_past_the_float_range_is_refused(c_e, c_k):
+    # A c_e of 1e200 raised a bare OverflowError, a c_k entry of 1e200 gave
+    # inf with a RuntimeWarning, and a nan amplitude returned nan.
+    state = OneQuantumState(c_e=complex(c_e), c_k=c_k.astype(complex), time=0.0)
+    with pytest.raises(NonFiniteResult, match="squared norm"):
+        state.norm_sq()
+    assert OneQuantumState(c_e=0.6 + 0.0j, c_k=np.array([0.8j]), time=0.0).norm_sq() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_weak_coupling_matches_perturbation_theory():
