@@ -333,11 +333,11 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
     SEPARATION and |omega_f| > 2 xi.
     Anything else: Indeterminate.
 
-    Valid domain: the labels agree with the Kofman-Kurizki criterion
-    (Zeno: R(t) below the golden-rule rate, AntiZeno: above it) for
-    t >= 1e-3 / xi, with no contradiction in 3000 random draws at
-    N = 41 and N = 4001, nu = 6, |delta| <= 8, 0.5 <= chi <= 3, nor in
-    3000 draws near the band center, |delta| <= 0.5, 0 <= chi <= 3.
+    Valid domain: test_regime_labels_agree_with_the_golden_rule checks
+    that the labels agree with the Kofman-Kurizki criterion (Zeno: R(t)
+    below the golden-rule rate, AntiZeno: above it) on draws with xi = 1,
+    g = 0.25, nu = 6, |delta| <= 8, 0.5 <= chi <= 3 and 1e-3 <= t <= 100,
+    R(t) from the N = 4001 lattice sum.
     """
     check_time(t)
     jn = bessel_j(n, params.chi)

@@ -24,10 +24,10 @@ assembled for computation:
   quasi-energy eps_j - omega/2 + m nu. Only the real symmetric bright
   block (emitter, j = 0, (|j> + |N-j>)/sqrt(2) with coupling sqrt(2) C,
   and j = N/2 for even N) is diagonalized: (2M+1)(floor(N/2) + 2) rows
-  instead of (2M+1)(N+1). One real orthogonal (N+1)-dimensional basis
-  change, the same in every block, maps both back: its bright columns
-  applied block by block to the bright eigenvectors, and its dark
-  columns, repeated along the block diagonal, are the dark ones.
+  instead of (2M+1)(N+1). Index arithmetic maps both back: mode j sits
+  in bright row 1 + min(j, N - j) with amplitude sqrt(1/2) for a pair
+  and 1 otherwise, and a dark eigenvector is its +-sqrt(1/2) entries at
+  modes j and N - j of one block.
 - Schur-complement resolvent. Eliminating the diagonal photon part
   leaves a (2M+1)-dimensional emitter system
   [diag(E - E_e) - C^T diag(sum_k 1/(E - E_m(k))) C] x_e = b_e + ...;
@@ -59,7 +59,7 @@ RESIDUAL_TOLERANCE = 1e-8
 # from costs measured on a 2-core VM (see the README): the structured
 # entries (2M+1)(2M+1+N), about 70 bytes each at green_coefficient's peak,
 # and the bright rows (2M+1)(floor(N/2)+2), whose eigenvectors
-# quasi_energies expands to a dim x dim matrix with dim < 2 rows.
+# quasi_energies gathers into a dim x dim matrix with dim < 2 rows.
 MAX_ENTRIES = 1 << 21
 MAX_BRIGHT_ROWS = 3000
 
@@ -170,32 +170,27 @@ def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> Flo
 
 
 def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bright and dark columns of one block's basis change, then the
-    bright eigenvalues and eigenvectors, shaped (blocks, bright rows, values).
+    """Each state's bright row and amplitude, then the bright eigenvalues
+    and eigenvectors, shaped (blocks, bright rows, values).
 
-    The basis change is the same in every block: the emitter, modes
-    j = 0 .. N/2 with each pair merged into the bright (|j> + |N-j>)/sqrt(2),
-    then the dark (|j> - |N-j>)/sqrt(2), whose quasi-energy in block s is
-    photon[s, j].
+    The bright rows are the same in every block: the emitter (row 0) and
+    modes j = 0 .. N/2, each pair j, N - j merged into row 1 + j as
+    (|j> + |N-j>)/sqrt(2). The pair's dark (|j> - |N-j>)/sqrt(2) has
+    quasi-energy photon[s, j] in block s.
     """
     n = fm.n_cavities
     half = n // 2
     check_size("bright rows (2M+1)(floor(N/2)+2)", fm.emitter.size * (half + 2), MAX_BRIGHT_ROWS)
-    pairs = np.arange(1, (n + 1) // 2)  # j with partner N - j != j
-    basis = np.zeros((n + 1, n + 1))
-    basis[np.arange(half + 2), np.arange(half + 2)] = 1.0
-    dark = np.arange(half + 2, n + 1)
-    basis[1 + pairs, 1 + pairs] = basis[1 + n - pairs, 1 + pairs] = math.sqrt(0.5)
-    basis[1 + pairs, dark] = math.sqrt(0.5)
-    basis[1 + n - pairs, dark] = -math.sqrt(0.5)
-    bright = basis[:, : half + 2]
-    weight = bright[1:, 1:].sum(axis=0)  # coupling factor: sqrt(2) for a pair, else 1
+    j = np.arange(n)
+    fold = np.concatenate(([0], 1 + np.minimum(j, n - j)))
+    amplitude = np.concatenate(([1.0], np.where((j > 0) & (2 * j != n), math.sqrt(0.5), 1.0)))
+    weight = np.bincount(fold, amplitude)[1:]  # coupling factor: sqrt(2) for a pair, else 1
     h = _bordered(fm.emitter, fm.photon[:, : half + 1], fm.coupling[:, None, :] * weight[None, :, None])
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return bright, basis[:, dark], values, vectors.reshape(fm.emitter.size, half + 2, -1)
+    return fold, amplitude, values, vectors.reshape(fm.emitter.size, half + 2, -1)
 
 
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
@@ -204,19 +199,21 @@ def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
     Each eigenvector is written once, straight into its ascending column:
     a bright one block by block, a dark one as its single +- pair.
     """
-    bright, dark, values, vectors = _bright_eigensystem(fm)
+    fold, amplitude, values, vectors = _bright_eigensystem(fm)
     blocks, size = fm.emitter.size, fm.n_cavities + 1
-    values = np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel()))  # bright, then dark by block
+    pairs = np.arange(1, size // 2)  # j with partner N - j != j
+    values = np.concatenate((values, fm.photon[:, pairs].ravel()))  # bright, then dark by block
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     bright_columns, dark_columns = column[: vectors.shape[2]], column[vectors.shape[2] :].reshape(blocks, -1)
+    vectors *= amplitude[: vectors.shape[1], None]  # bright row c holds state c, so this is its amplitude
     out = np.zeros((fm.dim, fm.dim))
     for s in range(blocks):
-        out[s * size : (s + 1) * size, bright_columns] = bright @ vectors[s]
+        out[s * size : (s + 1) * size, bright_columns] = vectors[s][fold]
     offsets = size * np.arange(blocks)[:, None]
-    for rows in (dark.argmax(axis=0), dark.argmin(axis=0)):
-        out[offsets + rows, dark_columns] = dark[rows, np.arange(rows.size)]
+    out[offsets + 1 + pairs, dark_columns] = math.sqrt(0.5)
+    out[offsets + size - pairs, dark_columns] = -math.sqrt(0.5)
     return QuasiEnergySpectrum(eigenvalues=values[order], eigenvectors=out)
 
 
@@ -282,14 +279,16 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
 
     Propagates |alpha, m=0> with exp(-i H_F t) and sums the squared
     amplitude of beta over every Fourier block. Only the eigenvector rows
-    of alpha and beta are built: a dark eigenvector lives in one block, so
-    the dark terms enter the m = 0 amplitude alone.
+    of alpha and beta are built: a dark eigenvector lives in one block and
+    one pair, so it enters only the m = 0 amplitude between its two photons.
     """
     check_time(t, positive=False)
     fm.index(alpha, 0), fm.index(beta, 0)  # IndexError for a state outside 0..N
-    bright, dark, values, vectors = _bright_eigensystem(fm)
-    rows = bright[[alpha, beta]] @ vectors  # (blocks, 2, values)
+    fold, amplitude, values, vectors = _bright_eigensystem(fm)
+    rows = amplitude[[alpha, beta], None] * vectors[:, fold[[alpha, beta]]]  # (blocks, 2, values)
     zero = fm.truncation
     amp = rows[:, 1] @ (np.exp(-1j * values * t) * rows[zero, 0])
-    amp[zero] += (np.exp(-1j * fm.photon[zero, 1 : 1 + dark.shape[1]] * t) * dark[alpha] * dark[beta]).sum()
+    if fold[alpha] == fold[beta] and amplitude[alpha] < 1.0:  # photons of one pair: dark +-sqrt(1/2)
+        energy = fm.photon[zero, fold[alpha] - 1]
+        amp[zero] += np.exp(-1j * energy * t) * math.sqrt(0.5) * math.sqrt(0.5) * (-1) ** (alpha != beta)
     return float((np.abs(amp) ** 2).sum())

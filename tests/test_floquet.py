@@ -298,31 +298,56 @@ def dense_transition_probability(fm, alpha, beta, t):
 @pytest.mark.parametrize("n_cavities", [1, 2, 4, 5, 41])
 def test_averaged_probability_matches_dense(n_cavities):
     # Emitter and photon sources and targets; photon j = 1 -> its ring
-    # partner N - 1 (itself for N = 2) runs through the dark states.
+    # partner N - 1 (itself for N = 2) runs through the dark states. The
+    # reduced matrix is a single block, where the dark states weigh most.
     p = make(n_cavities=n_cavities)
-    fm = build_floquet_matrix(p, build_grid(p), default_truncation(p))
+    grid = build_grid(p)
     n = n_cavities
     pairs = [(TLS, TLS), (TLS, n), (n, TLS), (1, 1)]
     if n >= 2:
         pairs += [(2, n), (2, 2)]
-    for alpha, beta in pairs:
-        for t in (0.7, 3.7):
-            expected = dense_transition_probability(fm, alpha, beta, t)
-            assert abs(averaged_transition_probability(fm, alpha, beta, t) - expected) <= 1e-12, (alpha, beta, t)
+    for fm in (build_floquet_matrix(p, grid, default_truncation(p)), reduced_hamiltonian(p, grid, 0)):
+        for alpha, beta in pairs:
+            for t in (0.7, 3.7):
+                expected = dense_transition_probability(fm, alpha, beta, t)
+                got = averaged_transition_probability(fm, alpha, beta, t)
+                assert abs(got - expected) <= 1e-12, (fm.truncation, alpha, beta, t)
 
 
 def test_averaged_probability_builds_only_the_rows_it_reads():
     # The full eigenvector matrix at N = 41, M = 8 is 714 x 714 floats (4.1 MB);
-    # the rows of alpha and beta in each block need a fraction of that.
+    # the rows of alpha and beta in each block need a fraction of that. The
+    # reduced matrix at N = 1001 needs about three bright-block squares,
+    # 3 (floor(N/2) + 2)^2 floats (6.1 MB), less than one (N+1)^2 array (8 MB).
     p = make()
-    fm = build_floquet_matrix(p, build_grid(p), 8)
-    tracemalloc.start()
-    try:
-        averaged_transition_probability(fm, TLS, TLS, 3.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6, peak
+    big = make(n_cavities=1001)
+    cases = (
+        (build_floquet_matrix(p, build_grid(p), 8), 4e6),
+        (reduced_hamiltonian(big, build_grid(big), 0), 3 * (1001 // 2 + 2) ** 2 * 8),
+    )
+    for fm, bound in cases:
+        tracemalloc.start()
+        try:
+            averaged_transition_probability(fm, TLS, TLS, 3.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (fm.n_cavities, peak)
+
+
+def bright_dark_basis(n):
+    # One block's real orthogonal basis change, as dense columns: the
+    # emitter, modes j = 0 .. N/2 with each pair merged into the bright
+    # (|j> + |N-j>)/sqrt(2), then the darks (|j> - |N-j>)/sqrt(2).
+    half = n // 2
+    pairs = np.arange(1, (n + 1) // 2)
+    basis = np.zeros((n + 1, n + 1))
+    basis[np.arange(half + 2), np.arange(half + 2)] = 1.0
+    dark = np.arange(half + 2, n + 1)
+    basis[1 + pairs, 1 + pairs] = basis[1 + n - pairs, 1 + pairs] = math.sqrt(0.5)
+    basis[1 + pairs, dark] = math.sqrt(0.5)
+    basis[1 + n - pairs, dark] = -math.sqrt(0.5)
+    return basis[:, : half + 2], basis[:, dark]
 
 
 @pytest.mark.parametrize("n_cavities, m_max", [(200, 2), (41, 9)])
@@ -330,7 +355,7 @@ def test_quasi_energies_write_each_eigenvector_once(n_cavities, m_max):
     # The same spectrum as stacking the bright columns beside the
     # block-diagonal dark ones and reordering them, which peaked at about
     # 18.5 bytes per dim^2 entry; writing each column into its ascending
-    # place peaks at about 11.4 (11.38 at N = 200, M = 2, dim 1005).
+    # place peaks at about 11 (10.91 at N = 200, M = 2, dim 1005).
     p = make(n_cavities=n_cavities)
     fm = build_floquet_matrix(p, build_grid(p), m_max)
     tracemalloc.start()
@@ -340,7 +365,8 @@ def test_quasi_energies_write_each_eigenvector_once(n_cavities, m_max):
     finally:
         tracemalloc.stop()
     assert peak < 12 * fm.dim**2, peak / fm.dim**2
-    bright, dark, values, vectors = floquet._bright_eigensystem(fm)
+    bright, dark = bright_dark_basis(n_cavities)
+    values, vectors = floquet._bright_eigensystem(fm)[2:]
     stacked = np.hstack(((bright @ vectors).reshape(fm.dim, -1), np.kron(np.eye(fm.emitter.size), dark)))
     values = np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel()))
     order = np.argsort(values, kind="stable")
