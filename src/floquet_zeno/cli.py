@@ -40,8 +40,8 @@ DEFAULTS = {
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
-# decay-rate table at the defaults takes about 4 s and 160 MB; a sweep
-# about 60 us and 250 bytes per point (see the README).
+# decay-rate table at the defaults takes about 2 s and 160 MB; a rate sweep
+# about 16 us and 230 bytes per point (see the README).
 MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
@@ -218,34 +218,54 @@ def _sweep_values(args) -> np.ndarray:
     return values
 
 
+def _sweep_cells(args, values: np.ndarray) -> list[str]:
+    """Each point's "cell,error": its quantity and no error, or no cell and the error's type name."""
+    fields = _param_fields(args)
+    cells = [","] * values.size
+    # Rate points queue up as rows of decay._point, point where[j] in row j, and
+    # rows start..count go to the kernel in one call over their grid. The nodes
+    # cos k depend on N alone, so a grid lasts until N moves.
+    points, where = np.empty((values.size, 5)), np.empty(values.size, dtype=int)
+    grid, start, count = None, 0, 0
+
+    def flush() -> None:
+        nonlocal start
+        if count > start:
+            rates = decay._rates(grid.cos_k, points[start:count], np.array([args.t]))[0][:, 0]
+            for i, rate in zip(where[start:count], rates):
+                try:
+                    cells[i] = _fmt(rate) + ","
+                except NonFiniteResult as exc:
+                    cells[i] = "," + type(exc).__name__
+            start = count
+
+    for i, value in enumerate(values):
+        try:
+            params = _resolve_params({**fields, args.param: value})
+            n = _sideband(args, params)
+            if args.quantity == "regime":
+                cells[i] = decay.classify_regime(params, n, args.t).regime + ","
+            elif args.quantity == "golden-rate":
+                cells[i] = _fmt(decay.decay_rate_longtime(params, n).rate) + ","
+            else:
+                if grid is None or params.n_cavities != grid.n_cavities:
+                    flush()
+                    grid = build_grid(params)
+                points[count], where[count] = decay._point(params, n), i
+                count += 1
+        except (ConfigError, *NUMERICAL_FAILURES) as exc:
+            cells[i] = "," + type(exc).__name__
+    flush()
+    return cells
+
+
 def _cmd_sweep(args) -> list[str]:
     values = _sweep_values(args)
     quantity_col = {"rate": "R", "golden-rate": "golden_rate", "regime": "regime"}[args.quantity]
     if args.quantity != "golden-rate":
         _observation_time(args.t)
-    fields = _param_fields(args)
-    grid, grid_key = None, None
-
-    def evaluate(value) -> tuple[str, str]:
-        nonlocal grid, grid_key
-        try:
-            params = _resolve_params({**fields, args.param: value})
-            n = _sideband(args, params)
-            if args.quantity == "regime":
-                return decay.classify_regime(params, n, args.t).regime, ""
-            if args.quantity == "rate":
-                # A grid depends on (N, omega_c, xi) alone, so a chi or g sweep builds one.
-                key = (params.n_cavities, params.omega_c, params.xi)
-                if key != grid_key:
-                    grid, grid_key = build_grid(params), key
-                return _fmt(decay.decay_rate_finite(params, grid, n, args.t)), ""
-            return _fmt(decay.decay_rate_longtime(params, n).rate), ""
-        except (ConfigError, *NUMERICAL_FAILURES) as exc:
-            return "", type(exc).__name__
-
-    results = [evaluate(v) for v in values]
     lines = [f"{args.param},{quantity_col},error"]
-    lines.extend(f"{_fmt(v)},{cell},{err}" for v, (cell, err) in zip(values, results))
+    lines.extend(f"{_fmt(v)},{cell}" for v, cell in zip(values, _sweep_cells(args, values)))
     return lines
 
 

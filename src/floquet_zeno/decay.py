@@ -71,13 +71,14 @@ class RegimeReport:
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(x) / x with a series branch through x = 0.
-    small = np.abs(x) < 1e-4
+    # sin(x) / x with a series branch through x = 0, where the caller's errstate hides 0 / 0.
     out = np.sin(x)
-    np.divide(out, x, out=out, where=~small)
-    xs = x[small]
-    x2 = xs * xs
-    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    out /= x
+    small = np.abs(x) < 1e-4
+    if small.any():
+        xs = x[small]
+        x2 = xs * xs
+        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out
 
 
@@ -94,92 +95,121 @@ def _ramp_sine(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(coeff: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) -> np.ndarray:
-    """Fill out[..., i] with row_sums(coeff * t_i), each a sum over the modes.
+def _chunked(cos_k: np.ndarray, bands: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) -> np.ndarray:
+    """Fill out[..., b, i] with row_sums(detuning_b * t_i), a sum over the modes; return each reach max_k |detuning_b|.
 
-    The arguments are built CHUNK_ELEMENTS at a time (one time per chunk
-    once the modes alone exceed that), so the peak allocation does not grow
-    with the number of times.
+    Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi cos k + n nu.
+    Detunings and arguments are built at most CHUNK_ELEMENTS at a time (one band
+    and time per block once the modes alone exceed that), so the peak allocation
+    grows with neither the bands nor the times.
     """
-    rows = max(1, CHUNK_ELEMENTS // coeff.size)
-    for start in range(0, times.size, rows):
-        t = times[start : start + rows, None]
-        out[..., start : start + rows] = row_sums(coeff * t)
-    return out
+    delta, xi, shift = bands.T[:, :, None]
+    times_per_block = max(1, CHUNK_ELEMENTS // cos_k.size)
+    span = min(times.size, times_per_block)
+    step = times_per_block // span
+    reach = np.empty(len(delta))
+    for b in range(0, reach.size, step):
+        rows = slice(b, b + step)
+        detuning = delta[rows] - 2.0 * xi[rows] * cos_k + shift[rows]
+        reach[rows] = np.maximum.reduce(np.abs(detuning), axis=1)
+        for i in range(0, times.size, span):
+            cols = slice(i, i + span)
+            out[..., rows, cols] = row_sums(detuning[:, None] * times[cols, None])
+    return reach
 
 
-def _detuning(params: SystemParams, cos_k: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """delta - 2 xi cos k + n nu per node cos k, and its reach max_k |detuning_k|.
-
-    With reach * t finite no argument detuning * t overflows. A mode whose
-    detuning overflows raises NonFiniteResult, so the reach is finite.
-    """
-    detuning = params.delta - 2.0 * params.xi * cos_k + n * params.drive_freq
-    reach = float(np.abs(detuning).max())
-    if not math.isfinite(reach):
-        raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
-    return detuning, reach
-
-
-def _rate_sums(x: np.ndarray) -> np.ndarray:
-    # sum_k sinc^2(x_k / 2) over the last axis, x = detuning * t.
-    s = _sinc(x / 2.0)
-    return (s * s).sum(axis=-1)
-
-
-def _rates(params: SystemParams, cos_k: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
-    """R(t) at checked, increasing times >= 0: the kernel behind every R(t), over the N nodes cos_k.
-
-    R(0) = 0. Rows with reach * t <= SCALED_ABOVE go through the chunked
-    kernel. A later row, which no default time grid reaches, is
-    (g^2 / N) J_n(chi)^2 sum_k s (s t) with s = sinc(detuning_k t / 2); a term
-    whose detuning * t overflows is its phase average 2 / (detuning^2 t). An
-    R(t) past the float range (a mode on resonance) raises NonFiniteResult.
-    """
+def _point(params: SystemParams, n: int) -> tuple[float, float, float, float, float]:
+    """What the kernels read of sideband n at params: (delta, xi, n nu, g^2, J_n(chi))."""
     jn = bessel_j(n, params.chi)
-    detuning, reach = _detuning(params, cos_k, n)
-    # An overflow shows as a non-finite rate, refused below.
+    return params.delta, params.xi, n * params.drive_freq, params.g_squared, jn
+
+
+def _rate_sums(h: np.ndarray) -> np.ndarray:
+    # sum_k sinc^2(h_k) over the last axis, h = detuning * t / 2.
+    s = _sinc(h)
+    return np.add.reduce(np.square(s, out=s), axis=-1)
+
+
+def _rates(cos_k: np.ndarray, points, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) at each point and checked, increasing time >= 0, over the N nodes cos_k: the kernel behind every R(t).
+
+    points are _point rows. Returns R(t), one row per point and one column per
+    time, and each point's reach max_k |detuning_k|; where either is not finite,
+    R(t) reads inf or nan and callers check it. Points with the same band
+    (delta, xi, n nu) share its sums, so a chi or g sweep sums the band once.
+    R(0) = 0. A band and time with reach * t <= SCALED_ABOVE give
+    (t g^2 / N) J_n(chi)^2 sum_k s^2 with s = sinc(detuning_k t / 2), summed by
+    _chunked. A later one, which no default time grid reaches, gives
+    (g^2 / N) J_n(chi)^2 sum_k s (s t); a term whose detuning * t overflows is its
+    phase average 2 / (detuning^2 t).
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) > 1:
+        bands, band = np.unique(points[:, :3], axis=0, return_inverse=True)
+    else:
+        bands, band = points[:, :3], slice(None)
+    g_squared, jn = points[:, 3:].T[:, :, None]
+    totals = np.empty((len(bands), times.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = int(np.count_nonzero(reach * times <= SCALED_ABOVE))
-        factors, totals = times.copy(), np.empty_like(times)
-        _chunked(detuning, times[:plain], _rate_sums, totals[:plain])
-        for i in range(plain, times.size):
-            x = detuning * times[i]
-            finite = np.isfinite(x)
-            s = _sinc(x[finite] / 2.0)
-            far = detuning[~finite]
-            factors[i], totals[i] = 1.0, (s * (s * times[i])).sum() + (2.0 / far / far / times[i]).sum()
-        rates = factors * params.g_squared / cos_k.size * jn * jn * totals
+        # detuning * (t / 2) is detuning * t / 2 exactly, but in the subnormals, where sinc is 1 either way.
+        reach = _chunked(cos_k, bands, times / 2.0, _rate_sums, totals)
+        factors = times
+        if not np.maximum.reduce(reach) * times[-1] <= SCALED_ABOVE:  # a later row, or a reach that is not finite
+            scaled = ~(reach[:, None] * times <= SCALED_ABOVE)
+            for b, i in zip(*np.nonzero(scaled)):
+                delta, xi, shift = bands[b]
+                detuning, t = delta - 2.0 * xi * cos_k + shift, times[i]
+                x = detuning * t
+                s = _sinc(x[np.isfinite(x)] / 2.0)
+                far = detuning[~np.isfinite(x)]
+                totals[b, i] = (s * (s * t)).sum() + (2.0 / far / far / t).sum()
+            totals[~np.isfinite(reach)] = math.nan
+            factors = np.where(scaled, 1.0, times)[band]
+        rates = factors * g_squared / cos_k.size * jn * jn * totals[band]
+    return rates, reach[band]
+
+
+def _point_rates(params: SystemParams, cos_k: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
+    """R(t) at one point by _rates, where a detuning or R(t) that is not finite raises NonFiniteResult."""
+    rates, reach = _rates(cos_k, [_point(params, n)], times)
     if not np.isfinite(rates).all():
-        raise NonFiniteResult(f"R(t) overflows at t = {times[~np.isfinite(rates)][0]:g}")
-    return rates
+        if not math.isfinite(reach[0]):
+            raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
+        raise NonFiniteResult(f"R(t) overflows at t = {times[~np.isfinite(rates[0])][0]:g}")
+    return rates[0]
 
 
 def _window_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # sum_k sinc^2(x_k / 2) / 2 and sum_k (x_k - sin x_k) / x_k^2 over the last axis, x = a_k t.
-    return 0.5 * _rate_sums(x), _ramp_sine(x).sum(axis=-1)
+    # sum_k sinc^2(y_k / 2) / 2 and sum_k (y_k - sin y_k) / y_k^2 over the last axis, y = a_k t = -x, x = detuning * t.
+    y = -x
+    return 0.5 * _rate_sums(y / 2.0), _ramp_sine(y).sum(axis=-1)
 
 
-def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> list[complex]:
-    """C_e(t) at checked, increasing times >= 0: the kernel behind survival_curve and survival_amplitude.
+def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of C_e(t) at checked, increasing times >= 0: the kernel behind survival_curve and survival_amplitude.
 
-    C_e(0) = 1. Before any row, a last time t at which t^2 g^2 J_n(chi)^2 / N,
-    the largest argument max_k |a_k| t or the phase omega t / 2 is not
-    finite raises NonFiniteResult; each grows with t, so no earlier row
-    overflows there.
+    C_e(0) = 1. A detuning that is not finite raises NonFiniteResult, and so
+    does a last time t at which t^2 g^2 J_n(chi)^2 / N, the largest argument
+    max_k |a_k| t or the phase omega t / 2 is not finite; each grows with t,
+    so no earlier row overflows there.
     """
-    jn = bessel_j(n, params.chi)
-    detuning, reach = _detuning(params, grid.cos_k, n)
-    a, t = -detuning, float(times[-1])
-    scale = t * t * params.g_squared / grid.n_cavities * jn * jn
-    if not all(map(math.isfinite, (scale, reach * t, 0.5 * params.omega * t))):
+    point = _point(params, n)
+    g_squared, jn = point[3:]
+    windows = np.empty((2, 1, times.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = float(_chunked(grid.cos_k, np.array([point[:3]]), times, _window_sums, windows)[0])
+        scale = times * times * g_squared / grid.n_cavities * jn * jn
+    if not math.isfinite(reach):
+        raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
+    t = float(times[-1])
+    if not all(map(math.isfinite, (scale[-1], reach * t, 0.5 * params.omega * t))):
         raise NonFiniteResult(f"the perturbative amplitude overflows at t = {t:g}")
-    windows = _chunked(a, times, _window_sums, np.empty((2, times.size)))
-    amplitudes = []
-    for t, real, imag in zip(times, *windows):
-        phase = complex(math.cos(0.5 * params.omega * t), math.sin(0.5 * params.omega * t))
-        amplitudes.append(phase * (1.0 - t * t * params.g_squared / grid.n_cavities * jn * jn * complex(real, imag)))
-    return amplitudes
+    # The complex products of the one-time formula, written out in real arrays.
+    real, imag = windows[:, 0]
+    window_re, window_im = 1.0 - scale * real, 0.0 - scale * imag
+    phase = 0.5 * params.omega * times
+    cos, sin = np.cos(phase), np.sin(phase)
+    return cos * window_re - sin * window_im, cos * window_im + sin * window_re
 
 
 def __getattr__(name: str):
@@ -229,7 +259,7 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2): decay_curve at one time t > 0."""
-    return float(_rates(params, grid.cos_k, n, np.array([check_time(t)], dtype=float))[0])
+    return float(_point_rates(params, grid.cos_k, n, np.array([check_time(t)], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -278,7 +308,7 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     """
     nodes = _band_nodes(params, t)
     cos_theta = np.cos((np.arange(nodes) + 0.5) * (math.pi / nodes))
-    return float(_rates(params, cos_theta, n, np.array([t], dtype=float))[0])
+    return float(_point_rates(params, cos_theta, n, np.array([t], dtype=float))[0])
 
 
 def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> complex:
@@ -291,7 +321,8 @@ def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: floa
     so C_e(t) = exp(i omega t / 2) [1 - (t^2 g^2 / N) J_n(chi)^2
     sum_k (sinc^2(x/2) / 2 + i (x - sin x) / x^2)].
     """
-    return complex(_amplitudes(params, grid, n, np.array([check_time(t, positive=False)], dtype=float))[0])
+    real, imag = _amplitudes(params, grid, n, np.array([check_time(t, positive=False)], dtype=float))
+    return complex(real[0], imag[0])
 
 
 def survival_probability(
@@ -360,7 +391,7 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
 
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:
     times = check_times(times)
-    return DecayCurve(times=times, rates=_rates(params, grid.cos_k, n, times), params=params, sideband=n)
+    return DecayCurve(times=times, rates=_point_rates(params, grid.cos_k, n, times), params=params, sideband=n)
 
 
 def survival_curve(
@@ -377,12 +408,13 @@ def survival_curve(
     times = check_times(times, positive=False)
     if method == "exponential":
         # In Python floats an R(t) t past the float range gives exp(-inf) = 0 without a warning.
-        rates = _rates(params, grid.cos_k, n, times).tolist()
+        rates = _point_rates(params, grid.cos_k, n, times).tolist()
         probs = np.array([math.exp(-r * t) for r, t in zip(rates, times.tolist())])
     else:
-        # |C_e|^2 past the float range reads as inf and is clipped below.
+        # |C_e|^2 past the float range reads as inf and is clipped below. float_power
+        # squares by pow() where ** 2 would multiply, so each P_e keeps its bytes.
         with np.errstate(over="ignore"):
-            probs = np.array([abs(c) ** 2 for c in _amplitudes(params, grid, n, times)])
+            probs = np.float_power(np.hypot(*_amplitudes(params, grid, n, times)), 2.0)
         over = probs > 1.0 + 1e-6
         if over.any():
             warnings.warn(

@@ -164,7 +164,15 @@ def test_a_nan_rate_exits_3_with_empty_stdout(monkeypatch, capsys):
 
 
 def test_an_inf_sweep_rate_is_a_non_finite_result_cell(monkeypatch, tmp_path):
-    monkeypatch.setattr(decay, "decay_rate_finite", lambda params, grid, n, t: math.inf)
+    # A sweep evaluates its rate points in one kernel call; a stand-in kernel
+    # returns inf for each, and every point gets its own error cell.
+    real = decay._rates
+
+    def inf_rates(cos_k, points, times):
+        rates, reach = real(cos_k, points, times)
+        return np.full_like(rates, math.inf), reach
+
+    monkeypatch.setattr(decay, "_rates", inf_rates)
     argv = ["sweep", "--param", "chi", "--start", "0", "--stop", "1", "--count", "2", "--quantity", "rate"]
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
     assert table[1:] == [["0", "", "NonFiniteResult"], ["1", "", "NonFiniteResult"]]
@@ -233,11 +241,65 @@ def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags
 
 
 @pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
-def test_rate_sweep_builds_a_grid_only_when_n_omega_c_or_xi_moves(param, start, stop, flags, tmp_path, monkeypatch):
-    built = []
+def test_rate_sweep_builds_a_grid_only_when_n_moves(param, start, stop, flags, tmp_path, monkeypatch):
+    # The kernel reads only the nodes cos k, which depend on N alone; each
+    # grid's points go to the kernel in one call.
+    built, calls = [], []
+    real = decay._rates
+
+    def counted_rates(cos_k, points, times):
+        calls.append(len(points))
+        return real(cos_k, points, times)
+
     monkeypatch.setattr(cli, "build_grid", lambda params: built.append(params) or bath.build_grid(params))
+    monkeypatch.setattr(decay, "_rates", counted_rates)
     run_to_file(rate_sweep_argv(param, start, stop, flags), tmp_path / "s.csv")
-    assert len(built) == (1 if param in ("chi", "g") else 13)
+    assert len(built) == len(calls) == (13 if param == "n_cavities" else 1)
+    assert sum(calls) == 13
+
+
+def _per_point_cell(args, fields: dict, value) -> tuple[str, str]:
+    # One sweep point as a fresh one-time call: the cell, or the error's type name.
+    try:
+        params = cli._resolve_params({**fields, args.param: value})
+        n = cli._sideband(args, params)
+        return cli._fmt(decay.decay_rate_finite(params, bath.build_grid(params), n, args.t)), ""
+    except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
+        return "", type(exc).__name__
+
+
+MIXED_SWEEPS = [
+    # g^2 passes the float range past g = 1.34e154.
+    (["--param", "g", "--start", "0", "--stop", "2e154", "--count", "9"], {"", "NonFiniteResult"}),
+    # delta +- 1.5 puts sideband -+1 in band beside the default one.
+    (["--param", "delta", "--start", "-3", "--stop", "3", "--count", "5", "--drive-freq", "3", "--chi", "1"],
+     {"", "SecondSideband"}),
+    # The J_0 root with the default sideband, and J_1(0) = 0 exactly with a forced one.
+    (["--param", "chi", "--start", "0", "--stop", str(2.0 * J0_ROOT), "--count", "5", "--delta", "3"], {""}),
+    (["--param", "chi", "--start", "0", "--stop", "3", "--count", "4", "--sideband", "1", "--delta", "-5"], {""}),
+    # A forced sideband past the Bessel order ceiling, and a detuning past the float range.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {"OrderTooLarge"}),
+    (["--param", "omega", "--start=-8e307", "--stop", "8e307", "--count", "5", "--omega-c", "1e308", "--sideband", "0"],
+     {"", "NonFiniteResult"}),
+]
+
+
+@pytest.mark.parametrize("flags, errors", MIXED_SWEEPS)
+def test_rate_sweep_cells_with_errors_match_fresh_per_point_calls(flags, errors, tmp_path):
+    # Valid points go to the kernel in one call; each failed point keeps its
+    # own typed error cell, as a one-time call on a fresh grid gives it.
+    argv = ["sweep", *flags, "--t", "7"]
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
+    args = cli.build_parser().parse_args(argv)
+    fields = cli._param_fields(args)
+    expected = [_per_point_cell(args, fields, value) for value in cli._sweep_values(args)]
+    assert [tuple(row[1:]) for row in table[1:]] == expected
+    assert {error for _, error in expected} == errors
+
+
+def test_rate_sweep_through_a_bessel_root_reads_exact_zeros(tmp_path):
+    argv = ["sweep", "--param", "chi", "--start", "0", "--stop", "3", "--count", "4", "--sideband", "1", "--t", "7"]
+    assert rows(run_to_file(argv, tmp_path / "s.csv"))[1][1:] == ["0", ""]
 
 
 def test_sweep_regime_column(tmp_path):

@@ -410,6 +410,24 @@ def test_modulation_overlap_reconstructs_rate():
     assert abs(overlap - reference) / reference <= 1e-3
 
 
+@pytest.mark.parametrize("t", [1.0, 10.0, 200.0])
+@pytest.mark.parametrize("delta, chi, n", [(0.0, 1.0, 0), (1.0, 1.0, 0), (-1.5, 1.0, 0), (4.5, 1.2, -1)])
+def test_spectra_overlap_is_the_overlap_route(delta, chi, n, t):
+    # 2 pi int f_n g_n domega from the public factors at the acceptance
+    # criterion-4 points, by adaptive quadrature in omega = 2 xi cos(theta),
+    # where the arcsine density's edge divergence cancels against domega.
+    p = fig3(delta, chi)
+    two_xi = 2.0 * p.xi
+    omega_f = p.delta + n * p.drive_freq
+
+    def integrand(theta: float) -> float:
+        omega = two_xi * math.cos(theta)
+        return modulation_spectrum(p, n, t, omega) * response_spectrum(p, n, omega) * two_xi * math.sin(theta)
+
+    value, _ = quad(integrand, 0.0, math.pi, points=[math.acos(omega_f / two_xi)], limit=500, epsabs=0.0, epsrel=1e-13)
+    assert 2.0 * math.pi * value == pytest.approx(decay_rate_overlap(p, n, t), rel=1e-10)
+
+
 def test_classifier_decoupled_at_root():
     p = fig3(3.0, J0_ROOT)
     report = classify_regime(p, 0, 10.0)
@@ -611,6 +629,50 @@ def test_curves_equal_their_one_time_case_bit_for_bit(n_cavities, point):
     assert np.array_equal(probs[1:], [_seed_survival(p, grid, 0, t) for t in SHORT])
     probs = survival_curve(p, grid, 0, LONG, "exponential").probabilities
     assert np.array_equal(probs, [math.exp(-r * t) for r, t in zip(rates, LONG)])
+
+
+POINTS_AXIS = [
+    (fig3(1.0, 1.0), 0),
+    (fig3(3.0, 1.0), 0),
+    (fig3(1.0, 1.0), -1),
+    (make(omega=-1e308, omega_c=1e308), 0),  # the detuning overflows
+    (fig3(1.0, 2.0), 0),  # shares the band of the first point
+    (make(omega_c=1.37, drive_amp=4.1, g=0.05), 0),
+    (make(xi=0.5), 1),
+    (fig3(3.0, J0_ROOT), 0),  # shares the band of the second point
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+@pytest.mark.parametrize("times", [[7.0], [0.5, 3.0, 12.0], list(LONG[::9])], ids=["one", "three", "long"])
+def test_points_axis_rows_equal_their_one_point_case(times, chunk, monkeypatch):
+    # One kernel call over points that share bands, also apart, and over
+    # blocks of several bands or several times: each row is its one-point
+    # call bit for bit, and each distinct band is summed once.
+    p = KERNEL_POINTS[0]
+    grid = build_grid(p)
+    times = np.array(times)
+    if chunk is not None:
+        monkeypatch.setattr(decay, "CHUNK_ELEMENTS", chunk * p.n_cavities)
+    points = [decay._point(params, n) for params, n in POINTS_AXIS]
+    summed = []
+    real = decay._chunked
+
+    def counted_chunks(cos_k, bands, *rest):
+        summed.append(len(bands))
+        return real(cos_k, bands, *rest)
+
+    monkeypatch.setattr(decay, "_chunked", counted_chunks)
+    rates, reach = decay._rates(grid.cos_k, points, times)
+    assert summed == [6]
+    for row, (params, n), point in zip(range(len(points)), POINTS_AXIS, points):
+        one, one_reach = decay._rates(grid.cos_k, [point], times)
+        assert rates[row].tobytes() == one[0].tobytes()
+        assert np.array_equal(reach[row], one_reach[0], equal_nan=True)
+        if math.isfinite(reach[row]):
+            assert rates[row].tobytes() == decay_curve(params, grid, n, times).rates.tobytes()
+        else:
+            assert np.isnan(rates[row]).all()
 
 
 def test_chunk_boundaries(monkeypatch):
