@@ -211,6 +211,8 @@ def _sweep_values(args) -> np.ndarray:
         raise ConfigError(f"--start and --stop must be finite, got {args.start!r} and {args.stop!r}")
     if args.start == args.stop:
         raise ConfigError("--start and --stop must differ")
+    if not math.isfinite(args.stop - args.start):  # linspace would step by inf and return nan
+        raise ConfigError(f"--stop - --start must be finite, got {args.stop!r} - {args.start!r}")
     check_size("--count", args.count, MAX_ROWS)
     values = np.linspace(args.start, args.stop, args.count)
     if args.param == "n_cavities":

@@ -7,28 +7,34 @@ with the time-dependent Hamiltonian
     H_kk   = -(omega + A cos(nu t)) / 2 + eps_k
     H_ek   = g / sqrt(N)
 
-in the interaction picture of its diagonal. The diagonal phases have
-the closed form Phi(t) = int_0^t H_ee = t (omega + A sinc(nu t)) / 2,
-so with
+in the interaction picture of its diagonal. Modes k_j and k_{N-j} are
+degenerate and couple alike, so for each pair j = 1 .. ceil(N/2) - 1
+only the bright (|j> + |N-j>)/sqrt(2) couples, with g sqrt(2/N); the
+dark (|j> - |N-j>)/sqrt(2) only turns with its free phase. j = 0, and
+j = N/2 for even N, stay single modes with g / sqrt(N). The integrated
+state is therefore the emitter and the S - 1 = floor(N/2) + 1 bright
+modes, S amplitudes instead of N+1. The diagonal phases have the closed
+form Phi(t) = int_0^t H_ee = t (omega + A sinc(nu t)) / 2, so with
 
-    c_e = exp(-i Phi(t)) a,    c_k = exp(-i (eps_k t - Phi(t))) b_k
+    c_e = exp(-i Phi(t)) a,    c_j = exp(-i (eps_j t - Phi(t))) b_j
 
 DOP853, the 8th-order Dormand-Prince pair (`dop853`, numpy alone, step
 for step scipy's), integrates only the coupling,
 
-    a'   = -i (g / sqrt(N)) sum_k exp(+i theta_k(t)) b_k
-    b_k' = -i (g / sqrt(N)) exp(-i theta_k(t)) a
+    a'   = -i (g / sqrt(N)) sum_j w_j exp(+i theta_j(t)) b_j
+    b_j' = -i (g / sqrt(N)) w_j exp(-i theta_j(t)) a
 
-with theta_k(t) = (omega - eps_k) t + A t sinc(nu t), and never has to
-resolve the emitter's or the modes' own rotation. |c_e| = |a|, and the
-frame is unitary, so the norm is the same in both pictures.
+with theta_j(t) = (omega - eps_j) t + A t sinc(nu t) and the weight
+w_j = sqrt(2) for a pair, else 1, and never has to resolve the
+emitter's or the modes' own rotation. |c_e| = |a|, and the frame and
+the bright/dark basis are unitary, so the norm is the same throughout.
 
 H(t) repeats with the drive period T = 2 pi / nu, so U(t0 + kT + r, t0)
 = U(t0 + r, t0) U(t0 + T, t0)^k, and one DOP853 run serves both routes.
-Past c(N) = (MAP_SETUP + MAP_OVERHEAD + (N+1)^2) / (MAP_OVERHEAD + N+1)
-periods (3.3 at N = 41) it carries the (N+1) x (N+1) propagator over
+Past c(N) = (MAP_SETUP + MAP_OVERHEAD + S^2) / (MAP_OVERHEAD + S)
+periods (1.95 at N = 41, S = 22) it carries the S x S propagator over
 one period and powers it k times; the cost then grows with t only
-through the k matrix-vector products, about 2 us each at N = 41.
+through the k matrix-vector products, about 1 us each at N = 41.
 Otherwise (a shorter run, a step-estimate rate times T below 1, or
 more than MAP_MAX_ENTRIES entries) it carries the state vector itself
 to t1, with k = 0. Either way a sample reads only its emitter row off
@@ -40,6 +46,7 @@ construction or the perturbative decay formulas; agreement between the
 two is a genuine cross-check, not a shared-code artifact.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,25 +58,28 @@ from .errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceed
 from .params import SurvivalCurve, SystemParams, check_times
 
 NORM_TOLERANCE = 1e-7
-# DOP853 settings, read at each call. In the interaction frame the direct
-# route holds the norm drift to 3.2e-13 at g = 0.05 and 1.9e-12 at
-# g = 0.25 out to t = 100/xi, at about 26 steps per period at the defaults.
-RTOL = 1e-11
-ATOL = 1e-13
+# DOP853 settings, read at each call. Its RMS error norm divides by the
+# square root of the state size, which the bright basis about halves, so
+# these are sqrt(2) times the values once used on all N+1 amplitudes and a
+# step accepts the same emitter error. The direct route holds the norm drift
+# to 3.7e-13 at g = 0.05 and 2.3e-12 at g = 0.25 out to t = 100/xi.
+RTOL = 1.4e-11
+ATOL = 1.4e-13
 MAX_STEPS = 1_000_000
 # A run that spans more drive periods than c(N) = (MAP_SETUP + MAP_OVERHEAD
-# + (N+1)^2) / (MAP_OVERHEAD + N+1) integrates one period of the propagator
-# and powers it, which costs about c(N) direct periods. On a 2-core VM
-# (medians of 7, g = 0.05, 100 samples) c was 1.6, 2.1, 3.8, 5.8, 9.7,
-# 19.4, 32.3, 67.1, 105 and 139 at N = 11, 21, 41, 71, 101, 151, 201, 301,
-# 401 and 463; the fit is within 22% of each and puts c(41) at 3.34.
-MAP_OVERHEAD = 1100.0
-MAP_SETUP = 950.0
-# Ceiling on the map's complex entries, (N+1)(N+1 + samples); past it a
-# run integrates directly. DOP853 keeps about 37 (N+1)^2 arrays: a 158 MB
-# peak RSS at N = 463 with 100 samples, where c(N) asks for 139 periods.
-# A sample reads only its emitter row off the step interpolant (one entry
-# direct, N+1 on the map), so a step's samples are read in one call.
+# + S^2) / (MAP_OVERHEAD + S), S = floor(N/2) + 2, integrates one period of
+# the propagator and powers it, which costs about c(N) direct periods. On a
+# 2-core VM, in fresh processes (g = 0.05, 100 samples), c was 1.4, 1.7,
+# 4.5, 7.4, 43 and 113 at N = 11, 41, 101, 201, 463 and 925; a log fit over
+# thirteen N gives (465, 1149), within 31% of each. MAP_SETUP is rounded up
+# because at A = 0 (8 steps a period) 1.9 periods at N = 41 ran faster direct.
+MAP_OVERHEAD = 1150.0
+MAP_SETUP = 650.0
+# Ceiling on the map's complex entries, S (S + samples); past it a run
+# integrates directly. DOP853 keeps about 37 S^2 arrays: a 158 MB peak RSS
+# at N = 925 with 100 samples, where c(N) asks for 135 periods. A sample
+# reads only its emitter row off the step interpolant (one entry direct, S
+# on the map), so a step's samples are read in one call.
 MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -103,47 +113,56 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-def _frame(params: SystemParams, grid: MomentumGrid, t: float) -> np.ndarray:
-    """exp(i (Phi, eps_k t - Phi)) at absolute time t: lab amplitudes times this are frame amplitudes."""
+def _frame(params: SystemParams, energies: np.ndarray, t: float) -> np.ndarray:
+    """exp(i (Phi, eps t - Phi)) at absolute time t, for modes of these energies: lab amplitudes times this are frame amplitudes."""
     phi = 0.5 * t * (params.omega + params.drive_amp * _sinc(params.drive_freq * t))  # Phi(t)
-    if not math.isfinite(abs(phi) + abs(t) * float(np.abs(grid.energies).max())):
+    if not math.isfinite(abs(phi) + abs(t) * float(np.max(np.abs(energies), initial=0.0))):
         raise NonFiniteResult(f"the frame phase overflows at t = {t:g}")
-    return np.exp(1j * np.concatenate(([phi], grid.energies * t - phi)))
+    return np.exp(1j * np.concatenate(([phi], energies * t - phi)))
 
 
 def _rhs(params: SystemParams, grid: MomentumGrid, columns: int):
-    minus_i_detuning = -1j * (params.omega - grid.energies)
-    coupling = -1j * params.g / math.sqrt(grid.n_cavities)
+    # The emitter and the bright modes j = 0 .. floor(N/2); a pair's bright
+    # mode couples with weight sqrt(2), carried in the exponent as log sqrt(2).
+    n = grid.n_cavities
+    exponent = -1j * (params.omega - grid.energies[: n // 2 + 1])
+    log_weight = np.zeros(exponent.size, dtype=complex)
+    log_weight[1 : (n + 1) // 2] = 0.5 * math.log(2.0)
+    coupling = -1j * params.g / math.sqrt(n)
     amp, nu = params.drive_amp, params.drive_freq
 
-    def rotation(t) -> np.ndarray:
-        # exp(-i theta_k(t)). DOP853 passes a numpy t; a float nu t overflows
-        # to inf without a warning.
-        return np.exp(minus_i_detuning * t - 1j * (amp * t * _sinc(nu * float(t))))
-
+    # w_j exp(-i (omega - eps_j) t) over the bright modes, and the drive's
+    # common phase exp(-i A t sinc(nu t)) as one scalar on the emitter
+    # amplitude: together w_j exp(-i theta_j(t)). DOP853 passes a numpy t;
+    # a float nu t overflows to inf without a warning.
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        phases = rotation(t)
+        t = float(t)
+        phases = np.exp(log_weight + exponent * t)
+        drive = cmath.exp(-1j * (amp * t * _sinc(nu * t)))
         out = np.empty_like(y)
         # vdot conjugates the rotation back for the emitter row.
-        out[0] = coupling * np.vdot(phases, y[1:])
-        np.multiply(phases, coupling * y[0], out=out[1:])
+        out[0] = coupling * drive.conjugate() * np.vdot(phases, y[1:])
+        np.multiply(phases, coupling * drive * y[0], out=out[1:])
         return out
 
     def columns_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # The same equation for each column of a flattened (N+1) x columns matrix.
-        phases = rotation(t)
+        # The same equation for each column of a flattened (size x columns) matrix.
+        t = float(t)
+        phases = np.exp(log_weight + exponent * t)
+        drive = cmath.exp(-1j * (amp * t * _sinc(nu * t)))
         y = y.reshape(-1, columns)
         out = np.empty_like(y)
-        out[0] = coupling * (phases.conj() @ y[1:])
-        np.multiply(phases[:, None], coupling * y[0], out=out[1:])
+        out[0] = coupling * drive.conjugate() * (phases.conj() @ y[1:])
+        np.multiply(phases[:, None], coupling * drive * y[0], out=out[1:])
         return out.ravel()
 
-    # One column, a state vector, costs 4.6 us per call here, 13.2 in columns_rhs (N = 41).
+    # One column, a state vector, costs 3.2 us per call here, 6.5 in columns_rhs
+    # (N = 41); the two phase lines are inline because a shared helper added 0.4 us.
     return rhs if columns == 1 else columns_rhs
 
 
 def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samples: int) -> bool:
-    # The route rule. The map integrates one period of N+1 columns, which
+    # The route rule. The map integrates one period of S columns, which
     # costs c(N) direct periods (see MAP_OVERHEAD).
     # rate T >= 1 gives each period at least one estimated step, which a
     # power replaces at less cost, and the propagator with the sampled
@@ -158,15 +177,17 @@ def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samp
 
 
 def _integrate(params, grid, y0, t0, t1, sample_times=None):
-    # Returns (y(t1), |c_e|^2 at sample_times) for lab amplitudes y0 at t0;
-    # sample_times must be increasing and lie in [t0, t1]. Backward runs
+    # Returns (y(t1), |c_e|^2 at sample_times) for the lab amplitudes
+    # y0 = (c_e, b_0 .. b_floor(N/2)) of the emitter and the bright modes at
+    # t0; sample_times must be increasing and lie in [t0, t1]. Backward runs
     # (t1 < t0) are allowed and used by the time-reversal checks; no
     # sampling there.
     pending = np.asarray(sample_times if sample_times is not None else [], dtype=float)
     if t1 == t0:
         return y0.copy(), [abs(y0[0]) ** 2] * pending.size
-    n = grid.n_cavities + 1
-    lo, hi = float(grid.energies.min()), float(grid.energies.max())
+    n = y0.size
+    energies = grid.energies[: n - 1]
+    lo, hi = float(energies.min()), float(energies.max())
     rate = max(abs(params.omega - lo), abs(params.omega - hi)) + params.drive_amp + params.g
     # U(t0 + kT + r, t0) = U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965): one
     # run carries diag(frame(t0)) basis from t0 to bound, and each time is
@@ -183,17 +204,17 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
         bound, basis, v = t1, y0[:, None], np.ones(1)
     # Refuse upfront a run the in-loop check would stop anyway: the fastest
     # frame phase turns at most max_k |omega - eps_k| + A, the coupling at
-    # g, and over twelve configurations a direct run took 1.55x (A = 60) to
-    # 3.2x (one mode) this rate times its span in steps; only a coupling far
-    # below that rate (omega = 1e6: 0.64x) steps faster. The map spans one
-    # period, and each power counts as a step, though it costs less (1.9,
-    # 9.1 and 48 us at N = 41, 201 and 463). An inf estimate is refused.
+    # g, and over eleven configurations a direct run took 1.5x (A = 60) to
+    # 3.3x (one mode) this rate times its span in steps; only a coupling far
+    # below that rate (omega = 1e6: 0.65x) steps faster. The map spans one
+    # period, and each power counts as a step, though it costs less (0.8,
+    # 3.3 and 7.7 us at N = 41, 201 and 463). An inf estimate is refused.
     estimate = rate * abs(bound - t0) + turns[-1]
     if not estimate <= MAX_STEPS:
         raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
     columns = basis.shape[1]
-    start = (_frame(params, grid, t0)[:, None] * basis).ravel()
-    back = _frame(params, grid, float(reads[-1])).conj()
+    start = (_frame(params, energies, t0)[:, None] * basis).ravel()
+    back = _frame(params, energies, float(reads[-1])).conj()
     sign = math.copysign(1.0, bound - t0)
     order = np.argsort(sign * reads[:-1], kind="stable")
     ahead = sign * reads[order]
@@ -222,7 +243,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     end = (stepper.y if end is None else end).reshape(n, columns)
     periods = int(turns[-1])
     if periods:
-        u = _frame(params, grid, bound).conj()[:, None] * stepper.y.reshape(n, n)
+        u = _frame(params, energies, bound).conj()[:, None] * stepper.y.reshape(n, n)
         defect = periods * float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
         if defect > NORM_TOLERANCE:
             raise NormDrift(f"the one-period propagator drifts by {defect:g} over {periods} periods")
@@ -264,7 +285,19 @@ def propagate(params: SystemParams, grid: MomentumGrid, initial: OneQuantumState
     norm_sq = np.vdot(y0, y0).real  # inf or nan, with no overflow warning, for an amplitude past the float range
     if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
         raise InvalidArgument(f"the initial squared norm is {norm_sq:g}, not 1")
-    y, _ = _integrate(params, grid, y0, initial.time, t_final)
+    # Modes j and N - j, for j = 1 .. ceil(N/2) - 1, form the bright and dark
+    # pair (c_j +- c_{N-j}) / sqrt(2). A dark mode does not couple, so only
+    # its free lab-frame phase turns; the emitter and the bright modes are integrated.
+    n, pairs = grid.n_cavities, np.arange(1, (grid.n_cavities + 1) // 2)
+    plus, minus = y0[1 + pairs], y0[1 + n - pairs]
+    bright = y0[: n // 2 + 2].copy()
+    bright[1 + pairs] = (plus + minus) * math.sqrt(0.5)
+    y, _ = _integrate(params, grid, bright, initial.time, t_final)
+    free = _frame(params, grid.energies[pairs], initial.time) * _frame(params, grid.energies[pairs], t_final).conj()
+    dark = (plus - minus) * math.sqrt(0.5) * free[1:]
+    y = np.concatenate((y, np.empty(n - 1 - n // 2, dtype=complex)))
+    y[1 + n - pairs] = (y[1 + pairs] - dark) * math.sqrt(0.5)
+    y[1 + pairs] = (y[1 + pairs] + dark) * math.sqrt(0.5)
     _check_norm(y, f"propagating {initial.time:g} -> {t_final:g}")
     return OneQuantumState(c_e=complex(y[0]), c_k=y[1:], time=t_final)
 
@@ -272,8 +305,8 @@ def propagate(params: SystemParams, grid: MomentumGrid, initial: OneQuantumState
 def survival_curve_exact(params: SystemParams, grid: MomentumGrid, times):
     """P_e(t_i) = |c_e(t_i)|^2 along one continued propagation from t = 0."""
     times = check_times(times, positive=False)
-    state = excited_state(grid)
-    y0 = np.concatenate(([state.c_e], state.c_k)).astype(complex)
+    y0 = np.zeros(grid.n_cavities // 2 + 2, dtype=complex)  # the excited emitter, with no dark part
+    y0[0] = 1.0
     y, probs = _integrate(params, grid, y0, 0.0, float(times[-1]), sample_times=times)
     _check_norm(y, f"propagating 0 -> {times[-1]:g}")
     return SurvivalCurve(times=times, probabilities=np.array(probs), method="oracle")

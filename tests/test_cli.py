@@ -404,6 +404,7 @@ def test_invalid_physical_parameters_exit_2():
         ["decay-rate", "--omega", "inf"],
         ["decay-rate", "--drive-amp", "nan"],
         ["sweep", "--param", "g", "--start", "nan", "--stop", "1", "--count", "3"],
+        ["sweep", "--param", "omega", "--start=-1e308", "--stop", "1e308", "--count", "5", "--omega-c", "1e308"],
         ["sweep", "--param", "g", "--start", "0.1", "--stop", "0.2", "--count", "3", "--t", "inf"],
         ["survival", "--t-max", "inf"],
         ["classify", "--t", "inf"],

@@ -79,8 +79,8 @@ def test_norm_drift_at_weak_coupling():
     assert abs(state.norm_sq() - 1.0) <= 1e-12
 
 
-def lab_frame_reference(p, grid, y0, t):
-    """The lab-frame Schrodinger equation by DOP853 at tight tolerances, written out here."""
+def lab_frame_reference(p, grid, y0, t0, t):
+    """The lab-frame Schrodinger equation on all N+1 amplitudes, by DOP853 at tight tolerances, written out here."""
     from scipy.integrate import solve_ivp
 
     coupling = p.g / math.sqrt(grid.n_cavities)
@@ -92,17 +92,51 @@ def lab_frame_reference(p, grid, y0, t):
         out[1:] = -1j * ((grid.energies - drive) * y[1:] + coupling * y[0])
         return out
 
-    return solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    return solve_ivp(rhs, (t0, t), y0, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
 
 
 @pytest.mark.parametrize("t", [0.7, 3.0, 11.0])
 def test_frame_matches_the_lab_frame_equation(t):
-    p = make(n_cavities=11)  # delta = 1, chi = 1
+    # The reference carries all N+1 amplitudes, so it checks the bright
+    # reduction as well as the frame, at even N (j = N/2 unpaired) and odd N.
+    for n in (10, 11):
+        p = make(n_cavities=n)  # delta = 1, chi = 1
+        grid = build_grid(p)
+        start = excited_state(grid)
+        state = propagate(p, grid, start, t)
+        reference = lab_frame_reference(p, grid, np.concatenate(([start.c_e], start.c_k)), 0.0, t)
+        assert np.abs(np.concatenate(([state.c_e], state.c_k)) - reference).max() <= 1e-10, n
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("t", [0.2, 4.0, 12.3])
+def test_a_start_with_a_dark_part_matches_the_lab_frame_equation(t, n):
+    # From t0 = 1.3, with c_j != c_{N-j} in every pair, forward over 2.6 and
+    # 10.5 drive periods (both on the period map) and back over 1.05.
+    p = make(n_cavities=n)
     grid = build_grid(p)
-    start = excited_state(grid)
-    state = propagate(p, grid, start, t)
-    reference = lab_frame_reference(p, grid, np.concatenate(([start.c_e], start.c_k)), t)
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    y0 /= np.linalg.norm(y0)
+    state = propagate(p, grid, OneQuantumState(c_e=complex(y0[0]), c_k=y0[1:], time=1.3), t)
+    reference = lab_frame_reference(p, grid, y0, 1.3, t)
     assert np.abs(np.concatenate(([state.c_e], state.c_k)) - reference).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_a_dark_start_keeps_only_its_free_phase(n):
+    # (|j> - |N-j>)/sqrt(2) does not couple: each amplitude turns with
+    # exp(-i (eps_k (t1 - t0) - (Phi(t1) - Phi(t0)))), and the emitter stays empty.
+    p = make(n_cavities=n)
+    grid = build_grid(p)
+    c_k = np.zeros(n, dtype=complex)
+    c_k[3], c_k[n - 3] = math.sqrt(0.5), -math.sqrt(0.5)
+    t0, t1 = 1.3, 12.3
+    state = propagate(p, grid, OneQuantumState(c_e=0j, c_k=c_k, time=t0), t1)
+    phi = {t: 0.5 * t * (p.omega + p.drive_amp * math.sin(p.drive_freq * t) / (p.drive_freq * t)) for t in (t0, t1)}
+    free = c_k * np.exp(-1j * (grid.energies * (t1 - t0) - (phi[t1] - phi[t0])))
+    assert abs(state.c_e) < 1e-15
+    assert np.abs(state.c_k - free).max() <= 1e-13
 
 
 def test_propagation_composes_at_absolute_times():
@@ -157,8 +191,13 @@ def test_tolerance_refinement_is_converged(monkeypatch):
     assert abs(loose - tight) <= 1e-8
 
 
+def bright(n_cavities: int) -> int:
+    """The oracle's state size: the emitter and the bright modes j = 0 .. floor(N/2)."""
+    return n_cavities // 2 + 2
+
+
 def stepper_sizes(monkeypatch) -> list[int]:
-    """Record the size of y0 for every stepper built: N+1 for a direct run, (N+1)^2 for the period map."""
+    """Record the size of y0 for every stepper built: the state size for a direct run, its square for the period map."""
     sizes = []
 
     class Recording(oracle.RK45):
@@ -182,24 +221,24 @@ def test_step_budget_enforced(monkeypatch):
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
     # A direct run of 0.9 periods: above the upfront estimate (9.25 * 0.94
-    # = 8.7 steps), below the 26 steps it takes, so the in-loop check is
+    # = 8.7 steps), below the 25 steps it takes, so the in-loop check is
     # the one that fires.
     monkeypatch.setattr(oracle, "MAX_STEPS", 15)
     with pytest.raises(StepLimitExceeded, match="exceeded 15 steps"):
         propagate(p, grid, excited_state(grid), 0.9 * p.period)
-    assert sizes == [p.n_cavities + 1]
+    assert sizes == [bright(p.n_cavities)]
 
 
 def test_step_budget_enforced_in_the_period_map(monkeypatch):
     p = make(n_cavities=11)
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
-    # 2.1 periods take the map (c(11) = 1.97); the estimate is 11.6 steps
+    # 2.1 periods take the map (c(11) = 1.60); the estimate is 11.6 steps
     # (9.6 for the period, one per power), and its one-period run takes 26.
     monkeypatch.setattr(oracle, "MAX_STEPS", 23)
     with pytest.raises(StepLimitExceeded, match="exceeded 23 steps"):
         propagate(p, grid, excited_state(grid), 2.1 * p.period)
-    assert sizes == [(p.n_cavities + 1) ** 2]
+    assert sizes == [bright(p.n_cavities) ** 2]
 
 
 @pytest.mark.parametrize(
@@ -209,7 +248,7 @@ def test_step_budget_enforced_in_the_period_map(monkeypatch):
 )
 def test_direct_steps_against_the_upfront_estimate(overrides, t, floor, monkeypatch):
     # The lowest ratios of steps taken to the estimate, rate |t1 - t0|, that
-    # _integrate's comment states: about 1.55 and 1.9, and 0.64 far off resonance.
+    # _integrate's comment states: about 1.5 and 1.9, and 0.65 far off resonance.
     p = make(**overrides)
     grid = build_grid(p)
     steps = []
@@ -240,7 +279,7 @@ def test_period_map_matches_direct_integration(t, monkeypatch):
             back = propagate(p, grid, state, 0.0)
             curve = survival_curve_exact(p, grid, times).probabilities
         results[route] = np.concatenate(([state.c_e], state.c_k, [back.c_e], back.c_k)), curve
-    assert sizes == [42**2] * 3 + [42] * 3
+    assert sizes == [22**2] * 3 + [22] * 3
     assert np.abs(results["map"][0] - results["direct"][0]).max() <= 1e-10
     assert np.abs(results["map"][1] - results["direct"][1]).max() <= 1e-10
 
@@ -270,7 +309,7 @@ def test_a_time_zero_sample_is_an_ordinary_row(route, monkeypatch):
     with_zero = survival_curve_exact(p, grid, np.concatenate(([0.0], times))).probabilities
     assert with_zero[0] == 1.0
     assert with_zero[1:].tobytes() == survival_curve_exact(p, grid, times).probabilities.tobytes()
-    assert sizes == [(p.n_cavities + 1) ** (2 if route == "map" else 1)] * 2
+    assert sizes == [bright(p.n_cavities) ** (2 if route == "map" else 1)] * 2
 
 
 def test_period_map_checks_the_unitarity_of_its_period(monkeypatch):
@@ -298,7 +337,7 @@ def test_direct_run_checks_the_norm_of_its_end_state(kernel, monkeypatch):
     monkeypatch.setattr(oracle, "NORM_TOLERANCE", 1e-20)
     with pytest.raises(NormDrift, match="norm drifted"):
         kernel(p, grid)
-    assert sizes == [p.n_cavities + 1]
+    assert sizes == [bright(p.n_cavities)]
 
 
 def test_runs_below_break_even_stay_direct(monkeypatch):
@@ -318,7 +357,7 @@ def test_runs_below_break_even_stay_direct(monkeypatch):
     fast = make(g=0.05, drive_amp=1.0, drive_freq=1e308)
     grid = build_grid(fast)
     survival_curve_exact(fast, grid, np.linspace(1.0, 100.0, 5))
-    assert set(sizes) == {42}
+    assert set(sizes) == {22}
 
 
 @pytest.mark.parametrize("extra", [[], ["--drive-freq", "1e308", "--t-max", "10"]])
@@ -332,7 +371,7 @@ def test_cli_oracle_runs_below_break_even_stay_direct(extra, monkeypatch, capsys
     force(monkeypatch, "direct")
     assert run(argv) == 0
     assert capsys.readouterr().out == out
-    assert sizes == [42, 42]
+    assert sizes == [22, 22]
 
 
 @pytest.mark.parametrize("overrides", [dict(g=1e6), dict(omega=1e300), dict(omega=1.7e308, omega_c=-1.7e308)])
@@ -363,11 +402,11 @@ def test_map_estimate_charges_one_period_and_each_power(monkeypatch):
     assert sizes == []
     monkeypatch.setattr(oracle, "MAX_STEPS", 105)
     propagate(p, grid, excited_state(grid), 100.0)
-    assert sizes == [42**2]
+    assert sizes == [22**2]
     # A span past the float range stays off the map: its estimate is inf.
     with pytest.raises(StepLimitExceeded, match="estimated inf"):
         propagate(p, grid, dataclasses.replace(excited_state(grid), time=-1.7e308), 1.7e308)
-    assert sizes == [42**2]
+    assert sizes == [22**2]
 
 
 def test_map_runs_past_the_direct_step_estimate(capsys):
@@ -404,9 +443,9 @@ def test_direct_reads_are_bounded_in_memory(monkeypatch):
 
 @pytest.mark.parametrize("route", ["map", "direct"])
 def test_row_only_reads_equal_the_full_reads_leading_entries(route, monkeypatch):
-    # A sample reads only its emitter row off the step interpolant (N+1
-    # entries on the map, one direct); each such read must equal the leading
-    # entries of the full read at the same times, bit for bit.
+    # A sample reads only its emitter row off the step interpolant (the
+    # state size on the map, one entry direct); each such read must equal
+    # the leading entries of the full read at the same times, bit for bit.
     p = make(g=0.05)
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
@@ -429,7 +468,7 @@ def test_row_only_reads_equal_the_full_reads_leading_entries(route, monkeypatch)
     monkeypatch.setattr(oracle, "RK45", Checking)
     times = np.linspace(0.1, 11.0, 60)
     survival_curve_exact(p, grid, times)
-    assert sizes == [(p.n_cavities + 1) ** (2 if route == "map" else 1)]
+    assert sizes == [bright(p.n_cavities) ** (2 if route == "map" else 1)]
     assert sum(checked) == times.size
 
 
@@ -557,8 +596,8 @@ def test_sambe_amplitude_matches_the_oracle():
     # Three-way check through the paper's operator: c_e(t) = sum_m (-1)^m
     # exp(i m nu t) <e,m| exp(-i H_F t) |e,0> from the quasi-energy basis
     # against the period map, out to t = 1e4 (9549 periods). The oracle's
-    # own error sets the 1e-9 there: 4.5e-11 at RTOL 1e-11 (3.6e-10 on
-    # RK45), 1.1e-12 at 1e-13.
+    # own error sets the 1e-9 there: 5.5e-11 at RTOL 1.4e-11 (3.6e-10 on
+    # RK45), 9.1e-13 at 1e-13.
     p = make(n_cavities=11)  # delta = 1, chi = 1
     grid = build_grid(p)
     times = np.array([11.0, 100.0, 1e4])
