@@ -16,7 +16,10 @@ which edge_weights quantifies.
 
 The matrix is real, and apart from the emitter rows and columns it is
 diagonal, so it is kept as those three pieces (FloquetMatrix) and never
-assembled for computation:
+assembled for computation. The pieces are read-only, so a matrix is
+diagonalized once: its bright eigensystem is computed on first use, kept
+on the matrix as read-only arrays and shared by quasi_energies and every
+averaged_transition_probability call, and freed with the matrix.
 
 - Bright/dark split. Modes j and N - j are degenerate on the ring and
   couple to the emitter with the same amplitude, so in every block the
@@ -40,13 +43,15 @@ dynamical decoupling points. It is the one-block case of the same
 structure.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bath import MomentumGrid
-from .errors import EigenFailure, InvalidArgument, SingularResolvent, TruncationTooSmall
+from .errors import EigenFailure, InvalidArgument, NonFiniteResult, SingularResolvent, TruncationTooSmall
 from .params import SystemParams, check_size, check_time, default_sideband
 from .specfun import bessel_j
 
@@ -109,6 +114,29 @@ class FloquetMatrix:
         shape = (self.emitter.size, self.n_cavities, self.emitter.size)
         return _bordered(self.emitter, self.photon, np.broadcast_to(self.coupling[:, None, :], shape))
 
+    @cached_property
+    def _bright(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # Kept only on success, so an EigenFailure is raised again on the
+        # next read; read through _bright_eigensystem, which checks the size.
+        n = self.n_cavities
+        half = n // 2
+        j = np.arange(n)
+        fold = np.concatenate(([0], 1 + np.minimum(j, n - j)))
+        amplitude = np.concatenate(([1.0], np.where((j > 0) & (2 * j != n), math.sqrt(0.5), 1.0)))
+        weight = np.bincount(fold, amplitude)[1:]  # coupling factor: sqrt(2) for a pair, else 1
+        h = _bordered(self.emitter, self.photon[:, : half + 1], self.coupling[:, None, :] * weight[None, :, None])
+        try:
+            values, vectors = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+        return _read_only(fold, amplitude, values, vectors.reshape(self.emitter.size, half + 2, -1))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 def _bordered(emitter: np.ndarray, photon: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of blocks [emitter, photon 0, photon 1, ...];
@@ -144,11 +172,12 @@ def _structured(params, grid, emitter_blocks, photon_blocks) -> FloquetMatrix:
     q = np.unique(orders)
     bessel = np.array([bessel_j(int(k), params.chi) for k in q])
     couplings = params.g * bessel / math.sqrt(grid.n_cavities)
-    return FloquetMatrix(
-        emitter=0.5 * params.omega + emitter_blocks * nu,
-        photon=grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
-        coupling=couplings[np.searchsorted(q, orders)],
+    emitter, photon, coupling = _read_only(  # read-only, so the cached eigensystem cannot go stale
+        0.5 * params.omega + emitter_blocks * nu,
+        grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
+        couplings[np.searchsorted(q, orders)],
     )
+    return FloquetMatrix(emitter=emitter, photon=photon, coupling=coupling)
 
 
 def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -> FloquetMatrix:
@@ -171,26 +200,17 @@ def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> Flo
 
 def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each state's bright row and amplitude, then the bright eigenvalues
-    and eigenvectors, shaped (blocks, bright rows, values).
+    and eigenvectors, shaped (blocks, bright rows, values); read-only, and
+    computed once per matrix.
 
     The bright rows are the same in every block: the emitter (row 0) and
     modes j = 0 .. N/2, each pair j, N - j merged into row 1 + j as
     (|j> + |N-j>)/sqrt(2). The pair's dark (|j> - |N-j>)/sqrt(2) has
     quasi-energy photon[s, j] in block s.
     """
-    n = fm.n_cavities
-    half = n // 2
-    check_size("bright rows (2M+1)(floor(N/2)+2)", fm.emitter.size * (half + 2), MAX_BRIGHT_ROWS)
-    j = np.arange(n)
-    fold = np.concatenate(([0], 1 + np.minimum(j, n - j)))
-    amplitude = np.concatenate(([1.0], np.where((j > 0) & (2 * j != n), math.sqrt(0.5), 1.0)))
-    weight = np.bincount(fold, amplitude)[1:]  # coupling factor: sqrt(2) for a pair, else 1
-    h = _bordered(fm.emitter, fm.photon[:, : half + 1], fm.coupling[:, None, :] * weight[None, :, None])
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    return fold, amplitude, values, vectors.reshape(fm.emitter.size, half + 2, -1)
+    rows = fm.emitter.size * (fm.n_cavities // 2 + 2)
+    check_size("bright rows (2M+1)(floor(N/2)+2)", rows, MAX_BRIGHT_ROWS)
+    return fm._bright
 
 
 def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
@@ -207,10 +227,11 @@ def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
     bright_columns, dark_columns = column[: vectors.shape[2]], column[vectors.shape[2] :].reshape(blocks, -1)
-    vectors *= amplitude[: vectors.shape[1], None]  # bright row c holds state c, so this is its amplitude
     out = np.zeros((fm.dim, fm.dim))
     for s in range(blocks):
-        out[s * size : (s + 1) * size, bright_columns] = vectors[s][fold]
+        rows = vectors[s][fold]  # a copy: the shared eigenvectors stay unscaled
+        rows *= amplitude[:, None]
+        out[s * size : (s + 1) * size, bright_columns] = rows
     offsets = size * np.arange(blocks)[:, None]
     out[offsets + 1 + pairs, dark_columns] = math.sqrt(0.5)
     out[offsets + size - pairs, dark_columns] = -math.sqrt(0.5)
@@ -239,9 +260,13 @@ def green_coefficient(
 ) -> complex:
     """<beta, m_beta | (E - H_F)^(-1) | alpha, 0> through the emitter Schur complement.
 
-    energy must carry a positive imaginary part (the resolvent
-    regulator); alpha0 must sit in the m = 0 block.
+    energy must be finite and carry a positive imaginary part (the
+    resolvent regulator); alpha0 must sit in the m = 0 block. An energy
+    so large or so close to a photon energy that 1/(E - E_m(k))
+    overflows raises NonFiniteResult.
     """
+    if not cmath.isfinite(energy):
+        raise InvalidArgument(f"resolvent energy must be finite, got {energy!r}")
     if not energy.imag > 0.0:
         raise InvalidArgument(f"resolvent energy needs Im E > 0, got {energy!r}")
     alpha, m0 = alpha0
@@ -255,7 +280,11 @@ def green_coefficient(
     else:
         b_p[fm.truncation, alpha - 1] = 1.0
     c = fm.coupling
-    inverse = 1.0 / (energy - fm.photon)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            inverse = 1.0 / (energy - fm.photon)
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"the photon resolvent at E = {energy!r}: {exc}") from exc
     schur = np.diag(energy - fm.emitter) - c.T @ (inverse.sum(axis=1)[:, None] * c)
     try:
         x_e = np.linalg.solve(schur, b_e + c.T @ (inverse * b_p).sum(axis=1))
@@ -281,10 +310,13 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     amplitude of beta over every Fourier block. Only the eigenvector rows
     of alpha and beta are built: a dark eigenvector lives in one block and
     one pair, so it enters only the m = 0 amplitude between its two photons.
+    A t at which max |quasi-energy| t overflows raises NonFiniteResult.
     """
     check_time(t, positive=False)
     fm.index(alpha, 0), fm.index(beta, 0)  # IndexError for a state outside 0..N
     fold, amplitude, values, vectors = _bright_eigensystem(fm)
+    if not math.isfinite(abs(t) * float(np.max(np.abs(values)))):
+        raise NonFiniteResult(f"the quasi-energy phase overflows at t = {t:g}")
     rows = amplitude[[alpha, beta], None] * vectors[:, fold[[alpha, beta]]]  # (blocks, 2, values)
     zero = fm.truncation
     amp = rows[:, 1] @ (np.exp(-1j * values * t) * rows[zero, 0])

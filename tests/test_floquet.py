@@ -8,7 +8,14 @@ import pytest
 
 from floquet_zeno import floquet
 from floquet_zeno.bath import build_grid
-from floquet_zeno.errors import SingularResolvent, SizeTooLarge, TruncationTooSmall
+from floquet_zeno.errors import (
+    EigenFailure,
+    InvalidArgument,
+    NonFiniteResult,
+    SingularResolvent,
+    SizeTooLarge,
+    TruncationTooSmall,
+)
 from floquet_zeno.floquet import (
     TLS,
     averaged_transition_probability,
@@ -265,6 +272,25 @@ def test_green_input_validation():
         green_coefficient(fm, 0.4 + 1e-6j, (TLS, 0), (TLS, 1))
 
 
+@pytest.mark.parametrize(
+    "energy, error",
+    [
+        (complex(math.nan, 1.0), InvalidArgument),
+        (complex(math.inf, 1.0), InvalidArgument),
+        (complex(1.0, math.inf), InvalidArgument),
+        (1e308 + 1e308j, NonFiniteResult),  # 1/(E - E_m(k)) overflows inside numpy's complex divide
+        (1e-320j, NonFiniteResult),  # 1/E on the photon energy 0 (k = 0, m = 0) is about 1e320
+    ],
+)
+def test_green_non_finite_or_overflowing_energy_is_a_typed_error(energy, error):
+    # Both raised a numpy RuntimeWarning (an error in this suite) and, with
+    # warnings off, a SingularResolvent that blamed a nan residual.
+    p = make(n_cavities=11)
+    fm = build_floquet_matrix(p, build_grid(p), 8)
+    with pytest.raises(error):
+        green_coefficient(fm, energy, (TLS, 0), (TLS, 0))
+
+
 def test_averaged_probability_identity_at_zero_time():
     p = make(n_cavities=3)
     fm = build_floquet_matrix(p, build_grid(p), 3)
@@ -284,6 +310,79 @@ def test_averaged_probability_zero_coupling_is_stationary():
     p = make(g=0.0, n_cavities=3)
     fm = build_floquet_matrix(p, build_grid(p), 2)
     assert averaged_transition_probability(fm, TLS, TLS, 5.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_averaged_probability_phase_overflow_is_a_typed_error():
+    # max |quasi-energy| t passes the float range at t = 5e307: the call
+    # returned nan after two RuntimeWarnings.
+    p = make(n_cavities=11)
+    fm = build_floquet_matrix(p, build_grid(p), 8)
+    assert math.isfinite(averaged_transition_probability(fm, TLS, TLS, 1e300))
+    with pytest.raises(NonFiniteResult):
+        averaged_transition_probability(fm, TLS, TLS, 5e307)
+
+
+def counting_eigh(monkeypatch, fail_first=False):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        if fail_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(floquet.np.linalg, "eigh", counted)
+    return calls
+
+
+def test_one_eigen_decomposition_per_matrix(monkeypatch):
+    calls = counting_eigh(monkeypatch)
+    p = make(n_cavities=11)
+    grid = build_grid(p)
+    fm = build_floquet_matrix(p, grid, 8)
+    first = quasi_energies(fm)
+    bright = [a.tobytes() for a in floquet._bright_eigensystem(fm)]
+    probabilities = [averaged_transition_probability(fm, a, b, t) for a, b in ((TLS, TLS), (1, 10)) for t in (0.7, 3.7)]
+    again = quasi_energies(fm)
+    assert len(calls) == 1
+    assert [a.tobytes() for a in floquet._bright_eigensystem(fm)] == bright
+    assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+    assert again.eigenvectors.tobytes() == first.eigenvectors.tobytes()
+    # A new matrix from the same params is diagonalized again, to the same bytes.
+    fresh = build_floquet_matrix(p, grid, 8)
+    assert [averaged_transition_probability(fresh, a, b, t) for a, b in ((TLS, TLS), (1, 10)) for t in (0.7, 3.7)] == (
+        probabilities
+    )
+    assert len(calls) == 2
+    assert quasi_energies(fresh).eigenvectors.tobytes() == first.eigenvectors.tobytes()
+    assert len(calls) == 2
+
+
+def test_an_eigen_failure_is_not_kept(monkeypatch):
+    calls = counting_eigh(monkeypatch, fail_first=True)
+    p = make(n_cavities=5)
+    fm = build_floquet_matrix(p, build_grid(p), 3)
+    with pytest.raises(EigenFailure):
+        quasi_energies(fm)
+    quasi_energies(fm)
+    averaged_transition_probability(fm, TLS, TLS, 1.0)
+    assert len(calls) == 2
+
+
+def test_the_matrix_and_its_eigensystem_are_read_only():
+    # The eigensystem is kept on the matrix, so neither may change under it.
+    p = make(n_cavities=5)
+    fm = build_floquet_matrix(p, build_grid(p), 3)
+    arrays = [fm.emitter, fm.photon, fm.coupling, *floquet._bright_eigensystem(fm)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        fm.photon *= 2.0
+    reduced = reduced_hamiltonian(p, build_grid(p), 0)
+    with pytest.raises(ValueError, match="read-only"):
+        reduced.photon[0, 0] = 1.0
 
 
 def dense_transition_probability(fm, alpha, beta, t):
