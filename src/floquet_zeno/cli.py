@@ -233,7 +233,7 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     def flush() -> None:
         nonlocal start
         if count > start:
-            rates = decay._rates(grid.cos_k, points[start:count], np.array([args.t]))[0][:, 0]
+            rates = decay._rates(grid.nodes, grid.end, points[start:count], np.array([args.t]))[0][:, 0]
             for i, rate in zip(where[start:count], rates):
                 try:
                     cells[i] = _fmt(rate) + ","

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bath import MAX_CAVITIES, MomentumGrid, build_grid, spectral_density
+from .bath import MAX_CAVITIES, MomentumGrid, build_grid, ring_sum, spectral_density
 from .errors import InvalidArgument, NonFiniteResult, SecondSideband, SizeTooLarge
 from .params import SurvivalCurve, SystemParams, check_time, check_times, resonant_sidebands
 from .specfun import MAX_ORDER, bessel_j, sinc
@@ -43,7 +43,7 @@ DECOUPLING_THRESHOLD = 1e-6
 # regime criteria; a deliberate, tunable artifact choice.
 SEPARATION = 10.0
 
-# The lattice-sum kernel builds its (times x modes) arguments at most this
+# The lattice-sum kernel builds its (times x nodes) arguments at most this
 # many at a time, so each float temporary stays near 0.5 MB.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -95,26 +95,26 @@ def _ramp_sine(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(cos_k: np.ndarray, bands: np.ndarray, times: np.ndarray, row_sums, out: np.ndarray) -> np.ndarray:
-    """Fill out[..., b, i] with row_sums(detuning_b * t_i), a sum over the modes; return each reach max_k |detuning_b|.
+def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, row_sums, out) -> np.ndarray:
+    """Fill out[..., b, i] with row_sums(detuning_b * t_i, end), a ring_sum; return each reach max |detuning_b|.
 
-    Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi cos k + n nu.
+    Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi nodes + n nu.
     Detunings and arguments are built at most CHUNK_ELEMENTS at a time (one band
-    and time per block once the modes alone exceed that), so the peak allocation
+    and time per block once the nodes alone exceed that), so the peak allocation
     grows with neither the bands nor the times.
     """
     delta, xi, shift = bands.T[:, :, None]
-    times_per_block = max(1, CHUNK_ELEMENTS // cos_k.size)
+    times_per_block = max(1, CHUNK_ELEMENTS // nodes.size)
     span = min(times.size, times_per_block)
     step = times_per_block // span
     reach = np.empty(len(delta))
     for b in range(0, reach.size, step):
         rows = slice(b, b + step)
-        detuning = delta[rows] - 2.0 * xi[rows] * cos_k + shift[rows]
+        detuning = delta[rows] - 2.0 * xi[rows] * nodes + shift[rows]
         reach[rows] = np.maximum.reduce(np.abs(detuning), axis=1)
         for i in range(0, times.size, span):
             cols = slice(i, i + span)
-            out[..., rows, cols] = row_sums(detuning[:, None] * times[cols, None])
+            out[..., rows, cols] = row_sums(detuning[:, None] * times[cols, None], end)
     return reach
 
 
@@ -124,17 +124,20 @@ def _point(params: SystemParams, n: int) -> tuple[float, float, float, float, fl
     return params.delta, params.xi, n * params.drive_freq, params.g_squared, jn
 
 
-def _rate_sums(h: np.ndarray) -> np.ndarray:
+def _rate_sums(h: np.ndarray, end: int) -> np.ndarray:
     # sum_k sinc^2(h_k) over the last axis, h = detuning * t / 2.
     s = _sinc(h)
-    return np.add.reduce(np.square(s, out=s), axis=-1)
+    return ring_sum(np.square(s, out=s), end)
 
 
-def _rates(cos_k: np.ndarray, points, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R(t) at each point and checked, increasing time >= 0, over the N nodes cos_k: the kernel behind every R(t).
+def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R(t) at each point and checked, increasing time >= 0: the kernel behind every R(t).
 
-    points are _point rows. Returns R(t), one row per point and one column per
-    time, and each point's reach max_k |detuning_k|; where either is not finite,
+    The sum over k runs over nodes cos k counted as ring_sum(..., end) counts
+    them, N = nodes.size + end - 1 modes in all: a grid's nodes and end, or
+    N plain nodes with end = 1. points are _point rows. Returns R(t), one
+    row per point and one column per time, and each point's reach
+    max_k |detuning_k|; where either is not finite,
     R(t) reads inf or nan and callers check it. Points with the same band
     (delta, xi, n nu) share its sums, so a chi or g sweep sums the band once.
     R(0) = 0. A band and time with reach * t <= SCALED_ABOVE give
@@ -143,6 +146,7 @@ def _rates(cos_k: np.ndarray, points, times: np.ndarray) -> tuple[np.ndarray, np
     (g^2 / N) J_n(chi)^2 sum_k s (s t); a term whose detuning * t overflows is its
     phase average 2 / (detuning^2 t).
     """
+    modes = nodes.size + end - 1
     points = np.asarray(points, dtype=float)
     if len(points) > 1:
         bands, band = np.unique(points[:, :3], axis=0, return_inverse=True)
@@ -152,26 +156,29 @@ def _rates(cos_k: np.ndarray, points, times: np.ndarray) -> tuple[np.ndarray, np
     totals = np.empty((len(bands), times.size))
     with np.errstate(over="ignore", invalid="ignore"):
         # detuning * (t / 2) is detuning * t / 2 exactly, but in the subnormals, where sinc is 1 either way.
-        reach = _chunked(cos_k, bands, times / 2.0, _rate_sums, totals)
+        reach = _chunked(nodes, end, bands, times / 2.0, _rate_sums, totals)
         factors = times
         if not np.maximum.reduce(reach) * times[-1] <= SCALED_ABOVE:  # a later row, or a reach that is not finite
             scaled = ~(reach[:, None] * times <= SCALED_ABOVE)
             for b, i in zip(*np.nonzero(scaled)):
                 delta, xi, shift = bands[b]
-                detuning, t = delta - 2.0 * xi * cos_k + shift, times[i]
+                detuning, t = delta - 2.0 * xi * nodes + shift, times[i]
                 x = detuning * t
-                s = _sinc(x[np.isfinite(x)] / 2.0)
-                far = detuning[~np.isfinite(x)]
-                totals[b, i] = (s * (s * t)).sum() + (2.0 / far / far / t).sum()
+                near = np.isfinite(x)
+                s = _sinc(x[near] / 2.0)
+                far = detuning[~near]
+                terms = np.empty_like(x)
+                terms[near], terms[~near] = s * (s * t), 2.0 / far / far / t
+                totals[b, i] = ring_sum(terms, end)
             totals[~np.isfinite(reach)] = math.nan
             factors = np.where(scaled, 1.0, times)[band]
-        rates = factors * g_squared / cos_k.size * jn * jn * totals[band]
+        rates = factors * g_squared / modes * jn * jn * totals[band]
     return rates, reach[band]
 
 
-def _point_rates(params: SystemParams, cos_k: np.ndarray, n: int, times: np.ndarray) -> np.ndarray:
+def _point_rates(params: SystemParams, nodes: np.ndarray, end: int, n: int, times: np.ndarray) -> np.ndarray:
     """R(t) at one point by _rates, where a detuning or R(t) that is not finite raises NonFiniteResult."""
-    rates, reach = _rates(cos_k, [_point(params, n)], times)
+    rates, reach = _rates(nodes, end, [_point(params, n)], times)
     if not np.isfinite(rates).all():
         if not math.isfinite(reach[0]):
             raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
@@ -179,10 +186,10 @@ def _point_rates(params: SystemParams, cos_k: np.ndarray, n: int, times: np.ndar
     return rates[0]
 
 
-def _window_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_sums(x: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
     # sum_k sinc^2(y_k / 2) / 2 and sum_k (y_k - sin y_k) / y_k^2 over the last axis, y = a_k t = -x, x = detuning * t.
     y = -x
-    return 0.5 * _rate_sums(y / 2.0), _ramp_sine(y).sum(axis=-1)
+    return 0.5 * _rate_sums(y / 2.0, end), ring_sum(_ramp_sine(y), end)
 
 
 def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +204,7 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     g_squared, jn = point[3:]
     windows = np.empty((2, 1, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = float(_chunked(grid.cos_k, np.array([point[:3]]), times, _window_sums, windows)[0])
+        reach = float(_chunked(grid.nodes, grid.end, np.array([point[:3]]), times, _window_sums, windows)[0])
         scale = times * times * g_squared / grid.n_cavities * jn * jn
     if not math.isfinite(reach):
         raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
@@ -259,7 +266,7 @@ def check_single_sideband(params: SystemParams, n: int) -> None:
 
 def decay_rate_finite(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> float:
     """R(t) = (t g^2 / N) J_n(chi)^2 sum_k sinc^2((delta - 2 xi cos k + n nu) t / 2): decay_curve at one time t > 0."""
-    return float(_point_rates(params, grid.cos_k, n, np.array([check_time(t)], dtype=float))[0])
+    return float(_point_rates(params, grid.nodes, grid.end, n, np.array([check_time(t)], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -288,8 +295,11 @@ def decay_rate_longtime(params: SystemParams, n: int) -> LongTimeRate:
 def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     """R(t) in the N -> infinity limit, (t g^2 / pi) J_n(chi)^2 int_0^pi sinc^2((omega_f - 2 xi cos k) t / 2) dk.
 
-    The ring's own lattice sum is the trapezoid rule for that integral, so
-    this is decay_rate_finite on a ring of _band_nodes(params, t) sites.
+    The ring's lattice sum, taken over its distinct nodes 0 <= k <= pi with
+    k = 0 and k = pi counted once and every other node twice, is exactly the
+    trapezoid rule for that integral on [0, pi] (for odd N, the N-point
+    periodic rule on [0, 2 pi] folded onto [0, pi]), so this is
+    decay_rate_finite on a ring of _band_nodes(params, t) sites.
     """
     ring = replace(params, n_cavities=_band_nodes(params, t))
     return decay_rate_finite(ring, build_grid(ring), n, t)
@@ -308,7 +318,8 @@ def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:
     """
     nodes = _band_nodes(params, t)
     cos_theta = np.cos((np.arange(nodes) + 0.5) * (math.pi / nodes))
-    return float(_point_rates(params, cos_theta, n, np.array([t], dtype=float))[0])
+    # end = 1: these nodes have no pairs, so each counts once.
+    return float(_point_rates(params, cos_theta, 1, n, np.array([t], dtype=float))[0])
 
 
 def survival_amplitude(params: SystemParams, grid: MomentumGrid, n: int, t: float) -> complex:
@@ -391,7 +402,8 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
 
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:
     times = check_times(times)
-    return DecayCurve(times=times, rates=_point_rates(params, grid.cos_k, n, times), params=params, sideband=n)
+    rates = _point_rates(params, grid.nodes, grid.end, n, times)
+    return DecayCurve(times=times, rates=rates, params=params, sideband=n)
 
 
 def survival_curve(
@@ -408,7 +420,7 @@ def survival_curve(
     times = check_times(times, positive=False)
     if method == "exponential":
         # In Python floats an R(t) t past the float range gives exp(-inf) = 0 without a warning.
-        rates = _point_rates(params, grid.cos_k, n, times).tolist()
+        rates = _point_rates(params, grid.nodes, grid.end, n, times).tolist()
         probs = np.array([math.exp(-r * t) for r, t in zip(rates, times.tolist())])
     else:
         # |C_e|^2 past the float range reads as inf and is clipped below. float_power

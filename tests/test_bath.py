@@ -11,6 +11,7 @@ from floquet_zeno.bath import (
     build_grid,
     memory_function,
     response_spectrum,
+    ring_sum,
     spectral_density,
 )
 from floquet_zeno.errors import BandEdgeSingularity, InvalidArgument, NonFiniteResult
@@ -33,10 +34,15 @@ def test_grid_single_cavity():
 
 
 def test_grid_carries_cos_k_for_the_energies():
-    p = make(n_cavities=41, omega_c=-1.3, xi=0.7)
-    grid = build_grid(p)
-    assert np.array_equal(grid.cos_k, np.cos(grid.momenta))
-    assert np.array_equal(grid.energies, p.omega_c - 2.0 * p.xi * np.cos(grid.momenta))
+    # The nodes are cos k_j for j = 0 .. N // 2, the energies' own values; end
+    # marks the paired nodes 1 .. end - 1, so a ring sum counts N modes.
+    for n_cavities in (1, 2, 3, 4, 41, 42):
+        p = make(n_cavities=n_cavities, omega_c=-1.3, xi=0.7)
+        grid = build_grid(p)
+        assert np.array_equal(grid.nodes, np.cos(grid.momenta)[: n_cavities // 2 + 1])
+        assert np.array_equal(grid.energies, p.omega_c - 2.0 * p.xi * np.cos(grid.momenta))
+        assert grid.end == (n_cavities + 1) // 2
+        assert ring_sum(np.ones(grid.nodes.size), grid.end) == n_cavities
 
 
 def test_grid_four_cavities():

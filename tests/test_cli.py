@@ -168,8 +168,8 @@ def test_an_inf_sweep_rate_is_a_non_finite_result_cell(monkeypatch, tmp_path):
     # returns inf for each, and every point gets its own error cell.
     real = decay._rates
 
-    def inf_rates(cos_k, points, times):
-        rates, reach = real(cos_k, points, times)
+    def inf_rates(nodes, end, points, times):
+        rates, reach = real(nodes, end, points, times)
         return np.full_like(rates, math.inf), reach
 
     monkeypatch.setattr(decay, "_rates", inf_rates)
@@ -225,7 +225,8 @@ def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags
     def checked_rate(params, grid, n, t):
         fresh = bath.build_grid(params)
         assert grid.n_cavities == fresh.n_cavities
-        assert grid.cos_k.tobytes() == fresh.cos_k.tobytes() and grid.energies.tobytes() == fresh.energies.tobytes()
+        assert (grid.nodes.tobytes(), grid.end) == (fresh.nodes.tobytes(), fresh.end)
+        assert grid.energies.tobytes() == fresh.energies.tobytes()
         return fresh_rate(params, grid, n, t)
 
     monkeypatch.setattr(decay, "decay_rate_finite", checked_rate)
@@ -242,14 +243,14 @@ def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags
 
 @pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
 def test_rate_sweep_builds_a_grid_only_when_n_moves(param, start, stop, flags, tmp_path, monkeypatch):
-    # The kernel reads only the nodes cos k, which depend on N alone; each
-    # grid's points go to the kernel in one call.
+    # The kernel reads only the nodes cos k and their end index, which depend
+    # on N alone; each grid's points go to the kernel in one call.
     built, calls = [], []
     real = decay._rates
 
-    def counted_rates(cos_k, points, times):
+    def counted_rates(nodes, end, points, times):
         calls.append(len(points))
-        return real(cos_k, points, times)
+        return real(nodes, end, points, times)
 
     monkeypatch.setattr(cli, "build_grid", lambda params: built.append(params) or bath.build_grid(params))
     monkeypatch.setattr(decay, "_rates", counted_rates)

@@ -13,7 +13,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from floquet_zeno import decay
+from floquet_zeno import cli, decay
 from floquet_zeno.bath import build_grid, memory_function, response_spectrum
 from floquet_zeno.decay import (
     ANTI_ZENO,
@@ -584,20 +584,33 @@ def _seed_sinc_sq(x):
     return out
 
 
-def _seed_rate(p, grid, n, t):
+def _folded_sum(terms, n_cavities):
+    # The sum over a ring's N modes read from its distinct nodes j = 0 .. N // 2
+    # alone: each node once, and each node 1 .. (N - 1) // 2 once more for its
+    # partner N - j, in the kernel's order.
+    return terms[: n_cavities // 2 + 1].sum() + terms[1 : (n_cavities + 1) // 2].sum()
+
+
+def _full_sum(terms, n_cavities):
+    # The sum over all N modes that the folded kernel replaced.
+    return terms.sum()
+
+
+def _seed_rate(p, grid, n, t, lattice_sum=_folded_sum):
     detuning = p.delta - 2.0 * p.xi * np.cos(grid.momenta) + n * p.drive_freq
     jn = bessel_j(n, p.chi)
-    return float(t * p.g**2 / grid.n_cavities * jn * jn * _seed_sinc_sq(detuning * t / 2.0).sum())
+    total = lattice_sum(_seed_sinc_sq(detuning * t / 2.0), grid.n_cavities)
+    return float(t * p.g**2 / grid.n_cavities * jn * jn * total)
 
 
-def _seed_survival(p, grid, n, t):
+def _seed_survival(p, grid, n, t, lattice_sum=_folded_sum):
     x = (2.0 * p.xi * np.cos(grid.momenta) - p.delta - n * p.drive_freq) * t
     small = np.abs(x) < 0.1
     ramp = np.empty_like(x)
     x2 = x[small] * x[small]
     ramp[small] = x[small] * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
     ramp[~small] = (x[~small] - np.sin(x[~small])) / (x[~small] * x[~small])
-    window = complex(0.5 * _seed_sinc_sq(0.5 * x).sum(), ramp.sum())
+    window = complex(0.5 * lattice_sum(_seed_sinc_sq(0.5 * x), grid.n_cavities), lattice_sum(ramp, grid.n_cavities))
     jn = bessel_j(n, p.chi)
     phase = complex(math.cos(0.5 * p.omega * t), math.sin(0.5 * p.omega * t))
     amplitude = phase * (1.0 - t * t * p.g**2 / grid.n_cavities * jn * jn * window)
@@ -631,6 +644,58 @@ def test_curves_equal_their_one_time_case_bit_for_bit(n_cavities, point):
     assert np.array_equal(probs, [math.exp(-r * t) for r, t in zip(rates, LONG)])
 
 
+@pytest.mark.parametrize("n_cavities", [1, 2, 3, 4, 41, 42, 4001])
+@pytest.mark.parametrize("point", [fig3(1.0, 1.0), fig3(3.0, 1.0)], ids=["in-band", "out-of-band"])
+def test_folded_sums_match_the_sum_over_all_modes(point, n_cavities):
+    # The kernel sums a pair k, -k as twice one node; the full sum adds two
+    # cos values that differ in the last bit, which sin(x) at large x can
+    # amplify. g = 0.005 keeps every P_e below 1, so none is clipped.
+    p = dataclasses.replace(point, n_cavities=n_cavities, g=0.005)
+    grid = build_grid(p)
+    times = np.geomspace(1e-2, 200.0, 41)
+    rates = decay_curve(p, grid, 0, times).rates
+    full = np.array([_seed_rate(p, grid, 0, t, _full_sum) for t in times])
+    assert np.allclose(rates, full, rtol=1e-10, atol=0.0)
+    probs = survival_curve(p, grid, 0, times).probabilities
+    assert np.allclose(probs, [_seed_survival(p, grid, 0, t, _full_sum) for t in times], rtol=0.0, atol=1e-14)
+
+
+def test_every_ring_sum_runs_over_the_distinct_nodes(monkeypatch, tmp_path):
+    # The length of the last axis that sinc sees is the number of terms each
+    # lattice sum computes: floor(N/2) + 1 on a ring, N Gauss-Chebyshev nodes.
+    lengths = []
+    real = decay._sinc
+
+    def recorded(x):
+        lengths.append(x.shape[-1])
+        return real(x)
+
+    monkeypatch.setattr(decay, "_sinc", recorded)
+    for n_cavities in (1, 2, 41, 42, 4001):
+        p = make(n_cavities=n_cavities)
+        grid = build_grid(p)
+        for compute in (
+            lambda: decay_curve(p, grid, 0, [0.5, 3.0]),
+            lambda: survival_curve(p, grid, 0, [0.5, 3.0]),
+            lambda: survival_curve(p, grid, 0, [0.5, 3.0], "exponential"),
+        ):
+            lengths.clear()
+            compute()
+            assert set(lengths) == {n_cavities // 2 + 1}
+    for t in (0.5, 7.0, 300.0):
+        nodes = decay._band_nodes(make(), t)
+        lengths.clear()
+        decay_rate_continuum(make(), 0, t)
+        assert set(lengths) == {nodes // 2 + 1}
+        lengths.clear()
+        decay_rate_overlap(make(), 0, t)
+        assert set(lengths) == {nodes}
+    lengths.clear()
+    argv = ["sweep", "--param", "delta", "--start", "-3", "--stop", "3", "--count", "9", "--n-cavities", "42"]
+    assert cli.run(["--out", str(tmp_path / "s.csv"), *argv]) == 0
+    assert set(lengths) == {22}
+
+
 POINTS_AXIS = [
     (fig3(1.0, 1.0), 0),
     (fig3(3.0, 1.0), 0),
@@ -653,20 +718,20 @@ def test_points_axis_rows_equal_their_one_point_case(times, chunk, monkeypatch):
     grid = build_grid(p)
     times = np.array(times)
     if chunk is not None:
-        monkeypatch.setattr(decay, "CHUNK_ELEMENTS", chunk * p.n_cavities)
+        monkeypatch.setattr(decay, "CHUNK_ELEMENTS", chunk * grid.nodes.size)
     points = [decay._point(params, n) for params, n in POINTS_AXIS]
     summed = []
     real = decay._chunked
 
-    def counted_chunks(cos_k, bands, *rest):
+    def counted_chunks(nodes, end, bands, *rest):
         summed.append(len(bands))
-        return real(cos_k, bands, *rest)
+        return real(nodes, end, bands, *rest)
 
     monkeypatch.setattr(decay, "_chunked", counted_chunks)
-    rates, reach = decay._rates(grid.cos_k, points, times)
+    rates, reach = decay._rates(grid.nodes, grid.end, points, times)
     assert summed == [6]
     for row, (params, n), point in zip(range(len(points)), POINTS_AXIS, points):
-        one, one_reach = decay._rates(grid.cos_k, [point], times)
+        one, one_reach = decay._rates(grid.nodes, grid.end, [point], times)
         assert rates[row].tobytes() == one[0].tobytes()
         assert np.array_equal(reach[row], one_reach[0], equal_nan=True)
         if math.isfinite(reach[row]):
@@ -682,15 +747,16 @@ def test_chunk_boundaries(monkeypatch):
     whole = decay_curve(p, grid, 0, times).rates
     survival = survival_curve(p, grid, 0, times).probabilities
     # Two times per chunk: chunks of 2, 2, 2 and 1 rows.
-    monkeypatch.setattr(decay, "CHUNK_ELEMENTS", 2 * p.n_cavities + 1)
+    monkeypatch.setattr(decay, "CHUNK_ELEMENTS", 2 * grid.nodes.size + 1)
     assert np.array_equal(decay_curve(p, grid, 0, times).rates, whole)
     assert np.array_equal(survival_curve(p, grid, 0, times).probabilities, survival)
     assert np.array_equal(whole, [decay_rate_finite(p, grid, 0, t) for t in times])
 
 
 def test_more_modes_than_a_chunk_gives_one_time_per_chunk():
-    p = make(n_cavities=CHUNK_ELEMENTS + 3)
+    p = make(n_cavities=2 * CHUNK_ELEMENTS + 3)
     grid = build_grid(p)
+    assert grid.nodes.size > CHUNK_ELEMENTS
     times = [0.5, 2.0, 7.0]
     rates = decay_curve(p, grid, 0, times).rates
     assert np.array_equal(rates, [_seed_rate(p, grid, 0, t) for t in times])
@@ -699,7 +765,7 @@ def test_more_modes_than_a_chunk_gives_one_time_per_chunk():
 
 
 def test_curve_peak_allocation_does_not_grow_with_the_times():
-    # Unchunked, a 200-time N = 4001 curve holds 6.4 MB per (times x modes)
+    # Unchunked, a 200-time N = 4001 curve holds 3.2 MB per (times x nodes)
     # temporary; in chunks of CHUNK_ELEMENTS each is about 0.5 MB.
     p = make(n_cavities=4001, g=0.05)
     grid = build_grid(p)
@@ -718,19 +784,25 @@ def test_curve_peak_allocation_does_not_grow_with_the_times():
 @pytest.mark.parametrize("point", [fig3(1.0, 1.0), fig3(3.0, 1.0)], ids=["in-band", "out-of-band"])
 def test_rate_times_t_past_the_underflow_against_mpmath(point, t):
     # R(t) t = (t^2 g^2 / N) J_0^2 sum_k sinc^2(x_k) on the same float
-    # arguments x_k, summed in 60-digit arithmetic. Each sinc^2 underflows
-    # past t ~ 1e154, but R(t) t stays O(1). Past t ~ 4e307 some detuning * t
-    # overflow at this point; such a term is the phase average of sin^2,
-    # 1 / (2 x_k^2) = 2 / (detuning_k t)^2.
+    # arguments x_k of the distinct nodes j = 0 .. N // 2, each counted with
+    # its multiplicity (1 at j = 0, 2 for a pair j, N - j), summed in 60-digit
+    # arithmetic. Each sinc^2 underflows past t ~ 1e154, but R(t) t stays
+    # O(1). Past t ~ 4e307 some detuning * t overflow at this point; such a
+    # term is the phase average of sin^2, 1 / (2 x_k^2) = 2 / (detuning_k t)^2.
     grid = build_grid(point)
-    detuning = point.delta - 2.0 * point.xi * np.cos(grid.momenta)
+    nodes = np.cos(grid.momenta)[: grid.n_cavities // 2 + 1]
+    multiplicity = np.full(nodes.size, 2)
+    multiplicity[0] = 1  # N = 41 is odd: no node at k = pi
+    detuning = point.delta - 2.0 * point.xi * nodes
     jn = bessel_j(0, point.chi)
     with np.errstate(over="ignore"):
         arguments = detuning * t / 2.0
     finite = np.isfinite(arguments)
     with mpmath.workdps(60):
-        total = mpmath.fsum((mpmath.sin(x) / x) ** 2 for x in map(mpmath.mpf, arguments[finite]))
-        total += mpmath.fsum(2 / (mpmath.mpf(d) * t) ** 2 for d in detuning[~finite])
+        total = mpmath.fsum(
+            m * (mpmath.sin(x) / x) ** 2 for m, x in zip(multiplicity[finite], map(mpmath.mpf, arguments[finite]))
+        )
+        total += mpmath.fsum(m * 2 / (mpmath.mpf(d) * t) ** 2 for m, d in zip(multiplicity[~finite], detuning[~finite]))
         expected = float(mpmath.mpf(t) ** 2 * point.g**2 / grid.n_cavities * jn * jn * total)
     rate = decay_rate_finite(point, grid, 0, t)
     assert 1e-3 < expected < 10.0
