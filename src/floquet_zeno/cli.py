@@ -13,6 +13,7 @@ fields.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,7 +26,7 @@ from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, parse_config
-from .specfun import bessel_j_zero
+from .specfun import _bessel_column, _checked, bessel_j, bessel_j_zero
 
 DEFAULTS = {
     "omega": 2.0,
@@ -40,8 +41,8 @@ DEFAULTS = {
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
-# decay-rate table at the defaults takes about 2 s and 160 MB; a rate sweep
-# about 16 us and 230 bytes per point (see the README).
+# decay-rate table at the defaults takes about 2 s and 160 MB; a rate or
+# regime sweep about 16-27 us and 250 bytes per point (see the README).
 MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
@@ -225,16 +226,23 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     fields = _param_fields(args)
     cells = [","] * values.size
     # Rate points queue up as rows of decay._point, point where[j] in row j, and
-    # rows start..count go to the kernel in one call over their grid. The nodes
-    # cos k depend on N alone, so a grid lasts until N moves.
+    # rows start..count go to the kernel in one call over their grid. Their
+    # J_n(chi) column is filled in then, by one array recurrence per sideband.
+    # The nodes cos k depend on N alone, so a grid lasts until N moves. Regime
+    # points look J_n(chi) up in this sweep's table of distinct (n, chi).
     points, where = np.empty((values.size, 5)), np.empty(values.size, dtype=int)
-    grid, start, count = None, 0, 0
+    orders, chis = np.empty(values.size, dtype=int), np.empty(values.size)
+    grid, start, count, bessels = None, 0, 0, {}
 
     def flush() -> None:
         nonlocal start
         if count > start:
-            rates = decay._rates(grid.nodes, grid.end, points[start:count], np.array([args.t]))[0][:, 0]
-            for i, rate in zip(where[start:count], rates):
+            rows = slice(start, count)
+            for n in np.unique(orders[rows]).tolist():
+                at = np.flatnonzero(orders[rows] == n) + start
+                points[at, 4] = _bessel_column(n, chis[at])
+            rates = decay._rates(grid.nodes, grid.end, points[rows], np.array([args.t]))[0][:, 0]
+            for i, rate in zip(where[rows], rates):
                 try:
                     cells[i] = _fmt(rate) + ","
                 except NonFiniteResult as exc:
@@ -246,14 +254,18 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
             params = _resolve_params({**fields, args.param: value})
             n = _sideband(args, params)
             if args.quantity == "regime":
-                cells[i] = decay.classify_regime(params, n, args.t).regime + ","
+                key = (n, params.chi)
+                if key not in bessels:
+                    bessels[key] = bessel_j(*key)
+                cells[i] = decay.classify_regime(params, n, args.t, jn=bessels[key]).regime + ","
             elif args.quantity == "golden-rate":
                 cells[i] = _fmt(decay.decay_rate_longtime(params, n).rate) + ","
             else:
                 if grid is None or params.n_cavities != grid.n_cavities:
                     flush()
                     grid = build_grid(params)
-                points[count], where[count] = decay._point(params, n), i
+                orders[count], chis[count] = _checked(n, params.chi)
+                points[count], where[count] = decay._point(params, n, 0.0), i  # J_n(chi) comes at flush
                 count += 1
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
@@ -312,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--t-steps", type=int, default=200)
     p.add_argument("--t-min", type=float, default=None, help="default: t-max / t-steps")
-    p.set_defaults(handler=_cmd_decay_rate)
 
     p = sub.add_parser("survival", help="survival probability P_e(t)")
     _add_param_flags(p)
@@ -321,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--t-steps", type=int, default=100)
     p.add_argument("--t-min", type=float, default=None)
-    p.set_defaults(handler=_cmd_survival)
 
     p = sub.add_parser("spectral-density", help="reservoir density of states at one frequency")
     # rho depends only on xi; --omega is the evaluation frequency here, not
@@ -330,18 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", dest="xi", type=float, default=None)
     p.add_argument("--omega", dest="omega_eval", type=float, required=True,
                    help="frequency measured from the band center")
-    p.set_defaults(handler=_cmd_spectral_density)
 
     p = sub.add_parser("floquet-spectrum", help="quasi-energies with truncation-edge weights")
     _add_param_flags(p)
     p.add_argument("--truncation", type=int, default=None, help="Fourier cutoff M")
-    p.set_defaults(handler=_cmd_floquet_spectrum)
 
     p = sub.add_parser("classify", help="Zeno / anti-Zeno / decoupled regime report")
     _add_param_flags(p)
     p.add_argument("--sideband", type=int, default=None)
     p.add_argument("--t", type=float, default=10.0)
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("sweep", help="scan one parameter")
     _add_param_flags(p)
@@ -352,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("rate", "golden-rate", "regime"), default="rate")
     p.add_argument("--t", type=float, default=10.0, help="observation time for rate/regime")
     p.add_argument("--sideband", type=int, default=None)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("reproduce-fig3", help="write the three reference decay curves as CSV files")
     p.add_argument("--out-dir", default=".")
@@ -360,21 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drive frequency realizing chi; warns for a curve with another sideband in band")
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--t-steps", type=int, default=200)
-    p.set_defaults(handler=_cmd_reproduce_fig3, t_min=None)
+    p.set_defaults(t_min=None)
 
     return parser
 
 
+# Built on the first run, the one parser serves every later run in the process;
+# parse_args leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Looked up per run, so a handler replaced after import is the one called.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         # numpy's overflow warnings would only repeat _fmt's NonFiniteResult (exit 3).
         with np.errstate(all="ignore"):
-            lines = args.handler(args)
+            lines = handler(args)
         if lines:
             _write_csv(lines, args.out)
     except (ConfigError, OSError) as exc:

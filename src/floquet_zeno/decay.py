@@ -13,6 +13,14 @@ overlap integral by Gauss-Chebyshev quadrature, whose weight is the
 arcsine density itself (decay_rate_overlap). The long-time golden-rule
 limit is R = 2 pi g^2 J_n(chi)^2 rho(delta + n nu).
 
+Both band sums run through the one R(t) kernel, _rates: the ring's nodes
+are the trapezoid rule in theta on [0, pi], the Gauss-Chebyshev nodes the
+midpoint rule. Acceptance criterion 9, which compares the two routes,
+therefore checks the node rule and count, not the kernel. The kernel's
+independent checks are tests/test_decay.py's scipy quad test
+(test_band_sums_match_adaptive_quad_in_k_and_in_omega) and its mpmath
+far-time test (test_rate_times_t_past_the_underflow_against_mpmath).
+
 Regimes: R(t) climbing with t toward the golden-rule value marks Zeno
 behavior (short observation windows see a broad kernel and decay is
 suppressed); R(t) falling with t while omega_f sits outside the band
@@ -118,9 +126,10 @@ def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, 
     return reach
 
 
-def _point(params: SystemParams, n: int) -> tuple[float, float, float, float, float]:
-    """What the kernels read of sideband n at params: (delta, xi, n nu, g^2, J_n(chi))."""
-    jn = bessel_j(n, params.chi)
+def _point(params: SystemParams, n: int, jn: float | None = None) -> tuple[float, float, float, float, float]:
+    """What the kernels read of sideband n at params: (delta, xi, n nu, g^2, J_n(chi)); a caller may pass jn = J_n(chi)."""
+    if jn is None:
+        jn = bessel_j(n, params.chi)
     return params.delta, params.xi, n * params.drive_freq, params.g_squared, jn
 
 
@@ -361,8 +370,11 @@ def modulation_spectrum(params: SystemParams, n: int, t: float, omega: float) ->
     return t / (2.0 * math.pi) * (s * s)
 
 
-def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
+def classify_regime(params: SystemParams, n: int, t: float, *, jn: float | None = None) -> RegimeReport:
     """Width/center comparison of the two spectra at observation time t.
+
+    jn is J_n(chi), evaluated here when not given; a sweep passes the value it
+    evaluated once for all of its points with that (n, chi).
 
     Decoupled: |J_n(chi)| below DECOUPLING_THRESHOLD.
     Zeno: the center lies inside the band, |omega_f| < 2 xi; the kernel
@@ -382,7 +394,8 @@ def classify_regime(params: SystemParams, n: int, t: float) -> RegimeReport:
     R(t) from the N = 4001 lattice sum.
     """
     check_time(t)
-    jn = bessel_j(n, params.chi)
+    if jn is None:
+        jn = bessel_j(n, params.chi)
     delta_f = 1.0 / t
     omega_f = params.delta + n * params.drive_freq
     delta_g = math.sqrt(2.0) * params.xi * params.g * abs(jn)

@@ -14,6 +14,8 @@ Algorithms:
     padded start order, normalized with the linear sum rule
     J_0(x) + 2*sum_m J_{2m}(x) = 1, which also fixes the overall sign.
     Below 1e-8 its step factor 2m/x would overflow the rescaling.
+  * a column J_n(x_i) at one order (a sweep's): the same two branches run
+    over the array, bit for bit the scalar values.
   * roots: sign-change bracketing on a 0.1 grid from x = n, then bisection.
 
 Absolute error is at most 2e-15 for |x| <= 50 (all |n| <= 1024) and
@@ -22,6 +24,8 @@ scipy.special.jv, which tests/test_specfun.py uses as a test-only reference.
 """
 
 import math
+
+import numpy as np
 
 from .errors import ArgumentOutOfRange, InvalidArgument, NumericalError, OrderTooLarge
 
@@ -34,13 +38,20 @@ TINY_ARGUMENT = 1.0e-8
 # like (2m/x)^(m) above the turning point and would overflow without it.
 _RESCALE_AT = 1.0e250
 _RESCALE_BY = 1.0e-250
+# One step of the array recurrence costs about this many steps of _miller's
+# loop (about 8 us against 0.2 us on a 2-core VM, numpy 2.4).
+_ARRAY_STEP = 40
+
+
+def _start_order(top: int) -> int:
+    # Miller's start order, padded well above the turning point top = max(n, int(x)).
+    return top + int(math.sqrt(40.0 * top)) + 20
 
 
 def _miller(n: int, x: float) -> float:
     # Downward recurrence J_{m-1} = (2m/x) J_m - J_{m+1} seeded with an
     # arbitrary tiny value well above the turning point max(n, x).
-    top = max(n, int(x))
-    start = top + int(math.sqrt(40.0 * top)) + 20
+    start = _start_order(max(n, int(x)))
     j_up = 0.0
     j = 1e-30
     norm = 0.0
@@ -64,12 +75,61 @@ def _miller(n: int, x: float) -> float:
     return captured / norm
 
 
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n, |n| <= 1024, |x| <= 1e6.
+def _miller_column(n: int, x: np.ndarray) -> np.ndarray:
+    # _miller(n, x_i) for n >= 0 and each x_i >= TINY_ARGUMENT, entries sorted
+    # by start order, largest first. The leading entries whose steps would run
+    # with few others begun take _miller's loop instead: `alone` minimizes
+    # the array steps, each worth _ARRAY_STEP scalar ones, plus their own steps.
+    tops, level = np.unique(np.maximum(n, x.astype(np.int64)), return_inverse=True)
+    starts = np.array([_start_order(int(top)) for top in tops])[level]
+    by_start = np.argsort(-starts, kind="stable")
+    x, starts = x[by_start], starts[by_start]
+    ahead = np.concatenate(([0], np.cumsum(starts)))
+    alone = int(np.argmin(_ARRAY_STEP * np.append(starts, 0) + ahead))
+    out = np.empty(x.size)
+    out[by_start[:alone]] = [_miller(n, value) for value in x[:alone].tolist()]
+    if alone < x.size:
+        out[by_start[alone:]] = _miller_array(n, x[alone:], starts[alone:].tolist())
+    return out
 
-    Uses J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x) to reduce
-    to n >= 0, x >= 0.
-    """
+
+def _miller_array(n: int, x: np.ndarray, starts: list[int]) -> np.ndarray:
+    # _miller's loop over an array, step for step the same arithmetic, with
+    # starts falling. The entries begun at step m are a prefix, so the work is
+    # the sum of the start orders. Each start order exceeds n + 1, so every
+    # entry has begun when order n is captured.
+    j, j_up, step, norm = np.empty(x.size), np.empty(x.size), np.empty(x.size), np.zeros(x.size)
+    captured = None
+    active = 0
+    for m in range(starts[0], 0, -1):
+        begun = active
+        while active < x.size and starts[active] >= m:
+            active += 1
+        if active > begun:
+            j[begun:active], j_up[begun:active] = 1e-30, 0.0
+        jm, up, factor = j[:active], j_up[:active], step[:active]
+        np.divide(2.0 * m, x[:active], out=factor)
+        np.multiply(factor, jm, out=factor)
+        np.subtract(factor, up, out=up)
+        j, j_up = j_up, j  # the new J_{m-1} was written over J_{m+1}
+        jm, up = j[:active], j_up[:active]
+        order = m - 1
+        if order == n:
+            captured = jm.copy()
+        if order % 2 == 0:
+            norm[:active] += jm if order == 0 else 2.0 * jm
+        if jm.max() > _RESCALE_AT or jm.min() < -_RESCALE_AT:
+            big = np.abs(jm) > _RESCALE_AT
+            jm[big] *= _RESCALE_BY
+            up[big] *= _RESCALE_BY
+            norm[:active][big] *= _RESCALE_BY
+            if captured is not None:
+                captured[big] *= _RESCALE_BY
+    return captured / norm
+
+
+def _checked(n, x) -> tuple[int, float]:
+    """(n, x) as an int and a float, or the error bessel_j(n, x) raises for them."""
     if not n % 1 == 0:
         raise InvalidArgument(f"Bessel order must be an integer, got {n!r}")
     n = int(n)
@@ -78,6 +138,16 @@ def bessel_j(n: int, x: float) -> float:
     x = float(x)
     if not abs(x) <= MAX_ARGUMENT:
         raise ArgumentOutOfRange(f"|x| = {abs(x)!r} exceeds ceiling {MAX_ARGUMENT:g}")
+    return n, x
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for integer n, |n| <= 1024, |x| <= 1e6.
+
+    Uses J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x) to reduce
+    to n >= 0, x >= 0.
+    """
+    n, x = _checked(n, x)
     sign = 1.0
     if n < 0:
         n = -n
@@ -93,6 +163,32 @@ def bessel_j(n: int, x: float) -> float:
             term *= 0.5 * x / k
         return sign * term
     return sign * _miller(n, x)
+
+
+def _bessel_column(n: int, x: np.ndarray) -> np.ndarray:
+    """bessel_j(n, x_i) for each entry of a float array, bit for bit, where _checked passed n and each x_i.
+
+    Entries below TINY_ARGUMENT (zero included) take the series branch, the
+    rest one Miller recurrence over the array.
+    """
+    negative = x < 0.0
+    x = np.where(negative, -x, x)
+    sign = np.ones(x.size)
+    if n % 2:
+        sign[negative] = -1.0
+        if n < 0:
+            sign = -sign
+    n = abs(n)
+    out = np.empty(x.size)
+    tiny = x < TINY_ARGUMENT
+    if tiny.any():
+        half, term = 0.5 * x[tiny], np.ones(np.count_nonzero(tiny))
+        for k in range(1, n + 1):
+            term *= half / k
+        out[tiny] = term
+    if not tiny.all():
+        out[~tiny] = _miller_column(n, x[~tiny])
+    return sign * out
 
 
 def bessel_j_zero(n: int, k: int) -> float:

@@ -1,8 +1,12 @@
 """CLI contract: CSV shape, exit codes, determinism, parameter layering."""
 
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,18 @@ from floquet_zeno.params import default_sideband
 from floquet_zeno.specfun import bessel_j_zero
 
 J0_ROOT = 2.4048255576957733
+
+
+def _bench_inputs():
+    # The benchmark's argv lists, read from bench/inputs.py, which imports nothing of the package.
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_inputs()
 
 
 def run_to_file(argv, path) -> bytes:
@@ -296,6 +312,102 @@ def test_rate_sweep_cells_with_errors_match_fresh_per_point_calls(flags, errors,
     expected = [_per_point_cell(args, fields, value) for value in cli._sweep_values(args)]
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {error for _, error in expected} == errors
+
+
+def _per_point_regime(args, fields: dict, value) -> tuple[str, str]:
+    # One regime sweep point as a fresh classify call: the label, or the error's type name.
+    try:
+        params = cli._resolve_params({**fields, args.param: value})
+        n = cli._sideband(args, params)
+        return decay.classify_regime(params, n, args.t).regime, ""
+    except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
+        return "", type(exc).__name__
+
+
+REGIME_SWEEPS = [
+    # delta +- 1.5 puts sideband -+1 in band beside the default one.
+    (["--param", "delta", "--start", "-3", "--stop", "3", "--count", "41", "--drive-freq", "3", "--chi", "1"],
+     {"Indeterminate", "SecondSideband"}),
+    # chi through the J_0 root at delta = 3.
+    (["--param", "chi", "--start", "0", "--stop", str(2.0 * J0_ROOT), "--count", "5", "--delta", "3"],
+     {"AntiZeno", "Decoupled"}),
+    (["--param", "n_cavities", "--start", "0", "--stop", "4", "--count", "5"], {"Indeterminate", "ZeroCavities"}),
+    # A forced sideband past the Bessel order ceiling, and a default one past it at a tiny drive frequency.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {"OrderTooLarge"}),
+    (["--param", "drive_freq", "--start", "1e-300", "--stop", "7", "--count", "41"],
+     {"Indeterminate", "OrderTooLarge", "SecondSideband"}),
+]
+
+
+@pytest.mark.parametrize("flags, outcomes", REGIME_SWEEPS)
+def test_regime_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_path):
+    # A regime sweep evaluates each distinct J_n(chi) once; every cell must
+    # still be the label or error type of a fresh classify call at its point.
+    argv = ["sweep", *flags, "--quantity", "regime", "--t", "10"]
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
+    args = cli.build_parser().parse_args(argv)
+    fields = cli._param_fields(args)
+    expected = [_per_point_regime(args, fields, value) for value in cli._sweep_values(args)]
+    assert [tuple(row[1:]) for row in table[1:]] == expected
+    assert {label or error for label, error in expected} == outcomes
+
+
+def test_regime_sweep_evaluates_each_bessel_value_once(tmp_path, monkeypatch):
+    # The benchmark's 401-point delta sweep meets three (n, chi); it still
+    # classifies every point on its own.
+    evaluated, classified = [], []
+    real_bessel, real_classify = cli.bessel_j, decay.classify_regime
+
+    def counted_bessel(n, x):
+        evaluated.append((n, x))
+        return real_bessel(n, x)
+
+    def counted_classify(*args, **kwargs):
+        classified.append(kwargs["jn"])
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bessel_j", counted_bessel)
+    monkeypatch.setattr(decay, "classify_regime", counted_classify)
+    run_to_file(dict(BENCH.SWEEPS)["sweep-regime"], tmp_path / "s.csv")
+    assert len(evaluated) == len(set(evaluated)) == 3
+    assert len(classified) == 401
+
+
+def _queued(args, fields: dict) -> list[tuple[int, int]]:
+    # (N, n) of each rate sweep point that resolves and passes the sideband check.
+    queued = []
+    for value in cli._sweep_values(args):
+        try:
+            params = cli._resolve_params({**fields, args.param: value})
+            queued.append((params.n_cavities, cli._sideband(args, params)))
+        except (cli.ConfigError, *cli.NUMERICAL_FAILURES):
+            pass
+    return queued
+
+
+# Over drive_freq the default sideband moves from 2 to 1; one point between fails SecondSideband.
+COLUMN_SWEEPS = [*RATE_SWEEPS, ("drive_freq", "2.5", "7", ["--chi", "1", "--delta", "-5"])]
+
+
+@pytest.mark.parametrize("param, start, stop, flags", COLUMN_SWEEPS)
+def test_rate_sweep_makes_one_bessel_column_per_grid_and_sideband(param, start, stop, flags, tmp_path, monkeypatch):
+    # J_n(chi) of a grid's rate points comes from one column call per sideband n.
+    columns, grids = [], []
+    real_column, real_grid = cli._bessel_column, cli.build_grid
+
+    def counted_column(n, x):
+        columns.append((len(grids), n, x.size))
+        return real_column(n, x)
+
+    monkeypatch.setattr(cli, "_bessel_column", counted_column)
+    monkeypatch.setattr(cli, "build_grid", lambda params: grids.append(params) or real_grid(params))
+    argv = rate_sweep_argv(param, start, stop, flags)
+    args = cli.build_parser().parse_args(argv)
+    queued = _queued(args, cli._param_fields(args))
+    run_to_file(argv, tmp_path / "s.csv")
+    assert len({(grid, n) for grid, n, _ in columns}) == len(columns) == len(set(queued))
+    assert sum(size for _, _, size in columns) == len(queued)
+    assert len(columns) == (2 if param == "drive_freq" else len(grids))
 
 
 def test_rate_sweep_through_a_bessel_root_reads_exact_zeros(tmp_path):
@@ -612,3 +724,33 @@ def test_sweep_reports_overflow_per_point(tmp_path):
 
 def test_no_subcommand_exits_2():
     assert run([]) == 2
+
+
+def _run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_run_in_a_process(tmp_path):
+    # run() parses with one parser per process. The benchmark's argv lists,
+    # run twice interleaved, give the same bytes, and no flag carries over.
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "bad.cfg").write_text(BENCH.BAD_CONFIG, encoding="utf-8")
+    argvs = [argv for _, argv in BENCH.SWEEPS] + [argv for _, argv, _ in BENCH.CLI_COMMANDS]
+    argvs = [[word.replace("{work}", str(work)) for word in argv] for argv in argvs]
+    first = [_run_captured(argv) for argv in argvs]
+    files = sorted((p.name, p.read_bytes()) for p in (work / "fig3").iterdir())
+    assert [_run_captured(argv) for argv in argvs] == first
+    assert sorted((p.name, p.read_bytes()) for p in (work / "fig3").iterdir()) == files
+    assert [code for code, _, _ in first[len(BENCH.SWEEPS):]] == [code for _, _, code in BENCH.CLI_COMMANDS]
+
+    plain = _run_captured(["classify"])
+    assert _run_captured(["classify", "--sideband", "1"]) != plain
+    assert _run_captured(["classify"]) == plain
+    assert _run_captured(["--out", str(tmp_path / "c.csv"), "classify"])[1] == ""
+    assert _run_captured(["classify"]) == plain
+    assert _run_captured(["classify", "--config", str(work / "bad.cfg")])[0] == 2
+    assert _run_captured(["classify"]) == plain

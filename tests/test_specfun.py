@@ -8,14 +8,17 @@ property tests below check over the advertised domain.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from floquet_zeno import specfun
 from floquet_zeno.errors import ArgumentOutOfRange, InvalidArgument, OrderTooLarge
-from floquet_zeno.specfun import MAX_ORDER, bessel_j, bessel_j_zero, sinc
+from floquet_zeno.specfun import MAX_ORDER, _bessel_column, _checked, bessel_j, bessel_j_zero, sinc
 
 # 30-term ascending series, summed independently of the package.
 SERIES_ORACLE = {
@@ -113,6 +116,67 @@ def test_recurrence_residual(x):
 def test_parity(n, x):
     assert bessel_j(n, -x) == (-1.0) ** n * bessel_j(n, x)
     assert bessel_j(-n, x) == (-1.0) ** n * bessel_j(n, x)
+
+
+def _column_draws(rng: random.Random) -> dict:
+    """Seeded (n, x) draws by order over every bessel_j branch, a few past its order or argument ceiling."""
+    draws = {}
+    for _ in range(48):
+        n = rng.choice([rng.randint(-40, 40), rng.randint(-MAX_ORDER, MAX_ORDER)])
+        draws[n] = [
+            0.0, -0.0, rng.choice([5e-324, -5e-324, 1e-310]), rng.uniform(-1e-8, 1e-8),
+            rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), rng.uniform(-2000.0, 2000.0),
+        ]
+    for _ in range(8):  # the rescaling region: a large order at a small argument
+        draws[rng.choice((-1, 1)) * rng.randint(300, MAX_ORDER)] = [rng.uniform(1e-8, 10.0) for _ in range(6)]
+    # Columns long enough for the array recurrence, one of them in the rescaling region.
+    for n, top in ((rng.randint(-3, 3), 50.0), (rng.randint(-40, 40), 20.0), (rng.randint(300, 400), 10.0)):
+        draws[n] = [0.0, 1e-9] + [rng.uniform(-top, top) for _ in range(80)]
+    draws.setdefault(rng.randint(-40, 40), []).append(rng.choice((-1, 1)) * rng.uniform(1e5, 1e6))
+    draws.setdefault(0, []).extend([rng.choice((-1e6, 1e6)), 1.0000001e6, math.inf, math.nan])
+    draws[MAX_ORDER + 1] = [1.0]
+    draws[-MAX_ORDER - 1 - rng.randint(0, 1000)] = [0.0, 2.0]
+    return draws
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_column_equals_scalar_bit_for_bit(seed):
+    # A sweep checks each point as bessel_j would, then evaluates each order's
+    # checked points as one column; values, signed zeros and errors must match.
+    for n, xs in _column_draws(random.Random(seed)).items():
+        checked, scalar = [], []
+        for x in xs:
+            try:
+                expected = bessel_j(n, x)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    _checked(n, x)
+                continue
+            assert _checked(n, x) == (n, x)
+            checked.append(x)
+            scalar.append(expected)
+        if checked:
+            column = _bessel_column(n, np.array(checked))
+            assert column.tobytes() == np.array(scalar).tobytes(), (n, checked)
+
+
+def test_column_runs_a_lone_large_argument_by_itself(monkeypatch):
+    # The array recurrence steps over the entries begun, so one entry with a
+    # far larger start order runs alone in the scalar loop instead of making
+    # the array take its million steps.
+    arrays = []
+    real = specfun._miller_array
+
+    def recorded(n, x, starts):
+        arrays.append((x.size, starts[0]))
+        return real(n, x, starts)
+
+    monkeypatch.setattr(specfun, "_miller_array", recorded)
+    x = np.append(np.linspace(0.0, 5.0, 101), 1e6)
+    column = _bessel_column(1, x)
+    [(size, start)] = arrays  # of the 100 entries past the series branch, with start orders up to 39
+    assert size >= 90 and start <= 39
+    assert column[-1] == bessel_j(1, 1e6)
 
 
 def test_large_order_underflows_to_zero():
