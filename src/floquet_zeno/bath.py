@@ -25,8 +25,8 @@ from .specfun import bessel_j
 
 EDGE_GUARD = 1e-9  # in units of xi
 
-# A grid and one lattice sum over its distinct nodes take about 44 bytes per
-# cavity; at this ceiling a one-time decay-rate call peaks near 74 MB (see
+# A grid and one lattice sum over its distinct nodes take about 24 bytes per
+# cavity; at this ceiling a one-time decay-rate call peaks near 55 MB (see
 # the README).
 MAX_CAVITIES = 1 << 20
 
@@ -34,20 +34,16 @@ MAX_CAVITIES = 1 << 20
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
     n_cavities: int
-    momenta: np.ndarray  # k_j = 2 pi j / N, j = 0..N-1
-    nodes: np.ndarray  # cos k_j, j = 0..N//2: the distinct energies, summed by ring_sum
-    end: int  # (N + 1) // 2; nodes 1..end-1 stand for the pairs k, -k
-    energies: np.ndarray  # eps_k = omega_c - 2 xi cos k
+    nodes: np.ndarray  # cos k_j, k_j = 2 pi j / N, j = 0..N//2: the distinct modes, summed by ring_sum
+    end: int  # (N + 1) // 2; nodes 1..end-1 stand for the pairs j, N - j, the rest for one mode each
+    energies: np.ndarray  # eps_j = omega_c - 2 xi cos k_j at the nodes
 
 
 def build_grid(params: SystemParams) -> MomentumGrid:
     n = check_size("n_cavities", params.n_cavities, MAX_CAVITIES)
-    momenta = 2.0 * math.pi * np.arange(n) / n
-    cos_k = np.cos(momenta)
-    energies = params.omega_c - 2.0 * params.xi * cos_k
-    return MomentumGrid(
-        n_cavities=n, momenta=momenta, nodes=cos_k[: n // 2 + 1].copy(), end=(n + 1) // 2, energies=energies
-    )
+    nodes = np.cos(2.0 * math.pi * np.arange(n // 2 + 1) / n)
+    energies = params.omega_c - 2.0 * params.xi * nodes
+    return MomentumGrid(n_cavities=n, nodes=nodes, end=(n + 1) // 2, energies=energies)
 
 
 def ring_sum(terms: np.ndarray, end: int) -> np.ndarray:

@@ -22,7 +22,8 @@ on the matrix as read-only arrays and shared by quasi_energies and every
 averaged_transition_probability call, and freed with the matrix.
 
 - Bright/dark split. Modes j and N - j are degenerate on the ring and
-  couple to the emitter with the same amplitude, so in every block the
+  couple to the emitter with the same amplitude, so the photon energies
+  are held at the grid's distinct nodes j = 0 .. N/2, and in every block the
   dark combination (|j> - |N-j>)/sqrt(2) is an exact eigenvector with
   quasi-energy eps_j - omega/2 + m nu. Only the real symmetric bright
   block (emitter, j = 0, (|j> + |N-j>)/sqrt(2) with coupling sqrt(2) C,
@@ -33,8 +34,9 @@ averaged_transition_probability call, and freed with the matrix.
   modes j and N - j of one block.
 - Schur-complement resolvent. Eliminating the diagonal photon part
   leaves a (2M+1)-dimensional emitter system
-  [diag(E - E_e) - C^T diag(sum_k 1/(E - E_m(k))) C] x_e = b_e + ...;
-  the photon amplitudes follow from x_e in closed form.
+  [diag(E - E_e) - C^T diag(sum_k 1/(E - E_m(k))) C] x_e = b_e + ...,
+  its sum over k a ring_sum over the nodes; the photon amplitudes follow
+  from x_e in closed form, a photon source's own 1/(E - E_0(j)) on its mode.
 
 The near-resonant reduction keeps the emitter at m = 0 and the field at
 a single sideband n, giving an (N+1)-dimensional static matrix whose
@@ -50,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import MomentumGrid
+from .bath import MomentumGrid, ring_sum
 from .errors import EigenFailure, InvalidArgument, NonFiniteResult, SingularResolvent, TruncationTooSmall
 from .params import SystemParams, check_size, check_time, default_sideband
 from .specfun import bessel_j
@@ -62,8 +64,8 @@ RESIDUAL_TOLERANCE = 1e-8
 
 # Ceilings on what a matrix of 2M+1 blocks over N modes allocates, chosen
 # from costs measured on a 2-core VM (see the README): the structured
-# entries (2M+1)(2M+1+N), about 70 bytes each at green_coefficient's peak,
-# and the bright rows (2M+1)(floor(N/2)+2), whose eigenvectors
+# entries (2M+1)(2M+1+floor(N/2)+1), 64 bytes each at green_coefficient's
+# peak, and the bright rows (2M+1)(floor(N/2)+2), whose eigenvectors
 # quasi_energies gathers into a dim x dim matrix with dim < 2 rows.
 MAX_ENTRIES = 1 << 21
 MAX_BRIGHT_ROWS = 3000
@@ -80,17 +82,15 @@ class FloquetMatrix:
     """
 
     emitter: np.ndarray  # (2M+1,)
-    photon: np.ndarray  # (2M+1, N)
+    photon: np.ndarray  # (2M+1, N//2 + 1): mode j's energy at its node min(j, N - j)
     coupling: np.ndarray  # (2M+1, 2M+1)
+    n_cavities: int
+    end: int  # the grid's (N + 1) // 2: nodes 1..end-1 stand for a pair of modes
 
     @property
     def truncation(self) -> int:
         """M; the reduced matrix has 0 (a single block)."""
         return self.emitter.size // 2
-
-    @property
-    def n_cavities(self) -> int:
-        return self.photon.shape[1]
 
     @property
     def dim(self) -> int:
@@ -112,24 +112,27 @@ class FloquetMatrix:
     def entries(self) -> np.ndarray:
         """The dense matrix, built on each access; no routine here reads it."""
         shape = (self.emitter.size, self.n_cavities, self.emitter.size)
-        return _bordered(self.emitter, self.photon, np.broadcast_to(self.coupling[:, None, :], shape))
+        photon = self.photon[:, _fold(self, np.arange(1, self.n_cavities + 1))[0] - 1]
+        return _bordered(self.emitter, photon, np.broadcast_to(self.coupling[:, None, :], shape))
 
     @cached_property
-    def _bright(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _bright(self) -> tuple[np.ndarray, np.ndarray]:
         # Kept only on success, so an EigenFailure is raised again on the
         # next read; read through _bright_eigensystem, which checks the size.
-        n = self.n_cavities
-        half = n // 2
-        j = np.arange(n)
-        fold = np.concatenate(([0], 1 + np.minimum(j, n - j)))
-        amplitude = np.concatenate(([1.0], np.where((j > 0) & (2 * j != n), math.sqrt(0.5), 1.0)))
-        weight = np.bincount(fold, amplitude)[1:]  # coupling factor: sqrt(2) for a pair, else 1
-        h = _bordered(self.emitter, self.photon[:, : half + 1], self.coupling[:, None, :] * weight[None, :, None])
+        weight = np.ones(self.photon.shape[1])
+        weight[1 : self.end] = math.sqrt(2.0)  # a pair's bright mode couples sqrt(2) times as strongly
+        h = _bordered(self.emitter, self.photon, self.coupling[:, None, :] * weight[None, :, None])
         try:
             values, vectors = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
-        return _read_only(fold, amplitude, values, vectors.reshape(self.emitter.size, half + 2, -1))
+        return _read_only(values, vectors.reshape(self.emitter.size, self.photon.shape[1] + 1, -1))
+
+
+def _fold(fm: FloquetMatrix, states) -> tuple[np.ndarray, np.ndarray]:
+    # The bright row and amplitude of each state, 0 the emitter and 1 + j mode j (see the bright/dark split).
+    rows = (fm.n_cavities + 2 - abs(fm.n_cavities + 2 - 2 * states)) // 2  # 1 + min(j, N - j), on ints or arrays
+    return rows, np.where((rows > 1) & (rows <= fm.end), math.sqrt(0.5), 1.0)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -177,7 +180,7 @@ def _structured(params, grid, emitter_blocks, photon_blocks) -> FloquetMatrix:
         grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
         couplings[np.searchsorted(q, orders)],
     )
-    return FloquetMatrix(emitter=emitter, photon=photon, coupling=coupling)
+    return FloquetMatrix(emitter=emitter, photon=photon, coupling=coupling, n_cavities=grid.n_cavities, end=grid.end)
 
 
 def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -> FloquetMatrix:
@@ -188,7 +191,7 @@ def build_floquet_matrix(params: SystemParams, grid: MomentumGrid, m_max: int) -
             f"M = {m_max} < |{n_star}| + 2 needed for the near-resonant sideband"
         )
     blocks = 2 * m_max + 1
-    check_size("Floquet entries (2M+1)(2M+1+N)", blocks * (blocks + grid.n_cavities), MAX_ENTRIES)
+    check_size("Floquet entries (2M+1)(2M+1+N//2+1)", blocks * (blocks + grid.nodes.size), MAX_ENTRIES)
     m = np.arange(-m_max, m_max + 1)
     return _structured(params, grid, m, m)
 
@@ -198,16 +201,10 @@ def reduced_hamiltonian(params: SystemParams, grid: MomentumGrid, n: int) -> Flo
     return _structured(params, grid, np.array([0]), np.array([n]))
 
 
-def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's bright row and amplitude, then the bright eigenvalues
-    and eigenvectors, shaped (blocks, bright rows, values); read-only, and
-    computed once per matrix.
-
-    The bright rows are the same in every block: the emitter (row 0) and
-    modes j = 0 .. N/2, each pair j, N - j merged into row 1 + j as
-    (|j> + |N-j>)/sqrt(2). The pair's dark (|j> - |N-j>)/sqrt(2) has
-    quasi-energy photon[s, j] in block s.
-    """
+def _bright_eigensystem(fm: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The bright eigenvalues and eigenvectors, shaped (blocks, bright rows,
+    values), read-only and computed once per matrix. In every block, row 0 is
+    the emitter and row 1 + j node j, a pair's (|j> + |N-j>)/sqrt(2)."""
     rows = fm.emitter.size * (fm.n_cavities // 2 + 2)
     check_size("bright rows (2M+1)(floor(N/2)+2)", rows, MAX_BRIGHT_ROWS)
     return fm._bright
@@ -219,9 +216,10 @@ def quasi_energies(fm: FloquetMatrix) -> QuasiEnergySpectrum:
     Each eigenvector is written once, straight into its ascending column:
     a bright one block by block, a dark one as its single +- pair.
     """
-    fold, amplitude, values, vectors = _bright_eigensystem(fm)
+    values, vectors = _bright_eigensystem(fm)
     blocks, size = fm.emitter.size, fm.n_cavities + 1
-    pairs = np.arange(1, size // 2)  # j with partner N - j != j
+    fold, amplitude = _fold(fm, np.arange(size))
+    pairs = np.arange(1, fm.end)  # j with partner N - j != j
     values = np.concatenate((values, fm.photon[:, pairs].ravel()))  # bright, then dark by block
     order = np.argsort(values, kind="stable")
     column = np.empty_like(order)
@@ -273,34 +271,39 @@ def green_coefficient(
     if m0 != 0:
         raise InvalidArgument(f"source state must have m = 0, got m = {m0}")
     fm.index(alpha, m0)  # IndexError for alpha outside 0..N
-    b_e = np.zeros(fm.emitter.size, dtype=complex)
-    b_p = np.zeros(fm.photon.shape, dtype=complex)
-    if alpha == TLS:
-        b_e[fm.truncation] = 1.0
-    else:
-        b_p[fm.truncation, alpha - 1] = 1.0
-    c = fm.coupling
+    zero, c = fm.truncation, fm.coupling
     try:
         with np.errstate(over="raise", invalid="raise"):
             inverse = 1.0 / (energy - fm.photon)
     except FloatingPointError as exc:
         raise NonFiniteResult(f"the photon resolvent at E = {energy!r}: {exc}") from exc
-    schur = np.diag(energy - fm.emitter) - c.T @ (inverse.sum(axis=1)[:, None] * c)
+    # A photon source adds its own 1/(E - E_0(j)) to its mode j alone, not to
+    # its partner N - j; the emitters see it through rhs.
+    node = _fold(fm, alpha)[0] - 1
+    own = 0j if alpha == TLS else complex(inverse[zero, node])
+    rhs = c[zero] * own
+    rhs[zero] += alpha == TLS
+    sums = ring_sum(inverse, fm.end)
+    schur = np.diag(energy - fm.emitter) - c.T @ (sums[:, None] * c)
     try:
-        x_e = np.linalg.solve(schur, b_e + c.T @ (inverse * b_p).sum(axis=1))
+        x_e = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
     field = c @ x_e
-    x_p = inverse * (b_p + field[:, None])
-    residual = math.hypot(
-        np.linalg.norm((energy - fm.emitter) * x_e - c.T @ x_p.sum(axis=1) - b_e),
-        np.linalg.norm((energy - fm.photon) * x_p - field[:, None] - b_p),
-    )
+    x_p = inverse * field[:, None]  # every photon mode but the source, by node
+    squares = np.abs((energy - fm.photon) * x_p - field[:, None]) ** 2
+    photon = ring_sum(squares, fm.end).sum()
+    if alpha != TLS:  # the source mode's own residual in place of the one ring_sum counted for it
+        photon += abs((energy - fm.photon[zero, node]) * (x_p[zero, node] + own) - field[zero] - 1.0) ** 2
+        photon -= squares[zero, node]
+    emitter = (energy - fm.emitter) * x_e - c.T @ (sums * field) - rhs
+    residual = math.hypot(np.linalg.norm(emitter), math.sqrt(photon))
     if not residual <= RESIDUAL_TOLERANCE:
         raise SingularResolvent(f"solve residual {residual:g} exceeds {RESIDUAL_TOLERANCE:g}")
     fm.index(*beta)  # IndexError for a target outside the matrix
-    target, block = beta[0], beta[1] + fm.truncation
-    return complex(x_e[block] if target == TLS else x_p[block, target - 1])
+    target, block = beta[0], beta[1] + zero
+    value = x_e[block] if target == TLS else x_p[block, _fold(fm, target)[0] - 1]
+    return complex(value + own * ((target, block) == (alpha, zero)))
 
 
 def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t: float) -> float:
@@ -314,13 +317,14 @@ def averaged_transition_probability(fm: FloquetMatrix, alpha: int, beta: int, t:
     """
     check_time(t, positive=False)
     fm.index(alpha, 0), fm.index(beta, 0)  # IndexError for a state outside 0..N
-    fold, amplitude, values, vectors = _bright_eigensystem(fm)
+    values, vectors = _bright_eigensystem(fm)
     if not math.isfinite(abs(t) * float(np.max(np.abs(values)))):
         raise NonFiniteResult(f"the quasi-energy phase overflows at t = {t:g}")
-    rows = amplitude[[alpha, beta], None] * vectors[:, fold[[alpha, beta]]]  # (blocks, 2, values)
+    fold, amplitude = _fold(fm, np.array([alpha, beta]))
+    rows = amplitude[:, None] * vectors[:, fold]  # (blocks, 2, values)
     zero = fm.truncation
     amp = rows[:, 1] @ (np.exp(-1j * values * t) * rows[zero, 0])
-    if fold[alpha] == fold[beta] and amplitude[alpha] < 1.0:  # photons of one pair: dark +-sqrt(1/2)
-        energy = fm.photon[zero, fold[alpha] - 1]
+    if fold[0] == fold[1] and amplitude[0] < 1.0:  # photons of one pair: dark +-sqrt(1/2)
+        energy = fm.photon[zero, fold[0] - 1]
         amp[zero] += np.exp(-1j * energy * t) * math.sqrt(0.5) * math.sqrt(0.5) * (-1) ** (alpha != beta)
     return float((np.abs(amp) ** 2).sum())

@@ -125,7 +125,7 @@ def _rhs(params: SystemParams, grid: MomentumGrid, columns: int):
     # The emitter and the bright modes j = 0 .. floor(N/2); a pair's bright
     # mode couples with weight sqrt(2), carried in the exponent as log sqrt(2).
     n = grid.n_cavities
-    exponent = -1j * (params.omega - grid.energies[: n // 2 + 1])
+    exponent = -1j * (params.omega - grid.energies)
     log_weight = np.zeros(exponent.size, dtype=complex)
     log_weight[1 : (n + 1) // 2] = 0.5 * math.log(2.0)
     coupling = -1j * params.g / math.sqrt(n)
@@ -186,8 +186,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     if t1 == t0:
         return y0.copy(), [abs(y0[0]) ** 2] * pending.size
     n = y0.size
-    energies = grid.energies[: n - 1]
-    lo, hi = float(energies.min()), float(energies.max())
+    lo, hi = float(grid.energies.min()), float(grid.energies.max())
     rate = max(abs(params.omega - lo), abs(params.omega - hi)) + params.drive_amp + params.g
     # U(t0 + kT + r, t0) = U(t0 + r, t0) U(t0 + T, t0)^k (Shirley 1965): one
     # run carries diag(frame(t0)) basis from t0 to bound, and each time is
@@ -213,8 +212,8 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     if not estimate <= MAX_STEPS:
         raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
     columns = basis.shape[1]
-    start = (_frame(params, energies, t0)[:, None] * basis).ravel()
-    back = _frame(params, energies, float(reads[-1])).conj()
+    start = (_frame(params, grid.energies, t0)[:, None] * basis).ravel()
+    back = _frame(params, grid.energies, float(reads[-1])).conj()
     sign = math.copysign(1.0, bound - t0)
     order = np.argsort(sign * reads[:-1], kind="stable")
     ahead = sign * reads[order]
@@ -243,7 +242,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     end = (stepper.y if end is None else end).reshape(n, columns)
     periods = int(turns[-1])
     if periods:
-        u = _frame(params, energies, bound).conj()[:, None] * stepper.y.reshape(n, n)
+        u = _frame(params, grid.energies, bound).conj()[:, None] * stepper.y.reshape(n, n)
         defect = periods * float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
         if defect > NORM_TOLERANCE:
             raise NormDrift(f"the one-period propagator drifts by {defect:g} over {periods} periods")

@@ -27,27 +27,35 @@ def make(**overrides) -> SystemParams:
     return validate(SystemParams(**fields))
 
 
+def cos_k(n: int) -> np.ndarray:
+    """cos k_j on all N momenta k_j = 2 pi j / N of the ring."""
+    return np.cos(2.0 * math.pi * np.arange(n) / n)
+
+
 def test_grid_single_cavity():
     grid = build_grid(make(n_cavities=1))
-    assert grid.momenta.tolist() == [0.0]
+    assert grid.nodes.tolist() == [1.0]
     assert grid.energies.tolist() == [3.0 - 2.0]
 
 
 def test_grid_carries_cos_k_for_the_energies():
     # The nodes are cos k_j for j = 0 .. N // 2, the energies' own values; end
-    # marks the paired nodes 1 .. end - 1, so a ring sum counts N modes.
+    # marks the paired nodes 1 .. end - 1, so a ring sum counts N modes. The
+    # grid holds nothing of N entries.
     for n_cavities in (1, 2, 3, 4, 41, 42):
         p = make(n_cavities=n_cavities, omega_c=-1.3, xi=0.7)
         grid = build_grid(p)
-        assert np.array_equal(grid.nodes, np.cos(grid.momenta)[: n_cavities // 2 + 1])
-        assert np.array_equal(grid.energies, p.omega_c - 2.0 * p.xi * np.cos(grid.momenta))
+        nodes = cos_k(n_cavities)[: n_cavities // 2 + 1]
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.energies, p.omega_c - 2.0 * p.xi * nodes)
         assert grid.end == (n_cavities + 1) // 2
         assert ring_sum(np.ones(grid.nodes.size), grid.end) == n_cavities
+        assert not hasattr(grid, "momenta")
 
 
 def test_grid_four_cavities():
     grid = build_grid(make(n_cavities=4, omega_c=0.0))
-    assert grid.energies == pytest.approx([-2.0, 0.0, 2.0, 0.0], abs=1e-15)
+    assert grid.energies == pytest.approx([-2.0, 0.0, 2.0], abs=1e-15)
 
 
 def test_grid_band_extremes():
@@ -65,8 +73,10 @@ def test_grid_band_bounds_and_reflection():
     grid = build_grid(p)
     assert np.all(grid.energies >= p.omega_c - 2.0 * p.xi - 1e-12)
     assert np.all(grid.energies <= p.omega_c + 2.0 * p.xi + 1e-12)
-    for j in range(1, 12):
-        assert grid.energies[j] == pytest.approx(grid.energies[12 - j], abs=1e-12)
+    # Mode j and its partner 12 - j read one node, min(j, 12 - j).
+    ring = p.omega_c - 2.0 * p.xi * cos_k(12)
+    for j in range(12):
+        assert grid.energies[min(j, 12 - j)] == pytest.approx(ring[j], abs=1e-12)
 
 
 def test_memory_function_at_zero_time():
@@ -81,7 +91,7 @@ def test_memory_function_undriven_reduction():
     p = make(drive_amp=0.0)
     grid = build_grid(p)
     t = 1.7
-    direct = p.g**2 / 41 * np.exp(1j * t * 2.0 * p.xi * np.cos(grid.momenta)).sum()
+    direct = p.g**2 / 41 * np.exp(1j * t * 2.0 * p.xi * cos_k(41)).sum()
     assert memory_function(grid, p, 0, t) == pytest.approx(direct, rel=1e-14)
 
 

@@ -596,15 +596,20 @@ def _full_sum(terms, n_cavities):
     return terms.sum()
 
 
+def _cos_k(n_cavities):
+    # cos k_j on all N momenta k_j = 2 pi j / N, built here rather than read off the grid.
+    return np.cos(2.0 * math.pi * np.arange(n_cavities) / n_cavities)
+
+
 def _seed_rate(p, grid, n, t, lattice_sum=_folded_sum):
-    detuning = p.delta - 2.0 * p.xi * np.cos(grid.momenta) + n * p.drive_freq
+    detuning = p.delta - 2.0 * p.xi * _cos_k(grid.n_cavities) + n * p.drive_freq
     jn = bessel_j(n, p.chi)
     total = lattice_sum(_seed_sinc_sq(detuning * t / 2.0), grid.n_cavities)
     return float(t * p.g**2 / grid.n_cavities * jn * jn * total)
 
 
 def _seed_survival(p, grid, n, t, lattice_sum=_folded_sum):
-    x = (2.0 * p.xi * np.cos(grid.momenta) - p.delta - n * p.drive_freq) * t
+    x = (2.0 * p.xi * _cos_k(grid.n_cavities) - p.delta - n * p.drive_freq) * t
     small = np.abs(x) < 0.1
     ramp = np.empty_like(x)
     x2 = x[small] * x[small]
@@ -790,7 +795,7 @@ def test_rate_times_t_past_the_underflow_against_mpmath(point, t):
     # O(1). Past t ~ 4e307 some detuning * t overflow at this point; such a
     # term is the phase average of sin^2, 1 / (2 x_k^2) = 2 / (detuning_k t)^2.
     grid = build_grid(point)
-    nodes = np.cos(grid.momenta)[: grid.n_cavities // 2 + 1]
+    nodes = _cos_k(grid.n_cavities)[: grid.n_cavities // 2 + 1]
     multiplicity = np.full(nodes.size, 2)
     multiplicity[0] = 1  # N = 41 is odd: no node at k = pi
     detuning = point.delta - 2.0 * point.xi * nodes

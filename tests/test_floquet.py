@@ -41,12 +41,17 @@ def make(**overrides) -> SystemParams:
     return validate(SystemParams(**fields))
 
 
+def ring_energies(p: SystemParams) -> np.ndarray:
+    """eps_k = omega_c - 2 xi cos k on all N momenta k_j = 2 pi j / N, each pair's modes apart."""
+    return p.omega_c - 2.0 * p.xi * np.cos(2.0 * math.pi * np.arange(p.n_cavities) / p.n_cavities)
+
+
 def static_matrix(p: SystemParams) -> np.ndarray:
-    grid = build_grid(p)
+    energies = ring_energies(p)
     h = np.zeros((p.n_cavities + 1, p.n_cavities + 1))
     h[0, 0] = 0.5 * p.omega
     for j in range(p.n_cavities):
-        h[1 + j, 1 + j] = grid.energies[j] - 0.5 * p.omega
+        h[1 + j, 1 + j] = energies[j] - 0.5 * p.omega
         h[1 + j, 0] = h[0, 1 + j] = p.g / math.sqrt(p.n_cavities)
     return h
 
@@ -70,13 +75,14 @@ def test_zero_coupling_matrix_is_diagonal():
     grid = build_grid(p)
     fm = build_floquet_matrix(p, grid, 2)
     h = fm.entries
+    energies = ring_energies(p)
     assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
     for m in range(-2, 3):
         assert h[fm.index(TLS, m), fm.index(TLS, m)] == pytest.approx(
             0.5 * p.omega + m * p.drive_freq, abs=1e-15
         )
         for j in range(3):
-            expected = grid.energies[j] - 0.5 * p.omega + m * p.drive_freq
+            expected = energies[j] - 0.5 * p.omega + m * p.drive_freq
             assert h[fm.index(1 + j, m), fm.index(1 + j, m)] == pytest.approx(expected, abs=1e-14)
 
 
@@ -122,11 +128,11 @@ def test_truncation_too_small():
 
 
 def test_floquet_sizes_are_checked_at_their_ceilings(monkeypatch):
-    # N = 5, M = 3: 7 blocks, 7 (7 + 5) = 84 structured entries and
+    # N = 5, M = 3: 7 blocks, 7 (7 + 5 // 2 + 1) = 70 structured entries and
     # 7 (5 // 2 + 2) = 28 bright rows; each ceiling admits its size exactly.
     p = make(n_cavities=5)
     grid = build_grid(p)
-    monkeypatch.setattr(floquet, "MAX_ENTRIES", 84)
+    monkeypatch.setattr(floquet, "MAX_ENTRIES", 70)
     monkeypatch.setattr(floquet, "MAX_BRIGHT_ROWS", 28)
     fm = build_floquet_matrix(p, grid, 3)
     quasi_energies(fm)
@@ -136,7 +142,7 @@ def test_floquet_sizes_are_checked_at_their_ceilings(monkeypatch):
         quasi_energies(fm)
     with pytest.raises(SizeTooLarge, match="bright rows"):
         averaged_transition_probability(fm, TLS, TLS, 1.0)
-    monkeypatch.setattr(floquet, "MAX_ENTRIES", 83)
+    monkeypatch.setattr(floquet, "MAX_ENTRIES", 69)
     with pytest.raises(SizeTooLarge, match="Floquet entries"):
         build_floquet_matrix(p, grid, 3)
 
@@ -434,6 +440,36 @@ def test_averaged_probability_builds_only_the_rows_it_reads():
         assert peak < bound, (fm.n_cavities, peak)
 
 
+def traced_peak(compute) -> int:
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_grid_holds_only_its_distinct_nodes():
+    # At the ceiling N = 2^20 the grid's nodes and energies are floor(N/2)+1
+    # floats each, 4.2 MB; building them peaks at three such arrays (12.6 MB).
+    # A grid that also held all N momenta and energies peaked at 33.6 MB.
+    n = 1 << 20
+    peak = traced_peak(lambda: build_grid(make(n_cavities=n)))
+    assert peak < 4 * 8 * (n // 2 + 1), peak
+
+
+def test_green_coefficient_memory_grows_with_the_distinct_nodes():
+    # The README's MAX_ENTRIES row, N = 400000 and M = 2: (2M+1)(2M+1+floor(N/2)+1)
+    # = 1.0M entries, and the resolvent peaks at 64 bytes each (61 MiB). With
+    # photon energies over all N modes it peaked at 153 MiB.
+    p = make(n_cavities=400000)
+    fm = build_floquet_matrix(p, build_grid(p), 2)
+    entries = fm.emitter.size * (fm.emitter.size + fm.photon.shape[1])
+    for source in ((TLS, 0), (2, 0)):
+        peak = traced_peak(lambda: green_coefficient(fm, 0.37 + 1e-3j, (TLS, 0), source))
+        assert peak < 70 * entries, (source, peak / entries)
+
+
 def bright_dark_basis(n):
     # One block's real orthogonal basis change, as dense columns: the
     # emitter, modes j = 0 .. N/2 with each pair merged into the bright
@@ -465,7 +501,7 @@ def test_quasi_energies_write_each_eigenvector_once(n_cavities, m_max):
         tracemalloc.stop()
     assert peak < 12 * fm.dim**2, peak / fm.dim**2
     bright, dark = bright_dark_basis(n_cavities)
-    values, vectors = floquet._bright_eigensystem(fm)[2:]
+    values, vectors = floquet._bright_eigensystem(fm)
     stacked = np.hstack(((bright @ vectors).reshape(fm.dim, -1), np.kron(np.eye(fm.emitter.size), dark)))
     values = np.concatenate((values, fm.photon[:, 1 : 1 + dark.shape[1]].ravel()))
     order = np.argsort(values, kind="stable")
@@ -484,6 +520,8 @@ def dense_solve(fm, energy, source):
 def test_structured_algebra_matches_dense(n_cavities):
     # The bright/dark eigensolve and the Schur-complement resolvent against
     # dense algebra on the assembled matrix; odd and even N, chi at a J_0 root.
+    # Photon sources and targets on paired modes, each read at its partner
+    # (mode 1 and mode N - 1, states 2 and N), and on node N/2 for even N.
     p = make(n_cavities=n_cavities, drive_amp=J0_ROOT * 6.0)
     fm = build_floquet_matrix(p, build_grid(p), default_truncation(p))
     h = fm.entries
@@ -495,9 +533,12 @@ def test_structured_algebra_matches_dense(n_cavities):
     assert np.abs(values - dense).max() <= 1e-12 * scale
     assert np.abs(h @ vectors - vectors * values).max() <= 1e-12 * scale
     assert np.abs(vectors.T @ vectors - np.eye(fm.dim)).max() <= 1e-12
-    targets = ((TLS, 0), (TLS, 2), (TLS, -3), (1, -1), (n_cavities, 1), (n_cavities, 0))
+    n = n_cavities
+    targets = [(TLS, 0), (TLS, 2), (TLS, -3), (1, -1), (n, 1), (n, 0), (2, 0), (n // 2 + 1, 0)]
+    targets = [beta for beta in targets if beta[0] <= n]
+    sources = [(TLS, 0), (1, 0), (n, 0)] + [(2, 0)] * (n >= 2) + [(n // 2 + 1, 0)] * (n % 2 == 0)
     for energy in (0.37 + 1e-3j, 1.9 + 0.05j):
-        for source in ((TLS, 0), (1, 0), (n_cavities, 0)):
+        for source in sources:
             x = dense_solve(fm, energy, source)
             for beta in targets:
                 direct = green_coefficient(fm, energy, beta, source)
