@@ -30,6 +30,8 @@ EDGE_GUARD = 1e-9  # in units of xi
 # the README).
 MAX_CAVITIES = 1 << 20
 
+SMALLEST_RING = 64  # the fewest sites ring_sizes moves a ring sum to
+
 
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
@@ -39,9 +41,14 @@ class MomentumGrid:
     energies: np.ndarray  # eps_j = omega_c - 2 xi cos k_j at the nodes
 
 
+def ring_nodes(n: int) -> np.ndarray:
+    """cos k_j, k_j = 2 pi j / n, at the distinct nodes j = 0..n//2 of a ring of n sites."""
+    return np.cos(2.0 * math.pi * np.arange(n // 2 + 1) / n)
+
+
 def build_grid(params: SystemParams) -> MomentumGrid:
     n = check_size("n_cavities", params.n_cavities, MAX_CAVITIES)
-    nodes = np.cos(2.0 * math.pi * np.arange(n // 2 + 1) / n)
+    nodes = ring_nodes(n)
     energies = params.omega_c - 2.0 * params.xi * nodes
     return MomentumGrid(n_cavities=n, nodes=nodes, end=(n + 1) // 2, energies=energies)
 
@@ -56,6 +63,28 @@ def ring_sum(terms: np.ndarray, end: int) -> np.ndarray:
     the paired nodes, not a weight on each node.
     """
     return np.add.reduce(terms, axis=-1) + np.add.reduce(terms[..., 1:end], axis=-1)
+
+
+def band_nodes(reach):
+    """Sites at which a ring sum at time t, reach = xi t >= 0, is its N -> infinity integral to rounding.
+
+    In k, the terms sinc^2((omega_f - 2 xi cos k) t / 2) of R(t) and those of the
+    survival window are periodic and entire, and their Fourier coefficients are
+    averages of J_m(2 xi tau) over |tau| <= t, which die off past m = 2 xi t
+    within a layer of width ~ (xi t)^(1/3) (DLMF 10.19(iii)). An N-site rule
+    errs by the coefficients past N (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)), so ceil(2 xi t + 12 (xi t)^(1/3) + 32) sites (see the README).
+    numpy's power, not Python's, gives a float and an array entry one count.
+    """
+    return np.ceil(2.0 * reach + 12.0 * np.power(reach, 1.0 / 3.0) + 32.0)
+
+
+def ring_sizes(n_cavities: int, reach: np.ndarray) -> np.ndarray:
+    """Sites min(N, M) a sum over a ring of N sites runs over at each reach = xi t: past
+    band_nodes(reach) every ring gives one sum to rounding, and M is the smallest power of
+    two, which keeps k = 0 and pi, at least that and SMALLEST_RING."""
+    mantissa, exponent = np.frexp(np.minimum(band_nodes(reach), n_cavities))
+    return np.minimum(np.maximum(np.ldexp(1.0, exponent - (mantissa == 0.5)), SMALLEST_RING), n_cavities)
 
 
 def memory_function(grid: MomentumGrid, params: SystemParams, n: int, t: float) -> complex:

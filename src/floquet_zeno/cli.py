@@ -225,14 +225,13 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     """Each point's "cell,error": its quantity and no error, or no cell and the error's type name."""
     fields = _param_fields(args)
     cells = [","] * values.size
-    # Rate points queue up as rows of decay._point, point where[j] in row j, and
-    # rows start..count go to the kernel in one call over their grid. Their
-    # J_n(chi) column is filled in then, by one array recurrence per sideband.
-    # The nodes cos k depend on N alone, so a grid lasts until N moves. Regime
-    # points look J_n(chi) up in this sweep's table of distinct (n, chi).
+    # Rate points queue up as rows of decay._point and golden points as (params, n), point
+    # where[j] in row j; rows start..count get their J_n(chi), one array recurrence per sideband,
+    # then go to the kernel in one call over their grid (golden: one call each). The nodes cos k
+    # depend on N alone, so a grid lasts until N moves. Regime points share an (n, chi) table.
     points, where = np.empty((values.size, 5)), np.empty(values.size, dtype=int)
     orders, chis = np.empty(values.size, dtype=int), np.empty(values.size)
-    grid, start, count, bessels = None, 0, 0, {}
+    grid, start, count, bessels, golden = None, 0, 0, {}, []
 
     def flush() -> None:
         nonlocal start
@@ -241,12 +240,19 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
             for n in np.unique(orders[rows]).tolist():
                 at = np.flatnonzero(orders[rows] == n) + start
                 points[at, 4] = _bessel_column(n, chis[at])
-            rates = decay._rates(grid.nodes, grid.end, points[rows], np.array([args.t]))[0][:, 0]
-            for i, rate in zip(where[rows], rates):
-                try:
-                    cells[i] = _fmt(rate) + ","
-                except NonFiniteResult as exc:
-                    cells[i] = "," + type(exc).__name__
+            if args.quantity == "golden-rate":
+                for i, (params, n), jn in zip(where[rows], golden, points[rows, 4].tolist()):
+                    try:
+                        cells[i] = _fmt(decay.decay_rate_longtime(params, n, jn=jn).rate) + ","
+                    except (ConfigError, *NUMERICAL_FAILURES) as exc:
+                        cells[i] = "," + type(exc).__name__
+            else:
+                rates = decay._rates(grid.nodes, grid.end, points[rows], np.array([args.t]))[0][:, 0]
+                for i, rate in zip(where[rows], rates):
+                    try:
+                        cells[i] = _fmt(rate) + ","
+                    except NonFiniteResult as exc:
+                        cells[i] = "," + type(exc).__name__
             start = count
 
     for i, value in enumerate(values):
@@ -259,7 +265,13 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
                     bessels[key] = bessel_j(*key)
                 cells[i] = decay.classify_regime(params, n, args.t, jn=bessels[key]).regime + ","
             elif args.quantity == "golden-rate":
-                cells[i] = _fmt(decay.decay_rate_longtime(params, n).rate) + ","
+                try:
+                    orders[count], chis[count] = _checked(n, params.chi)
+                except NUMERICAL_FAILURES:  # off the band the rate needs no J_n(chi); in it, the point's own error
+                    cells[i] = _fmt(decay.decay_rate_longtime(params, n).rate) + ","
+                    continue
+                golden.append((params, n))
+                where[count], count = i, count + 1
             else:
                 if grid is None or params.n_cavities != grid.n_cavities:
                     flush()

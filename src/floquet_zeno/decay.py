@@ -15,7 +15,10 @@ limit is R = 2 pi g^2 J_n(chi)^2 rho(delta + n nu).
 
 Both band sums run through the one R(t) kernel, _rates: the ring's nodes
 are the trapezoid rule in theta on [0, pi], the Gauss-Chebyshev nodes the
-midpoint rule. Acceptance criterion 9, which compares the two routes,
+midpoint rule. That rule is exact to rounding once a ring has
+bath.band_nodes(xi t) sites, so a ring sum at time t (of R(t) or C_e(t))
+over a larger ring runs on the smaller power-of-two ring of
+bath.ring_sizes. Acceptance criterion 9, which compares the two routes,
 therefore checks the node rule and count, not the kernel. The kernel's
 independent checks are tests/test_decay.py's scipy quad test
 (test_band_sums_match_adaptive_quad_in_k_and_in_omega) and its mpmath
@@ -30,11 +33,11 @@ chi = A/nu at a root of J_n switches the coupling off entirely.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import MAX_CAVITIES, MomentumGrid, build_grid, ring_sum, spectral_density
+from .bath import MAX_CAVITIES, SMALLEST_RING, MomentumGrid, band_nodes, ring_nodes, ring_sizes, ring_sum, spectral_density
 from .errors import InvalidArgument, NonFiniteResult, SecondSideband, SizeTooLarge
 from .params import SurvivalCurve, SystemParams, check_time, check_times, resonant_sidebands
 from .specfun import MAX_ORDER, bessel_j, sinc
@@ -103,27 +106,47 @@ def _ramp_sine(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, row_sums, out) -> np.ndarray:
-    """Fill out[..., b, i] with row_sums(detuning_b * t_i, end), a ring_sum; return each reach max |detuning_b|.
+def _ring(nodes: np.ndarray, end: int, size: float) -> tuple[np.ndarray, int]:
+    # The nodes and end of a ring of size sites: those given when they have size modes.
+    return (nodes, end) if size == nodes.size + end - 1 else (ring_nodes(int(size)), int(size) // 2)
 
-    Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi nodes + n nu.
-    Detunings and arguments are built at most CHUNK_ELEMENTS at a time (one band
-    and time per block once the nodes alone exceed that), so the peak allocation
-    grows with neither the bands nor the times.
+
+def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, row_sums, out):
+    """Fill out[..., b, i] with row_sums(detuning_b, t_i, end), a ring_sum; return each reach and the sites.
+
+    Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi nodes + n nu;
+    reach_b is max |detuning_b| over the given nodes, at an end, as they run from
+    the largest cos to the smallest. A ring of N = nodes.size + end - 1 >
+    SMALLEST_RING sites is summed at each band and time on bath.ring_sizes(N, xi t)
+    sites, returned per band and time; else the sites are N, an int, and plain
+    nodes (end = 1) are summed as given. Detunings and arguments are built at most
+    CHUNK_ELEMENTS at a time (one band and time per block once the nodes alone
+    exceed that), so the peak allocation grows with neither the bands nor the times.
     """
     delta, xi, shift = bands.T[:, :, None]
-    times_per_block = max(1, CHUNK_ELEMENTS // nodes.size)
-    span = min(times.size, times_per_block)
-    step = times_per_block // span
-    reach = np.empty(len(delta))
-    for b in range(0, reach.size, step):
-        rows = slice(b, b + step)
-        detuning = delta[rows] - 2.0 * xi[rows] * nodes + shift[rows]
-        reach[rows] = np.maximum.reduce(np.abs(detuning), axis=1)
-        for i in range(0, times.size, span):
-            cols = slice(i, i + span)
-            out[..., rows, cols] = row_sums(detuning[:, None] * times[cols, None], end)
-    return reach
+    modes = nodes.size + end - 1
+    reach, sizes, blocks = np.empty(len(bands)), modes, [(0, len(bands), 0, times.size, nodes, end)]
+    if modes > SMALLEST_RING and end > 1 and band_nodes(np.minimum.reduce(xi, axis=None) * times[0]) < modes:
+        # A block: bands lo..hi-1 with one row of sizes, times first..stop-1 with one size.
+        reach = np.maximum.reduce(np.abs(delta - 2.0 * xi * nodes[[0, -1]] + shift), axis=1)
+        sizes, blocks = ring_sizes(modes, xi * times), []
+        runs = [0, *(np.flatnonzero((sizes[1:] != sizes[:-1]).any(axis=1)) + 1).tolist(), len(bands)]
+        for lo, hi in zip(runs, runs[1:]):
+            cuts = [0, *(np.flatnonzero(sizes[lo, 1:] != sizes[lo, :-1]) + 1).tolist(), times.size]
+            blocks += [(lo, hi, i, stop, *_ring(nodes, end, sizes[lo, i])) for i, stop in zip(cuts, cuts[1:])]
+    for lo, hi, first, stop, ring, ring_end in blocks:
+        times_per_block = max(1, CHUNK_ELEMENTS // ring.size)
+        span = min(stop - first, times_per_block)
+        step = times_per_block // span
+        for b in range(lo, hi, step):
+            rows = slice(b, min(b + step, hi))
+            detuning = delta[rows] - 2.0 * xi[rows] * ring + shift[rows]
+            if ring is nodes:
+                reach[rows] = np.maximum.reduce(np.abs(detuning), axis=1)
+            for i in range(first, stop, span):
+                cols = slice(i, min(i + span, stop))
+                out[..., rows, cols] = row_sums(detuning[:, None], times[cols, None], ring_end)
+    return reach, sizes
 
 
 def _point(params: SystemParams, n: int, jn: float | None = None) -> tuple[float, float, float, float, float]:
@@ -133,9 +156,10 @@ def _point(params: SystemParams, n: int, jn: float | None = None) -> tuple[float
     return params.delta, params.xi, n * params.drive_freq, params.g_squared, jn
 
 
-def _rate_sums(h: np.ndarray, end: int) -> np.ndarray:
-    # sum_k sinc^2(h_k) over the last axis, h = detuning * t / 2.
-    s = _sinc(h)
+def _rate_sums(detuning: np.ndarray, t, end: int) -> np.ndarray:
+    # sum_k sinc^2(detuning_k t / 2) over the last axis. detuning * (t / 2) is
+    # detuning * t / 2 exactly, but in the subnormals, where sinc is 1 either way.
+    s = _sinc(detuning * (t / 2.0))
     return ring_sum(np.square(s, out=s), end)
 
 
@@ -144,18 +168,17 @@ def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.n
 
     The sum over k runs over nodes cos k counted as ring_sum(..., end) counts
     them, N = nodes.size + end - 1 modes in all: a grid's nodes and end, or
-    N plain nodes with end = 1. points are _point rows. Returns R(t), one
+    N plain nodes with end = 1; a large ring is summed on the N sites _chunked
+    returns for each band and time. points are _point rows. Returns R(t), one
     row per point and one column per time, and each point's reach
-    max_k |detuning_k|; where either is not finite,
-    R(t) reads inf or nan and callers check it. Points with the same band
-    (delta, xi, n nu) share its sums, so a chi or g sweep sums the band once.
-    R(0) = 0. A band and time with reach * t <= SCALED_ABOVE give
-    (t g^2 / N) J_n(chi)^2 sum_k s^2 with s = sinc(detuning_k t / 2), summed by
-    _chunked. A later one, which no default time grid reaches, gives
-    (g^2 / N) J_n(chi)^2 sum_k s (s t); a term whose detuning * t overflows is its
-    phase average 2 / (detuning^2 t).
+    max_k |detuning_k|; where either is not finite, R(t) reads inf or nan
+    and callers check it. Points with the same band (delta, xi, n nu) share
+    its sums, so a chi or g sweep sums the band once. R(0) = 0. A band and
+    time with reach * t <= SCALED_ABOVE give (t g^2 / N) J_n(chi)^2 sum_k s^2
+    with s = sinc(detuning_k t / 2), summed by _chunked. A later one, which no
+    default time grid reaches, gives (g^2 / N) J_n(chi)^2 sum_k s (s t); a term
+    whose detuning * t overflows is its phase average 2 / (detuning^2 t).
     """
-    modes = nodes.size + end - 1
     points = np.asarray(points, dtype=float)
     if len(points) > 1:
         bands, band = np.unique(points[:, :3], axis=0, return_inverse=True)
@@ -164,41 +187,43 @@ def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.n
     g_squared, jn = points[:, 3:].T[:, :, None]
     totals = np.empty((len(bands), times.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        # detuning * (t / 2) is detuning * t / 2 exactly, but in the subnormals, where sinc is 1 either way.
-        reach = _chunked(nodes, end, bands, times / 2.0, _rate_sums, totals)
+        reach, sizes = _chunked(nodes, end, bands, times, _rate_sums, totals)
         factors = times
         if not np.maximum.reduce(reach) * times[-1] <= SCALED_ABOVE:  # a later row, or a reach that is not finite
             scaled = ~(reach[:, None] * times <= SCALED_ABOVE)
             for b, i in zip(*np.nonzero(scaled)):
                 delta, xi, shift = bands[b]
-                detuning, t = delta - 2.0 * xi * nodes + shift, times[i]
+                ring, ring_end = _ring(nodes, end, np.broadcast_to(sizes, totals.shape)[b, i])
+                detuning, t = delta - 2.0 * xi * ring + shift, times[i]
                 x = detuning * t
                 near = np.isfinite(x)
                 s = _sinc(x[near] / 2.0)
                 far = detuning[~near]
                 terms = np.empty_like(x)
                 terms[near], terms[~near] = s * (s * t), 2.0 / far / far / t
-                totals[b, i] = ring_sum(terms, end)
+                totals[b, i] = ring_sum(terms, ring_end)
             totals[~np.isfinite(reach)] = math.nan
             factors = np.where(scaled, 1.0, times)[band]
-        rates = factors * g_squared / modes * jn * jn * totals[band]
+        # An int N, as a scalar, lets numpy reuse the product's buffer for the quotient.
+        sizes = sizes if isinstance(sizes, int) else sizes[band]
+        rates = factors * g_squared / sizes * jn * jn * totals[band]
     return rates, reach[band]
 
 
 def _point_rates(params: SystemParams, nodes: np.ndarray, end: int, n: int, times: np.ndarray) -> np.ndarray:
     """R(t) at one point by _rates, where a detuning or R(t) that is not finite raises NonFiniteResult."""
     rates, reach = _rates(nodes, end, [_point(params, n)], times)
-    if not np.isfinite(rates).all():
+    if not np.maximum.reduce(rates, axis=None) < math.inf:  # rates >= 0, so the largest is finite iff all are
         if not math.isfinite(reach[0]):
             raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
         raise NonFiniteResult(f"R(t) overflows at t = {times[~np.isfinite(rates[0])][0]:g}")
     return rates[0]
 
 
-def _window_sums(x: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
-    # sum_k sinc^2(y_k / 2) / 2 and sum_k (y_k - sin y_k) / y_k^2 over the last axis, y = a_k t = -x, x = detuning * t.
-    y = -x
-    return 0.5 * _rate_sums(y / 2.0, end), ring_sum(_ramp_sine(y), end)
+def _window_sums(detuning: np.ndarray, t, end: int) -> tuple[np.ndarray, np.ndarray]:
+    # sum_k sinc^2(y_k / 2) / 2 and sum_k (y_k - sin y_k) / y_k^2 over the last axis, y = a_k t = -detuning * t.
+    y = -(detuning * t)
+    return 0.5 * _rate_sums(y, 1.0, end), ring_sum(_ramp_sine(y), end)
 
 
 def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +238,9 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     g_squared, jn = point[3:]
     windows = np.empty((2, 1, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = float(_chunked(grid.nodes, grid.end, np.array([point[:3]]), times, _window_sums, windows)[0])
-        scale = times * times * g_squared / grid.n_cavities * jn * jn
+        reach, sizes = _chunked(grid.nodes, grid.end, np.array([point[:3]]), times, _window_sums, windows)
+        reach, sizes = float(reach[0]), sizes if isinstance(sizes, int) else sizes[0]
+        scale = times * times * g_squared / sizes * jn * jn
     if not math.isfinite(reach):
         raise NonFiniteResult(f"the detuning delta - 2 xi cos k + {n} nu overflows")
     t = float(times[-1])
@@ -240,20 +266,12 @@ def __getattr__(name: str):
 
 
 def _band_nodes(params: SystemParams, t: float) -> int:
-    """Nodes N at which a band sum at time t > 0 is its N -> infinity integral to rounding.
-
-    In k, sinc^2((omega_f - 2 xi cos k) t / 2) is periodic and entire, and its
-    Fourier coefficients are averages of J_m(2 xi tau) over |tau| <= t, which
-    die off past m = 2 xi t within a layer of width ~ (xi t)^(1/3) (DLMF
-    10.19(iii)). An N-node rule errs by the coefficients past N (Trefethen &
-    Weideman, SIAM Rev. 56, 385 (2014)), so N = 2 xi t + 12 (xi t)^(1/3) + 32
-    (see the README). Past MAX_CAVITIES nodes, SizeTooLarge before anything is built.
-    """
+    """bath.band_nodes at xi t for t > 0: past MAX_CAVITIES nodes, SizeTooLarge before anything is built."""
     reach = params.xi * check_time(t)
-    nodes = 2.0 * reach + 12.0 * reach ** (1.0 / 3.0) + 32.0
+    nodes = band_nodes(reach)
     if not nodes <= MAX_CAVITIES:
         raise SizeTooLarge(f"xi t = {reach:g} needs {nodes:.4g} band nodes, past the ceiling {MAX_CAVITIES}")
-    return math.ceil(nodes)
+    return int(nodes)
 
 
 def check_single_sideband(params: SystemParams, n: int) -> None:
@@ -284,8 +302,8 @@ class LongTimeRate:
     rate: float
 
 
-def decay_rate_longtime(params: SystemParams, n: int) -> LongTimeRate:
-    """Golden-rule limit of R(t).
+def decay_rate_longtime(params: SystemParams, n: int, *, jn: float | None = None) -> LongTimeRate:
+    """Golden-rule limit of R(t); jn is J_n(chi), evaluated here when needed and not given.
 
     Resonant iff |delta + n nu| <= 2 xi, i.e. some band mode matches the
     shifted emitter frequency in the continuum; then
@@ -297,7 +315,8 @@ def decay_rate_longtime(params: SystemParams, n: int) -> LongTimeRate:
     rho = spectral_density(params.xi, omega_f)  # raises at the edge
     if rho == 0.0:
         return LongTimeRate(resonant=False, rate=0.0)
-    jn = bessel_j(n, params.chi)
+    if jn is None:
+        jn = bessel_j(n, params.chi)
     return LongTimeRate(resonant=True, rate=2.0 * math.pi * params.g_squared * jn * jn * rho)
 
 
@@ -310,8 +329,8 @@ def decay_rate_continuum(params: SystemParams, n: int, t: float) -> float:
     periodic rule on [0, 2 pi] folded onto [0, pi]), so this is
     decay_rate_finite on a ring of _band_nodes(params, t) sites.
     """
-    ring = replace(params, n_cavities=_band_nodes(params, t))
-    return decay_rate_finite(ring, build_grid(ring), n, t)
+    sites = _band_nodes(params, t)
+    return float(_point_rates(params, ring_nodes(sites), (sites + 1) // 2, n, np.array([t], dtype=float))[0])
 
 
 def decay_rate_overlap(params: SystemParams, n: int, t: float) -> float:

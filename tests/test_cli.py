@@ -373,6 +373,66 @@ def test_regime_sweep_evaluates_each_bessel_value_once(tmp_path, monkeypatch):
     assert len(classified) == 401
 
 
+def _per_point_golden(args, fields: dict, value) -> tuple[str, str]:
+    # One golden-rate sweep point as a fresh decay_rate_longtime call: the cell, or the error's type name.
+    try:
+        params = cli._resolve_params({**fields, args.param: value})
+        return cli._fmt(decay.decay_rate_longtime(params, cli._sideband(args, params)).rate), ""
+    except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
+        return "", type(exc).__name__
+
+
+GOLDEN_SWEEPS = [
+    (dict(BENCH.SWEEPS)["sweep-golden"][1:], {""}),  # the benchmark's argv
+    # delta = 2 sits on the band edge; delta = 2.5 and 3 lie off the band, where the rate is 0.
+    (["--param", "delta", "--start", "1", "--stop", "3", "--count", "5"], {"", "BandEdgeSingularity"}),
+    # chi past the Bessel argument ceiling: in the band the point's own error, off it a rate of 0.
+    (["--param", "chi", "--start", "0", "--stop", "2e6", "--count", "5", "--sideband", "0", "--delta", "1"],
+     {"", "ArgumentOutOfRange"}),
+    (["--param", "chi", "--start", "0", "--stop", "2e6", "--count", "5", "--sideband", "0", "--delta", "5"], {""}),
+    # A forced sideband past the Bessel order ceiling, in the band and off it.
+    (["--param", "delta", "--start", "-12001", "--stop", "-11999", "--count", "5", "--sideband", "2000"],
+     {"OrderTooLarge"}),
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {""}),
+    # delta +- 1.5 puts sideband -+1 in band beside the default one.
+    (["--param", "delta", "--start", "-3", "--stop", "3", "--count", "5", "--drive-freq", "3", "--chi", "1"],
+     {"", "SecondSideband"}),
+    (["--param", "n_cavities", "--start", "0", "--stop", "4", "--count", "5"], {"", "ZeroCavities"}),
+    # g^2 passes the float range past g = 1.34e154.
+    (["--param", "g", "--start", "0", "--stop", "2e154", "--count", "9", "--delta", "0"], {"", "NonFiniteResult"}),
+    # Over drive_freq the default sideband moves, so J_n(chi) comes from several columns.
+    (["--param", "drive_freq", "--start", "1e-300", "--stop", "7", "--count", "41"],
+     {"", "OrderTooLarge", "SecondSideband"}),
+    (["--param", "drive_freq", "--start", "2.5", "--stop", "7", "--count", "13", "--chi", "1", "--delta", "-5"],
+     {"", "BandEdgeSingularity", "SecondSideband"}),
+]
+
+
+@pytest.mark.parametrize("flags, outcomes", GOLDEN_SWEEPS)
+def test_golden_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_path, monkeypatch):
+    # A golden-rate sweep takes J_n(chi) from one column call per sideband over
+    # the points that pass the Bessel ceilings; every cell must still be the
+    # rate or error type of a fresh decay_rate_longtime call at its point.
+    columns = []
+    real_column = cli._bessel_column
+    monkeypatch.setattr(cli, "_bessel_column", lambda n, x: columns.append((n, x.size)) or real_column(n, x))
+    argv = ["sweep", *flags, "--quantity", "golden-rate"]
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
+    args = cli.build_parser().parse_args(argv)
+    fields = cli._param_fields(args)
+    expected = [_per_point_golden(args, fields, value) for value in cli._sweep_values(args)]
+    assert [tuple(row[1:]) for row in table[1:]] == expected
+    assert {error for _, error in expected} == outcomes
+    orders = []
+    for value in cli._sweep_values(args):
+        try:
+            params = cli._resolve_params({**fields, args.param: value})
+            orders.append(cli._checked(cli._sideband(args, params), params.chi)[0])
+        except (cli.ConfigError, *cli.NUMERICAL_FAILURES):
+            pass
+    assert sorted(columns) == sorted((n, orders.count(n)) for n in set(orders))
+
+
 def _queued(args, fields: dict) -> list[tuple[int, int]]:
     # (N, n) of each rate sweep point that resolves and passes the sideband check.
     queued = []

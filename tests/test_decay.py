@@ -601,6 +601,18 @@ def _cos_k(n_cavities):
     return np.cos(2.0 * math.pi * np.arange(n_cavities) / n_cavities)
 
 
+def _rule_grid(p, t):
+    # The grid of the ring a sum over p's N sites runs over at time t: N, or the
+    # smallest power of two at least 64 and 2 xi t + 12 (xi t)^(1/3) + 32 sites
+    # where that is fewer.
+    reach = p.xi * t
+    needed = 2.0 * reach + 12.0 * reach ** (1.0 / 3.0) + 32.0
+    if needed >= p.n_cavities:
+        return build_grid(p)
+    ring = max(64, 1 << (math.ceil(needed) - 1).bit_length())
+    return build_grid(dataclasses.replace(p, n_cavities=min(ring, p.n_cavities)))
+
+
 def _seed_rate(p, grid, n, t, lattice_sum=_folded_sum):
     detuning = p.delta - 2.0 * p.xi * _cos_k(grid.n_cavities) + n * p.drive_freq
     jn = bessel_j(n, p.chi)
@@ -608,18 +620,33 @@ def _seed_rate(p, grid, n, t, lattice_sum=_folded_sum):
     return float(t * p.g**2 / grid.n_cavities * jn * jn * total)
 
 
-def _seed_survival(p, grid, n, t, lattice_sum=_folded_sum):
-    x = (2.0 * p.xi * _cos_k(grid.n_cavities) - p.delta - n * p.drive_freq) * t
+def _seed_ramp(x):
+    # (x - sin x) / x^2 with the kernel's series branch below |x| = 0.1.
     small = np.abs(x) < 0.1
     ramp = np.empty_like(x)
     x2 = x[small] * x[small]
     ramp[small] = x[small] * (1.0 / 6.0 - x2 * (1.0 / 120.0 - x2 * (1.0 / 5040.0 - x2 / 362880.0)))
     ramp[~small] = (x[~small] - np.sin(x[~small])) / (x[~small] * x[~small])
+    return ramp
+
+
+def _seed_survival(p, grid, n, t, lattice_sum=_folded_sum):
+    x = (2.0 * p.xi * _cos_k(grid.n_cavities) - p.delta - n * p.drive_freq) * t
+    ramp = _seed_ramp(x)
     window = complex(0.5 * lattice_sum(_seed_sinc_sq(0.5 * x), grid.n_cavities), lattice_sum(ramp, grid.n_cavities))
     jn = bessel_j(n, p.chi)
     phase = complex(math.cos(0.5 * p.omega * t), math.sin(0.5 * p.omega * t))
     amplitude = phase * (1.0 - t * t * p.g**2 / grid.n_cavities * jn * jn * window)
     return min(abs(amplitude) ** 2, 1.0)
+
+
+def _full_window(p, t):
+    # 1 - C_e at omega = 0 summed in floats over all N modes: (t^2 g^2 / N) J_0(chi)^2 sum_k
+    # (sinc^2(x/2) / 2 + i (x - sin x) / x^2), x = a_k t.
+    x = (2.0 * p.xi * _cos_k(p.n_cavities) - p.delta) * t
+    window = complex(0.5 * _seed_sinc_sq(0.5 * x).sum(), _seed_ramp(x).sum())
+    jn = bessel_j(0, p.chi)
+    return t * t * p.g**2 / p.n_cavities * jn * jn * window
 
 
 KERNEL_POINTS = [fig3(1.0, 1.0), fig3(3.0, 1.0), fig3(3.0, J0_ROOT), make(omega_c=1.37, drive_amp=4.1, g=0.05)]
@@ -636,15 +663,16 @@ def test_curves_equal_their_one_time_case_bit_for_bit(n_cavities, point):
     grid = build_grid(p)
     rates = decay_curve(p, grid, 0, LONG).rates
     assert np.array_equal(rates, [decay_rate_finite(p, grid, 0, t) for t in LONG])
-    # Below SCALED_ABOVE, SHORT always, the bytes are those of the per-time sum.
+    # Below SCALED_ABOVE, SHORT always, the bytes are those of the per-time sum
+    # on the ring the rule picks.
     plain = (LONG <= SCALED_ABOVE / (abs(p.delta) + 2.0 * p.xi)) | (LONG <= SHORT[-1])
-    assert np.array_equal(rates[plain], [_seed_rate(p, grid, 0, t) for t in LONG[plain]])
+    assert np.array_equal(rates[plain], [_seed_rate(p, _rule_grid(p, t), 0, t) for t in LONG[plain]])
     times = np.concatenate([[0.0], SHORT])
     for method in ("perturbative", "exponential"):
         probs = survival_curve(p, grid, 0, times, method).probabilities
         assert np.array_equal(probs, [survival_probability(p, grid, 0, t, method) for t in times])
     probs = survival_curve(p, grid, 0, times).probabilities
-    assert np.array_equal(probs[1:], [_seed_survival(p, grid, 0, t) for t in SHORT])
+    assert np.array_equal(probs[1:], [_seed_survival(p, _rule_grid(p, t), 0, t) for t in SHORT])
     probs = survival_curve(p, grid, 0, LONG, "exponential").probabilities
     assert np.array_equal(probs, [math.exp(-r * t) for r, t in zip(rates, LONG)])
 
@@ -667,7 +695,8 @@ def test_folded_sums_match_the_sum_over_all_modes(point, n_cavities):
 
 def test_every_ring_sum_runs_over_the_distinct_nodes(monkeypatch, tmp_path):
     # The length of the last axis that sinc sees is the number of terms each
-    # lattice sum computes: floor(N/2) + 1 on a ring, N Gauss-Chebyshev nodes.
+    # lattice sum computes: floor(M/2) + 1 on a ring of M = min(N, 64) sites
+    # (the smallest ring, enough for xi t <= 5), N Gauss-Chebyshev nodes.
     lengths = []
     real = decay._sinc
 
@@ -686,7 +715,7 @@ def test_every_ring_sum_runs_over_the_distinct_nodes(monkeypatch, tmp_path):
         ):
             lengths.clear()
             compute()
-            assert set(lengths) == {n_cavities // 2 + 1}
+            assert set(lengths) == {min(n_cavities, 64) // 2 + 1}
     for t in (0.5, 7.0, 300.0):
         nodes = decay._band_nodes(make(), t)
         lengths.clear()
@@ -759,14 +788,139 @@ def test_chunk_boundaries(monkeypatch):
 
 
 def test_more_modes_than_a_chunk_gives_one_time_per_chunk():
-    p = make(n_cavities=2 * CHUNK_ELEMENTS + 3)
+    # At xi t >= 7e4 a ring sum needs more than 2^17 sites, so these times sum
+    # the whole grid; g = 1e-3 keeps P_e below 1 there.
+    p = make(n_cavities=2 * CHUNK_ELEMENTS + 3, g=1e-3)
     grid = build_grid(p)
     assert grid.nodes.size > CHUNK_ELEMENTS
-    times = [0.5, 2.0, 7.0]
+    times = [7e4, 1e5, 2e5]
     rates = decay_curve(p, grid, 0, times).rates
     assert np.array_equal(rates, [_seed_rate(p, grid, 0, t) for t in times])
     probs = survival_curve(p, grid, 0, times).probabilities
     assert np.array_equal(probs, [_seed_survival(p, grid, 0, t) for t in times])
+
+
+def _switch(ring, xi):
+    # The largest t at which `ring` sites are enough, 2 xi t + 12 (xi t)^(1/3) + 32 <= ring, by bisection.
+    lo, hi = 0.0, ring / 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 2.0 * mid + 12.0 * mid ** (1.0 / 3.0) + 32.0 <= ring else (lo, mid)
+    return lo / xi
+
+
+def _straddle(p, ring):
+    # Two times just before and just after the switch from `ring` to 2 `ring` sites.
+    t = _switch(ring, p.xi)
+    before, after = t * (1.0 - 1e-6), t * (1.0 + 1e-6)
+    assert _rule_grid(p, before).n_cavities == ring
+    assert _rule_grid(p, after).n_cavities == min(2 * ring, p.n_cavities)
+    return [before, after]
+
+
+@pytest.mark.filterwarnings("ignore:perturbative P_e up to")
+def test_curve_sweep_and_one_time_cells_agree_across_a_ring_switch(tmp_path):
+    # Each band and time picks its own ring, so a curve entry, a one-time call
+    # and a sweep cell at one (xi, t, N) are one value bit for bit, also just
+    # before and just after a switch from M to 2M sites.
+    for n_cavities, xi in ((65, 1.7), (2001, 1.0), (4000, 0.45)):
+        p = make(n_cavities=n_cavities, xi=xi)
+        grid = build_grid(p)
+        times = np.array([t for ring in (64, 128, 256, 512, 1024, 2048) if ring < n_cavities for t in _straddle(p, ring)])
+        rates = decay_curve(p, grid, 0, times).rates
+        assert np.array_equal(rates, [decay_rate_finite(p, grid, 0, t) for t in times])
+        assert np.array_equal(rates, [_seed_rate(p, _rule_grid(p, t), 0, t) for t in times])
+        for method in ("perturbative", "exponential"):
+            probs = survival_curve(p, grid, 0, times, method).probabilities
+            assert np.array_equal(probs, [survival_probability(p, grid, 0, t, method) for t in times])
+        # The reach is still the grid's (whose last node for odd N is not k = pi),
+        # also where no time sums the grid itself.
+        _, reach = decay._rates(grid.nodes, grid.end, [decay._point(p, 0)], times[:2])
+        assert reach[0] == np.abs(p.delta - 2.0 * p.xi * grid.nodes).max()
+    # A row past SCALED_ABOVE on a narrow band (xi t = 10) is summed on its 128-site ring too.
+    narrow = make(n_cavities=4001, xi=1e-150)
+    ring = dataclasses.replace(narrow, n_cavities=128)
+    assert decay_rate_finite(narrow, build_grid(narrow), 0, 1e151) == decay_rate_finite(ring, build_grid(ring), 0, 1e151)
+    # Over xi at t = 10, the points of one kernel call need the 64- and the 128-site ring.
+    argv = ["sweep", "--param", "xi", "--start", "0.3", "--stop", "2", "--count", "41", "--n-cavities", "2001", "--t", "10"]
+    assert cli.run(["--out", str(tmp_path / "s.csv"), *argv]) == 0
+    table = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    points, xis = [], np.linspace(0.3, 2.0, 41)
+    for xi, (_, cell, error) in zip(xis, table):
+        p = make(n_cavities=2001, xi=xi)
+        assert (cell, error) == (cli._fmt(decay_rate_finite(p, build_grid(p), 0, 10.0)), "")
+        points.append(decay._point(p, 0))
+    assert {_rule_grid(make(n_cavities=2001, xi=xi), 10.0).n_cavities for xi in xis} == {64, 128}
+    grid = build_grid(make(n_cavities=2001))
+    rates, _ = decay._rates(grid.nodes, grid.end, points, np.array([10.0]))
+    for row, point in zip(rates, points):
+        assert row.tobytes() == decay._rates(grid.nodes, grid.end, [point], np.array([10.0]))[0][0].tobytes()
+
+
+def test_a_large_ring_sums_only_the_ring_the_rule_picks(monkeypatch, tmp_path):
+    # At N = 2^20 and xi t <= 20 a ring of M = 128 sites already gives the sum,
+    # so no lattice sum computes more than M // 2 + 1 terms.
+    lengths = []
+    real = decay._sinc
+
+    def recorded(x):
+        lengths.append(x.shape[-1])
+        return real(x)
+
+    monkeypatch.setattr(decay, "_sinc", recorded)
+    p = make(n_cavities=1 << 20, g=0.01)
+    grid = build_grid(p)
+    times = np.linspace(0.1, 20.0, 200)
+    decay_curve(p, grid, 0, times)
+    decay_rate_finite(p, grid, 0, 20.0)
+    for method in ("perturbative", "exponential"):
+        survival_curve(p, grid, 0, times, method)
+    argv = ["sweep", "--param", "delta", "--start", "-3", "--stop", "3", "--count", "9", "--n-cavities", str(1 << 20), "--t", "20"]
+    assert cli.run(["--out", str(tmp_path / "s.csv"), *argv]) == 0
+    assert set(lengths) == {64 // 2 + 1, 128 // 2 + 1}
+
+
+def test_ring_rule_sums_match_mpmath_over_all_sites():
+    # R(t) and the survival window W = 1 - C_e (omega = 0, so C_e carries no
+    # phase) on the ring the rule picks, against the sum over all N exact
+    # momenta 2 pi j / N in 30-digit arithmetic. Draws: even and odd N up to
+    # 5000, xi in [0.3, 2], delta + n nu inside and outside the band, and
+    # times just before and after the switch M -> 2M for each M from 64 to
+    # 4096 (xi t up to 2e3); g makes |W| = 1/2. Both the kernel and the float
+    # sum over all N sites err by the rounding of the sinc arguments, about
+    # eps xi t: over 360 seeded draws (about 1400 times) the worst error was
+    # 0.66 eps (1 + xi t) on the ring and 1.14 eps (1 + xi t) over all N
+    # sites, so the bound is 3 eps (1 + xi t).
+    rng = np.random.default_rng(28)
+    eps = np.finfo(float).eps
+    for draw, ring in enumerate((64, 128, 256, 512, 1024, 2048, 4096)):
+        xi = rng.uniform(0.3, 2.0)
+        delta = (rng.uniform(-1.8, 1.8) if draw % 2 else rng.choice([-1.0, 1.0]) * rng.uniform(2.2, 3.5)) * xi
+        n_cavities = int(rng.integers(ring + 2, 5001)) // 2 * 2 + draw % 2
+        p = make(omega=0.0, omega_c=delta, xi=xi, n_cavities=n_cavities)
+        grid = build_grid(p)
+        jn = bessel_j(0, p.chi)
+        with mpmath.workdps(30):
+            cos_k = [mpmath.cos(2 * mpmath.pi * j / n_cavities) for j in range(n_cavities // 2 + 1)]
+        for t in _straddle(p, ring):
+            with mpmath.workdps(30):
+                sinc_sq = ramp = mpmath.mpf(0)
+                for j, c in enumerate(cos_k):
+                    h = (2 * mpmath.mpf(xi) * c - mpmath.mpf(delta)) * mpmath.mpf(t) / 2  # x / 2, x = a_k t
+                    cos_h, sin_h = mpmath.cos_sin(h)
+                    weight = 1 if j == 0 or 2 * j == n_cavities else 2
+                    sinc_sq += weight * (sin_h / h) ** 2
+                    ramp += weight * (2 * h - 2 * sin_h * cos_h) / (4 * h * h)  # (x - sin x) / x^2
+                per_g2 = mpmath.mpf(t) * jn * jn / n_cavities
+                g_squared = 0.5 / float(abs(per_g2 * t * mpmath.mpc(sinc_sq / 2, ramp)))
+                rate = float(per_g2 * g_squared * sinc_sq)
+                window = complex(per_g2 * g_squared * t * mpmath.mpc(sinc_sq / 2, ramp))
+            q = dataclasses.replace(p, g=math.sqrt(g_squared))
+            bound = 3.0 * eps * (1.0 + xi * t)
+            assert abs(decay_rate_finite(q, grid, 0, t) - rate) <= bound * rate
+            assert abs(_seed_rate(q, grid, 0, t, _full_sum) - rate) <= bound * rate
+            assert abs(1.0 - survival_amplitude(q, grid, 0, t) - window) <= bound * abs(window)
+            assert abs(_full_window(q, t) - window) <= bound * abs(window)
 
 
 def test_curve_peak_allocation_does_not_grow_with_the_times():
@@ -848,6 +1002,13 @@ def test_perturbative_refusal_starts_where_the_amplitude_overflows():
     assert survival_curve(p, grid, 0, [1e150]).probabilities.tolist() == [1.0]
     with pytest.raises(NonFiniteResult):
         survival_curve(p, grid, 0, [1e150, 1.4e154])
+
+
+def test_a_rate_that_overflows_at_a_later_time_names_that_time():
+    # g^2 = 1e308 is finite and so is R(1), but t g^2 overflows at t = 100.
+    p = make(g=1e154)
+    with pytest.raises(NonFiniteResult, match=r"^R\(t\) overflows at t = 100$"):
+        decay_curve(p, build_grid(p), 0, [1.0, 100.0])
 
 
 def test_an_overflowing_detuning_is_refused_at_every_time():
