@@ -14,6 +14,7 @@ fields.
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, parse_config
-from .specfun import _bessel_column, _checked, bessel_j, bessel_j_zero
+from .specfun import _bessel_column, _checked, bessel_j_zero
 
 DEFAULTS = {
     "omega": 2.0,
@@ -42,7 +43,8 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
 # decay-rate table at the defaults takes about 2 s and 160 MB; a rate or
-# regime sweep about 16-27 us and 250 bytes per point (see the README).
+# regime sweep about 13-26 us and 0.5-0.9 KB per point, since it holds every
+# resolved point until its J_n(chi) are evaluated (see the README).
 MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
@@ -222,66 +224,63 @@ def _sweep_values(args) -> np.ndarray:
 
 
 def _sweep_cells(args, values: np.ndarray) -> list[str]:
-    """Each point's "cell,error": its quantity and no error, or no cell and the error's type name."""
-    fields = _param_fields(args)
-    cells = [","] * values.size
-    # Rate points queue up as rows of decay._point and golden points as (params, n), point
-    # where[j] in row j; rows start..count get their J_n(chi), one array recurrence per sideband,
-    # then go to the kernel in one call over their grid (golden: one call each). The nodes cos k
-    # depend on N alone, so a grid lasts until N moves. Regime points share an (n, chi) table.
-    points, where = np.empty((values.size, 5)), np.empty(values.size, dtype=int)
-    orders, chis = np.empty(values.size, dtype=int), np.empty(values.size)
-    grid, start, count, bessels, golden = None, 0, 0, {}, []
+    """Each point's "cell,error": its quantity and no error, or no cell and the error's type name.
 
-    def flush() -> None:
-        nonlocal start
-        if count > start:
-            rows = slice(start, count)
-            for n in np.unique(orders[rows]).tolist():
-                at = np.flatnonzero(orders[rows] == n) + start
-                points[at, 4] = _bessel_column(n, chis[at])
-            if args.quantity == "golden-rate":
-                for i, (params, n), jn in zip(where[rows], golden, points[rows, 4].tolist()):
-                    try:
-                        cells[i] = _fmt(decay.decay_rate_longtime(params, n, jn=jn).rate) + ","
-                    except (ConfigError, *NUMERICAL_FAILURES) as exc:
-                        cells[i] = "," + type(exc).__name__
-            else:
-                rates = decay._rates(grid.nodes, grid.end, points[rows], np.array([args.t]))[0][:, 0]
-                for i, rate in zip(where[rows], rates):
-                    try:
-                        cells[i] = _fmt(rate) + ","
-                    except NonFiniteResult as exc:
-                        cells[i] = "," + type(exc).__name__
-            start = count
-
+    Each point resolves on its own, a rate point also to its grid, built again only
+    when N moves. J_n(chi) is evaluated once per distinct (n, chi), one column per n;
+    a key _checked refuses holds None, so its points evaluate J_n as a fresh call
+    does. Each grid's rate points go to the kernel in one call.
+    """
+    fields, cells, rate = _param_fields(args), [","] * values.size, args.quantity == "rate"
+    points, grid, bessels, chis = [], None, {}, {}
     for i, value in enumerate(values):
         try:
             params = _resolve_params({**fields, args.param: value})
             n = _sideband(args, params)
-            if args.quantity == "regime":
-                key = (n, params.chi)
-                if key not in bessels:
-                    bessels[key] = bessel_j(*key)
-                cells[i] = decay.classify_regime(params, n, args.t, jn=bessels[key]).regime + ","
-            elif args.quantity == "golden-rate":
-                try:
-                    orders[count], chis[count] = _checked(n, params.chi)
-                except NUMERICAL_FAILURES:  # off the band the rate needs no J_n(chi); in it, the point's own error
-                    cells[i] = _fmt(decay.decay_rate_longtime(params, n).rate) + ","
-                    continue
-                golden.append((params, n))
-                where[count], count = i, count + 1
-            else:
-                if grid is None or params.n_cavities != grid.n_cavities:
-                    flush()
-                    grid = build_grid(params)
-                orders[count], chis[count] = _checked(n, params.chi)
-                points[count], where[count] = decay._point(params, n, 0.0), i  # J_n(chi) comes at flush
-                count += 1
+            if rate and (grid is None or params.n_cavities != grid.n_cavities):
+                grid = build_grid(params)
+            key = (n, params.chi)
+            points.append((i, params, key, grid))
+            bessels[key] = None
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
-    flush()
+    for key in bessels:
+        try:
+            n, chi = _checked(*key)
+        except (ConfigError, *NUMERICAL_FAILURES):
+            continue
+        chis.setdefault(n, []).append(chi)
+    for n, x in chis.items():
+        bessels.update(zip([(n, chi) for chi in x], _bessel_column(n, np.array(x)).tolist()))
+
+    if rate:
+        for grid, run in itertools.groupby(points, key=lambda point: point[3]):
+            rows, where = [], []
+            for i, params, key, _ in run:
+                try:
+                    rows.append(decay._point(params, key[0], bessels[key]))
+                    where.append(i)
+                except (ConfigError, *NUMERICAL_FAILURES) as exc:
+                    cells[i] = "," + type(exc).__name__
+            if rows:
+                rates = decay._rates(grid.nodes, grid.end, rows, np.array([args.t]))[0][:, 0]
+                for i, value in zip(where, rates):
+                    try:
+                        cells[i] = _fmt(value) + ","
+                    except NonFiniteResult as exc:
+                        cells[i] = "," + type(exc).__name__
+        return cells
+    if args.quantity == "regime":
+        def quantity(params, n, jn):
+            return decay.classify_regime(params, n, args.t, jn=jn).regime
+    else:
+        def quantity(params, n, jn):
+            return _fmt(decay.decay_rate_longtime(params, n, jn=jn).rate)
+    for i, params, key, _ in points:
+        try:
+            cells[i] = quantity(params, key[0], bessels[key]) + ","
+        except (ConfigError, *NUMERICAL_FAILURES) as exc:
+            cells[i] = "," + type(exc).__name__
     return cells
 
 

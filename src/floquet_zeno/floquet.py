@@ -291,13 +291,9 @@ def green_coefficient(
         raise SingularResolvent(str(exc)) from exc
     field = c @ x_e
     x_p = inverse * field[:, None]  # every photon mode but the source, by node
-    squares = np.abs((energy - fm.photon) * x_p - field[:, None]) ** 2
-    photon = ring_sum(squares, fm.end).sum()
-    if alpha != TLS:  # the source mode's own residual in place of the one ring_sum counted for it
-        photon += abs((energy - fm.photon[zero, node]) * (x_p[zero, node] + own) - field[zero] - 1.0) ** 2
-        photon -= squares[zero, node]
-    emitter = (energy - fm.emitter) * x_e - c.T @ (sums * field) - rhs
-    residual = math.hypot(np.linalg.norm(emitter), math.sqrt(photon))
+    # x_p = inverse * field solves the photon rows to one rounding, so only
+    # the emitter (Schur) rows can lose the solve.
+    residual = np.linalg.norm((energy - fm.emitter) * x_e - c.T @ (sums * field) - rhs)
     if not residual <= RESIDUAL_TOLERANCE:
         raise SingularResolvent(f"solve residual {residual:g} exceeds {RESIDUAL_TOLERANCE:g}")
     fm.index(*beta)  # IndexError for a target outside the matrix

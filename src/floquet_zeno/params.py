@@ -96,9 +96,8 @@ def default_sideband(params: SystemParams) -> int:
     ratio = -params.delta / nu
     if not math.isfinite(ratio):
         raise OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
-    guess = round(ratio)
-    candidates = range(guess - 2, guess + 3)
-    return min(candidates, key=lambda n: (abs(params.delta + n * nu), abs(n), n))
+    guess, delta = round(ratio), params.delta
+    return min((abs(delta + n * nu), abs(n), n) for n in range(guess - 2, guess + 3))[2]
 
 
 def resonant_sidebands(params: SystemParams) -> range:

@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
+import json
 import math
 import time
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floquet_zeno import bath, cli, decay
+from floquet_zeno import bath, cli, decay, specfun
 from floquet_zeno.cli import run
 from floquet_zeno.params import default_sideband
 from floquet_zeno.specfun import bessel_j_zero
@@ -298,6 +300,11 @@ MIXED_SWEEPS = [
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {"OrderTooLarge"}),
     (["--param", "omega", "--start=-8e307", "--stop", "8e307", "--count", "5", "--omega-c", "1e308", "--sideband", "0"],
      {"", "NonFiniteResult"}),
+    # A default sideband past the Bessel order ceiling at a tiny drive frequency.
+    (["--param", "drive_freq", "--start", "1e-300", "--stop", "7", "--count", "41"],
+     {"", "OrderTooLarge", "SecondSideband"}),
+    # The first grid is past the cavity ceiling; the later points build their own.
+    (["--param", "n_cavities", "--start", "1048577", "--stop", "1048575", "--count", "3"], {"", "SizeTooLarge"}),
 ]
 
 
@@ -312,6 +319,34 @@ def test_rate_sweep_cells_with_errors_match_fresh_per_point_calls(flags, errors,
     expected = [_per_point_cell(args, fields, value) for value in cli._sweep_values(args)]
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {error for _, error in expected} == errors
+
+
+def _record_columns(monkeypatch) -> list[tuple[int, list[float]]]:
+    # Each cli._bessel_column call as (n, its chi).
+    columns, real_column = [], cli._bessel_column
+    monkeypatch.setattr(cli, "_bessel_column", lambda n, x: columns.append((n, x.tolist())) or real_column(n, x))
+    return columns
+
+
+def _assert_one_column_per_sideband(columns, argv) -> None:
+    # The one rule of every sweep quantity: one column call per sideband n, over
+    # exactly the distinct chi at n of the points that resolve, pass the sideband
+    # check (a rate point also its grid) and pass specfun._checked; cli makes no
+    # scalar bessel_j call.
+    args = cli.build_parser().parse_args(argv)
+    fields, checked = cli._param_fields(args), {}
+    for value in cli._sweep_values(args):
+        try:
+            params = cli._resolve_params({**fields, args.param: value})
+            n = cli._sideband(args, params)
+            if args.quantity == "rate":
+                bath.build_grid(params)
+            n, chi = specfun._checked(n, params.chi)
+        except (cli.ConfigError, *cli.NUMERICAL_FAILURES):
+            continue
+        checked.setdefault(n, set()).add(chi)
+    assert sorted((n, sorted(chis)) for n, chis in columns) == sorted((n, sorted(chis)) for n, chis in checked.items())
+    assert not hasattr(cli, "bessel_j")
 
 
 def _per_point_regime(args, fields: dict, value) -> tuple[str, str]:
@@ -353,24 +388,21 @@ def test_regime_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_pat
 
 
 def test_regime_sweep_evaluates_each_bessel_value_once(tmp_path, monkeypatch):
-    # The benchmark's 401-point delta sweep meets three (n, chi); it still
-    # classifies every point on its own.
-    evaluated, classified = [], []
-    real_bessel, real_classify = cli.bessel_j, decay.classify_regime
-
-    def counted_bessel(n, x):
-        evaluated.append((n, x))
-        return real_bessel(n, x)
+    # The benchmark's 401-point delta sweep meets three (n, chi), so it makes
+    # three one-entry columns; it still classifies every point on its own.
+    columns, classified = _record_columns(monkeypatch), []
+    real_classify = decay.classify_regime
 
     def counted_classify(*args, **kwargs):
         classified.append(kwargs["jn"])
         return real_classify(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "bessel_j", counted_bessel)
     monkeypatch.setattr(decay, "classify_regime", counted_classify)
-    run_to_file(dict(BENCH.SWEEPS)["sweep-regime"], tmp_path / "s.csv")
-    assert len(evaluated) == len(set(evaluated)) == 3
-    assert len(classified) == 401
+    argv = dict(BENCH.SWEEPS)["sweep-regime"]
+    run_to_file(argv, tmp_path / "s.csv")
+    _assert_one_column_per_sideband(columns, argv)
+    assert sorted(len(chis) for _, chis in columns) == [1, 1, 1]
+    assert len(classified) == 401 and None not in classified
 
 
 def _per_point_golden(args, fields: dict, value) -> tuple[str, str]:
@@ -411,11 +443,9 @@ GOLDEN_SWEEPS = [
 @pytest.mark.parametrize("flags, outcomes", GOLDEN_SWEEPS)
 def test_golden_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_path, monkeypatch):
     # A golden-rate sweep takes J_n(chi) from one column call per sideband over
-    # the points that pass the Bessel ceilings; every cell must still be the
+    # the distinct chi that pass the Bessel ceilings; every cell must still be the
     # rate or error type of a fresh decay_rate_longtime call at its point.
-    columns = []
-    real_column = cli._bessel_column
-    monkeypatch.setattr(cli, "_bessel_column", lambda n, x: columns.append((n, x.size)) or real_column(n, x))
+    columns = _record_columns(monkeypatch)
     argv = ["sweep", *flags, "--quantity", "golden-rate"]
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
     args = cli.build_parser().parse_args(argv)
@@ -423,26 +453,7 @@ def test_golden_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_pat
     expected = [_per_point_golden(args, fields, value) for value in cli._sweep_values(args)]
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {error for _, error in expected} == outcomes
-    orders = []
-    for value in cli._sweep_values(args):
-        try:
-            params = cli._resolve_params({**fields, args.param: value})
-            orders.append(cli._checked(cli._sideband(args, params), params.chi)[0])
-        except (cli.ConfigError, *cli.NUMERICAL_FAILURES):
-            pass
-    assert sorted(columns) == sorted((n, orders.count(n)) for n in set(orders))
-
-
-def _queued(args, fields: dict) -> list[tuple[int, int]]:
-    # (N, n) of each rate sweep point that resolves and passes the sideband check.
-    queued = []
-    for value in cli._sweep_values(args):
-        try:
-            params = cli._resolve_params({**fields, args.param: value})
-            queued.append((params.n_cavities, cli._sideband(args, params)))
-        except (cli.ConfigError, *cli.NUMERICAL_FAILURES):
-            pass
-    return queued
+    _assert_one_column_per_sideband(columns, argv)
 
 
 # Over drive_freq the default sideband moves from 2 to 1; one point between fails SecondSideband.
@@ -451,23 +462,13 @@ COLUMN_SWEEPS = [*RATE_SWEEPS, ("drive_freq", "2.5", "7", ["--chi", "1", "--delt
 
 @pytest.mark.parametrize("param, start, stop, flags", COLUMN_SWEEPS)
 def test_rate_sweep_makes_one_bessel_column_per_grid_and_sideband(param, start, stop, flags, tmp_path, monkeypatch):
-    # J_n(chi) of a grid's rate points comes from one column call per sideband n.
-    columns, grids = [], []
-    real_column, real_grid = cli._bessel_column, cli.build_grid
-
-    def counted_column(n, x):
-        columns.append((len(grids), n, x.size))
-        return real_column(n, x)
-
-    monkeypatch.setattr(cli, "_bessel_column", counted_column)
-    monkeypatch.setattr(cli, "build_grid", lambda params: grids.append(params) or real_grid(params))
+    # However many grids a rate sweep builds (13 over N), J_n(chi) comes from
+    # one column call per sideband n, as in every other sweep.
+    columns = _record_columns(monkeypatch)
     argv = rate_sweep_argv(param, start, stop, flags)
-    args = cli.build_parser().parse_args(argv)
-    queued = _queued(args, cli._param_fields(args))
     run_to_file(argv, tmp_path / "s.csv")
-    assert len({(grid, n) for grid, n, _ in columns}) == len(columns) == len(set(queued))
-    assert sum(size for _, _, size in columns) == len(queued)
-    assert len(columns) == (2 if param == "drive_freq" else len(grids))
+    _assert_one_column_per_sideband(columns, argv)
+    assert len(columns) == (2 if param == "drive_freq" else 1)
 
 
 def test_rate_sweep_through_a_bessel_root_reads_exact_zeros(tmp_path):
@@ -791,6 +792,18 @@ def _run_captured(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_bench_sweeps_keep_their_frozen_digests_and_labels():
+    # The benchmark refuses a run whose sweep stdout differs from the digests
+    # frozen in bench/reference.json; this reads them and checks the same bytes.
+    frozen = json.loads((Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text(encoding="utf-8"))
+    for name, argv in BENCH.SWEEPS:
+        code, out, err = _run_captured(argv)
+        assert (code, err) == (0, ""), name
+        assert hashlib.sha256(out.encode()).hexdigest() == frozen[f"digest:{name}"], name
+        if name == "sweep-regime":
+            assert [row[1] for row in rows(out.encode())[1:]] == frozen["sweep-regime:regimes"]
 
 
 def test_one_parser_serves_every_run_in_a_process(tmp_path):
