@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from . import decay, oracle
+from . import bath, decay, oracle
 from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
@@ -42,8 +42,8 @@ DEFAULTS = {
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
-# decay-rate table at the defaults takes about 2 s and 160 MB; a rate or
-# regime sweep about 13-26 us and 0.5-0.9 KB per point, since it holds every
+# decay-rate table at the defaults takes about 2 s and 160 MB; a 10^5-point
+# rate or regime sweep about 1.3-2.7 s and 63-93 MB, since it holds every
 # resolved point until its J_n(chi) are evaluated (see the README).
 MAX_ROWS = 1 << 20
 
@@ -226,22 +226,23 @@ def _sweep_values(args) -> np.ndarray:
 def _sweep_cells(args, values: np.ndarray) -> list[str]:
     """Each point's "cell,error": its quantity and no error, or no cell and the error's type name.
 
-    Each point resolves on its own, a rate point also to its grid, built again only
-    when N moves. J_n(chi) is evaluated once per distinct (n, chi), one column per n;
-    a key _checked refuses holds None, so its points evaluate J_n as a fresh call
-    does. Each grid's rate points go to the kernel in one call.
+    Each point resolves on its own to its params and sideband n; a rate point's N
+    is checked there against the grid ceiling, so its error comes before J_n's as
+    in a fresh call. J_n(chi) is evaluated once per distinct (n, chi), one column
+    per n; a key _checked refuses holds None, so its points evaluate J_n as a
+    fresh call does. Each run of rate points that share N builds its grid and goes
+    to the kernel in one call, so a sweep holds one grid at a time.
     """
     fields, cells, rate = _param_fields(args), [","] * values.size, args.quantity == "rate"
-    points, grid, bessels, chis = [], None, {}, {}
+    points, bessels, chis = [], {}, {}
     for i, value in enumerate(values):
         try:
             params = _resolve_params({**fields, args.param: value})
             n = _sideband(args, params)
-            if rate and (grid is None or params.n_cavities != grid.n_cavities):
-                grid = build_grid(params)
-            key = (n, params.chi)
-            points.append((i, params, key, grid))
-            bessels[key] = None
+            if rate:  # build_grid's ceiling; the grid itself is built at the kernel call
+                check_size("n_cavities", params.n_cavities, bath.MAX_CAVITIES)
+            bessels[n, params.chi] = None
+            points.append((i, params, n))
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
     for key in bessels:
@@ -254,16 +255,17 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
         bessels.update(zip([(n, chi) for chi in x], _bessel_column(n, np.array(x)).tolist()))
 
     if rate:
-        for grid, run in itertools.groupby(points, key=lambda point: point[3]):
-            rows, where = [], []
-            for i, params, key, _ in run:
+        for _, run in itertools.groupby(points, key=lambda point: point[1].n_cavities):
+            run = list(run)
+            grid, rows, where = build_grid(run[0][1]), np.empty((len(run), 5)), []  # rows of decay._point
+            for i, params, n in run:
                 try:
-                    rows.append(decay._point(params, key[0], bessels[key]))
+                    rows[len(where)] = decay._point(params, n, bessels[n, params.chi])
                     where.append(i)
                 except (ConfigError, *NUMERICAL_FAILURES) as exc:
                     cells[i] = "," + type(exc).__name__
-            if rows:
-                rates = decay._rates(grid.nodes, grid.end, rows, np.array([args.t]))[0][:, 0]
+            if where:
+                rates = decay._rates(grid.nodes, grid.end, rows[: len(where)], np.array([args.t]))[0][:, 0]
                 for i, value in zip(where, rates):
                     try:
                         cells[i] = _fmt(value) + ","
@@ -276,9 +278,9 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     else:
         def quantity(params, n, jn):
             return _fmt(decay.decay_rate_longtime(params, n, jn=jn).rate)
-    for i, params, key, _ in points:
+    for i, params, n in points:
         try:
-            cells[i] = quantity(params, key[0], bessels[key]) + ","
+            cells[i] = quantity(params, n, bessels[n, params.chi]) + ","
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
     return cells

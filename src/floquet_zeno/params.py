@@ -31,7 +31,7 @@ from .errors import (
 CONFIG_KEYS = ("omega", "omega_c", "xi", "g", "n_cavities", "drive_amp", "drive_freq")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     omega: float
     omega_c: float

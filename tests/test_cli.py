@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -804,6 +805,23 @@ def test_bench_sweeps_keep_their_frozen_digests_and_labels():
         assert hashlib.sha256(out.encode()).hexdigest() == frozen[f"digest:{name}"], name
         if name == "sweep-regime":
             assert [row[1] for row in rows(out.encode())[1:]] == frozen["sweep-regime:regimes"]
+
+
+def test_rate_sweep_over_n_holds_one_grid_at_a_time():
+    # A grid at N near 2^20 holds two arrays of floor(N/2)+1 floats (8.4 MB), and
+    # building one peaks at three. A sweep over N holds one grid while it builds
+    # the next: 21.2 MB traced over these 20 grids, where a sweep that held every
+    # grid until its J_n(chi) were evaluated peaked at 168 MB.
+    argv = ["sweep", "--param", "n_cavities", "--start", "1000000", "--stop", "1048576", "--count", "20", "--t", "7"]
+    tracemalloc.start()
+    try:
+        code, out, err = _run_captured(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert all(error == "" for *_, error in rows(out.encode())[1:])
+    assert peak < 6 * 8 * (bath.MAX_CAVITIES // 2 + 1), peak
 
 
 def test_one_parser_serves_every_run_in_a_process(tmp_path):
