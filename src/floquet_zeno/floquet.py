@@ -289,16 +289,15 @@ def green_coefficient(
         x_e = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
-    field = c @ x_e
-    x_p = inverse * field[:, None]  # every photon mode but the source, by node
-    # x_p = inverse * field solves the photon rows to one rounding, so only
-    # the emitter (Schur) rows can lose the solve.
-    residual = np.linalg.norm((energy - fm.emitter) * x_e - c.T @ (sums * field) - rhs)
+    # The photon amplitudes inverse * (c @ x_e) solve the photon rows to one
+    # rounding, so only the emitter (Schur) rows can lose the solve.
+    residual = np.linalg.norm(schur @ x_e - rhs)
     if not residual <= RESIDUAL_TOLERANCE:
         raise SingularResolvent(f"solve residual {residual:g} exceeds {RESIDUAL_TOLERANCE:g}")
     fm.index(*beta)  # IndexError for a target outside the matrix
     target, block = beta[0], beta[1] + zero
-    value = x_e[block] if target == TLS else x_p[block, _fold(fm, target)[0] - 1]
+    # A photon target reads its block of inverse * (c @ x_e), every photon mode but the source, by node.
+    value = x_e[block] if target == TLS else (inverse[block] * (c @ x_e)[block])[_fold(fm, target)[0] - 1]
     return complex(value + own * ((target, block) == (alpha, zero)))
 
 

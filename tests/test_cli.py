@@ -462,7 +462,7 @@ COLUMN_SWEEPS = [*RATE_SWEEPS, ("drive_freq", "2.5", "7", ["--chi", "1", "--delt
 
 
 @pytest.mark.parametrize("param, start, stop, flags", COLUMN_SWEEPS)
-def test_rate_sweep_makes_one_bessel_column_per_grid_and_sideband(param, start, stop, flags, tmp_path, monkeypatch):
+def test_rate_sweep_makes_one_bessel_column_per_sideband(param, start, stop, flags, tmp_path, monkeypatch):
     # However many grids a rate sweep builds (13 over N), J_n(chi) comes from
     # one column call per sideband n, as in every other sweep.
     columns = _record_columns(monkeypatch)

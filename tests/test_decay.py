@@ -823,6 +823,7 @@ def test_curve_sweep_and_one_time_cells_agree_across_a_ring_switch(tmp_path):
     # Each band and time picks its own ring, so a curve entry, a one-time call
     # and a sweep cell at one (xi, t, N) are one value bit for bit, also just
     # before and just after a switch from M to 2M sites.
+    reaches = []
     for n_cavities, xi in ((65, 1.7), (2001, 1.0), (4000, 0.45)):
         p = make(n_cavities=n_cavities, xi=xi)
         grid = build_grid(p)
@@ -833,10 +834,24 @@ def test_curve_sweep_and_one_time_cells_agree_across_a_ring_switch(tmp_path):
         for method in ("perturbative", "exponential"):
             probs = survival_curve(p, grid, 0, times, method).probabilities
             assert np.array_equal(probs, [survival_probability(p, grid, 0, t, method) for t in times])
-        # The reach is still the grid's (whose last node for odd N is not k = pi),
-        # also where no time sums the grid itself.
-        _, reach = decay._rates(grid.nodes, grid.end, [decay._point(p, 0)], times[:2])
-        assert reach[0] == np.abs(p.delta - 2.0 * p.xi * grid.nodes).max()
+        reaches.append((grid.nodes, grid.end, decay._point(p, 0), times[:2]))
+    # The reach is max |detuning| over every given node: on the grids above (whose
+    # last node for odd N is not k = pi), also where no time sums the grid itself;
+    # on a plain grid of N <= 64 sites; on the Gauss-Chebyshev nodes (end = 1);
+    # and where the detuning overflows, 2 xi to inf and inf - inf to nan.
+    plain = make(n_cavities=64, xi=0.45)
+    chebyshev = np.cos((np.arange(33) + 0.5) * (math.pi / 33))
+    reaches += [
+        (build_grid(plain).nodes, build_grid(plain).end, decay._point(plain, 1), [0.5, 3.0]),
+        (chebyshev, 1, decay._point(make(), 0), [10.0]),
+        (build_grid(plain).nodes, build_grid(plain).end, (0.0, 1e308, 0.0, 0.0625, 1.0), [1.0]),
+        (chebyshev, 1, (0.0, 1e308, math.inf, 0.0625, 1.0), [1.0]),
+    ]
+    for nodes, end, point, times in reaches:
+        _, reach = decay._rates(nodes, end, [point], np.array(times))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.abs(point[0] - 2.0 * point[1] * nodes + point[2]).max()
+        assert np.array_equal(reach, [expected], equal_nan=True)
     # A row past SCALED_ABOVE on a narrow band (xi t = 10) is summed on its 128-site ring too.
     narrow = make(n_cavities=4001, xi=1e-150)
     ring = dataclasses.replace(narrow, n_cavities=128)
