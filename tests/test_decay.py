@@ -840,11 +840,12 @@ def test_curve_sweep_and_one_time_cells_agree_across_a_ring_switch(tmp_path):
     # on a plain grid of N <= 64 sites; on the Gauss-Chebyshev nodes (end = 1);
     # and where the detuning overflows, 2 xi to inf and inf - inf to nan.
     plain = make(n_cavities=64, xi=0.45)
+    grid = build_grid(plain)
     chebyshev = np.cos((np.arange(33) + 0.5) * (math.pi / 33))
     reaches += [
-        (build_grid(plain).nodes, build_grid(plain).end, decay._point(plain, 1), [0.5, 3.0]),
+        (grid.nodes, grid.end, decay._point(plain, 1), [0.5, 3.0]),
         (chebyshev, 1, decay._point(make(), 0), [10.0]),
-        (build_grid(plain).nodes, build_grid(plain).end, (0.0, 1e308, 0.0, 0.0625, 1.0), [1.0]),
+        (grid.nodes, grid.end, (0.0, 1e308, 0.0, 0.0625, 1.0), [1.0]),
         (chebyshev, 1, (0.0, 1e308, math.inf, 0.0625, 1.0), [1.0]),
     ]
     for nodes, end, point, times in reaches:
