@@ -14,7 +14,6 @@ fields.
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -26,8 +25,8 @@ from . import bath, decay, oracle
 from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
-from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, parse_config
-from .specfun import _bessel_column, _checked, bessel_j_zero
+from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, nearest_sideband, parse_config
+from .specfun import MAX_ORDER, _bessel_column, _checked, bessel_j_zero
 
 DEFAULTS = {
     "omega": 2.0,
@@ -43,8 +42,8 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
 # decay-rate table at the defaults takes about 2 s and 160 MB; a 10^5-point
-# rate or regime sweep about 1.3-2.7 s and 63-93 MB, since it holds every
-# resolved point until its J_n(chi) are evaluated (see the README).
+# rate or regime sweep about 0.2-0.8 s and 66-77 MB, most of it the CSV text
+# (see the README).
 MAX_ROWS = 1 << 20
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
@@ -65,6 +64,11 @@ def _fmt(value) -> str:
     if value == 0.0:
         value = 0.0  # normalize -0.0
     return f"{value:.12g}"
+
+
+def _fmt_column(values: np.ndarray, end: str = "") -> list[str]:
+    """_fmt(v) + end for each entry v of a float array of finite values, in one %.12g pass (+ 0.0 clears -0.0)."""
+    return (f"%.12g{end}\n" * values.size % tuple((values + 0.0).tolist())).split("\n")[:-1]
 
 
 def _row(*cells) -> str:
@@ -109,15 +113,18 @@ def _param_fields(args) -> dict:
     return fields
 
 
-def _resolve_params(fields: dict) -> SystemParams:
+def _laid(fields: dict) -> dict:
+    # The fields with --delta laid over omega_c and --chi over drive_amp; a sweep passes arrays.
     fields = dict(fields)
-    delta = fields.pop("delta", None)
-    if delta is not None:
-        fields["omega_c"] = fields["omega"] + delta
-    chi = fields.pop("chi", None)
-    if chi is not None:
-        fields["drive_amp"] = chi * fields["drive_freq"]
-    return from_mapping(fields)
+    if "delta" in fields:
+        fields["omega_c"] = fields["omega"] + fields.pop("delta")
+    if "chi" in fields:
+        fields["drive_amp"] = fields.pop("chi") * fields["drive_freq"]
+    return fields
+
+
+def _resolve_params(fields: dict) -> SystemParams:
+    return from_mapping(_laid(fields))
 
 
 def _sideband(args, params: SystemParams) -> int:
@@ -226,64 +233,87 @@ def _sweep_values(args) -> np.ndarray:
 def _sweep_cells(args, values: np.ndarray) -> list[str]:
     """Each point's "cell,error": its quantity and no error, or no cell and the error's type name.
 
-    Each point resolves on its own to its params and sideband n; a rate point's N
-    is checked there against the grid ceiling, so its error comes before J_n's as
-    in a fresh call. J_n(chi) is evaluated once per distinct (n, chi), one column
-    per n; a key _checked refuses holds None, so its points evaluate J_n as a
-    fresh call does. Each run of rate points that share N builds its grid and goes
-    to the kernel in one call, so a sweep holds one grid at a time.
+    The points resolve as columns. One that array comparisons do not clear of a check
+    a fresh call makes resolves on its own, so its error is a fresh call's. J_n(chi)
+    comes from one column per n over the distinct chi that _checked passes, and each
+    run of rate points that share N goes to the kernel on one grid at a time.
     """
-    fields, cells, rate = _param_fields(args), [","] * values.size, args.quantity == "rate"
-    points, bessels, chis = [], {}, {}
-    for i, value in enumerate(values):
+    fields, size, rate = _param_fields(args), values.size, args.quantity == "rate"
+    cols = _laid({**fields, args.param: values})
+    cavities = np.broadcast_to(cols["n_cavities"], values.shape)
+    table = np.stack([np.broadcast_to(np.asarray(cols[k], float), size) for k in CONFIG_KEYS if k != "n_cavities"], axis=1)
+    omega, omega_c, xi, g, amp, nu = table.T
+    delta, chi, orders = omega_c - omega, amp / nu, np.zeros(size)
+    clear = np.isfinite(table).all(axis=1) & (xi > 0.0) & (nu > 0.0) & (g >= 0.0) & (amp >= 0.0)
+    clear &= np.asarray((cavities >= 1) & (cavities <= bath.MAX_CAVITIES if rate else True), bool)
+    if args.sideband is None:
+        clear &= np.isfinite(-delta / nu)
+        pairs, inverse = np.unique(delta[clear] + 1j * nu[clear], return_inverse=True)  # the distinct (delta, nu)
+        orders[clear] = np.array([nearest_sideband(z.real, z.imag) for z in pairs.tolist()], dtype=float)[inverse]
+        # check_single_sideband's search, m != n in resonant_sidebands within its reach, as float bounds.
+        reach, big = np.trunc(np.minimum(math.e * chi / 2.0 + 20.0, MAX_ORDER + 1.0)), sys.float_info.max
+        first = np.maximum(np.floor(np.clip((-2.0 * xi - delta) / nu, -big, big)) + 1.0, -reach)
+        stop = np.minimum(np.ceil(np.clip((2.0 * xi - delta) / nu, -big, big)), reach + 1.0)
+        clear &= (stop <= first) | ((stop - first == 1.0) & (first == orders))
+    cells = np.full(size, ",", dtype=object)
+    for i in np.flatnonzero(~clear).tolist():
         try:
-            params = _resolve_params({**fields, args.param: value})
+            params = _resolve_params({**fields, args.param: values[i]})
             n = _sideband(args, params)
-            if rate:  # build_grid's ceiling; the grid itself is built at the kernel call
+            if rate:  # build_grid's ceiling, checked before J_n(chi) as in a fresh call
                 check_size("n_cavities", params.n_cavities, bath.MAX_CAVITIES)
-            bessels[n, params.chi] = None
-            points.append((i, params, n))
+            clear[i], orders[i] = True, n if args.sideband is None else 0.0
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
-    for key in bessels:
-        try:
-            n, chi = _checked(*key)
-        except (ConfigError, *NUMERICAL_FAILURES):
-            continue
-        chis.setdefault(n, []).append(chi)
-    for n, x in chis.items():
-        bessels.update(zip([(n, chi) for chi in x], _bessel_column(n, np.array(x)).tolist()))
 
+    # A default order is below 2**1024, where int(float(n)) acts as n does.
+    resolved = np.flatnonzero(clear)
+    ranked = resolved[np.argsort(orders[resolved], kind="stable")]
+    runs = np.split(ranked, np.flatnonzero(np.diff(orders[ranked])) + 1) if ranked.size else []
+    groups = [(int(orders[run[0]]) if args.sideband is None else args.sideband, run) for run in runs]
+    jn, shift = np.full(size, math.nan), np.full(size, math.nan)  # jn stays nan at a refused key
+    for n, where in groups:
+        chis, inverse = np.unique(chi[where], return_inverse=True)
+        # chi >= 0 at a resolved point, so each chi passes _checked when the largest does.
+        names = [_refusal(n, c) for c in chis.tolist()] if _refusal(n, chis[-1]) else [""] * chis.size
+        column, ok = np.full(chis.size, math.nan), np.array(names) == ""
+        if ok.any():
+            column[ok], shift[where] = _bessel_column(n, chis[ok]), n * nu[where]
+        jn[where] = column[inverse]  # a regime or golden-rate point meets its refusal as a fresh call does
+        cells[where[~ok[inverse]]] = ["," + names[j] for j in inverse[~ok[inverse]].tolist()]
+
+    out, valued = np.empty(size), np.zeros(size, bool)
     if rate:
-        for _, run in itertools.groupby(points, key=lambda point: point[1].n_cavities):
-            run = list(run)
-            grid, rows, where = build_grid(run[0][1]), np.empty((len(run), 5)), []  # rows of decay._point
-            for i, params, n in run:
-                try:
-                    rows[len(where)] = decay._point(params, n, bessels[n, params.chi])
-                    where.append(i)
-                except (ConfigError, *NUMERICAL_FAILURES) as exc:
-                    cells[i] = "," + type(exc).__name__
-            if where:
-                rates = decay._rates(grid.nodes, grid.end, rows[: len(where)], np.array([args.t]))[0][:, 0]
-                for i, value in zip(where, rates):
-                    try:
-                        cells[i] = _fmt(value) + ","
-                    except NonFiniteResult as exc:
-                        cells[i] = "," + type(exc).__name__
-        return cells
-    if args.quantity == "regime":
-        def quantity(params, n, jn):
-            return decay.classify_regime(params, n, args.t, jn=jn).regime
-    else:
-        def quantity(params, n, jn):
-            return _fmt(decay.decay_rate_longtime(params, n, jn=jn).rate)
-    for i, params, n in points:
-        try:
-            cells[i] = quantity(params, n, bessels[n, params.chi]) + ","
-        except (ConfigError, *NUMERICAL_FAILURES) as exc:
-            cells[i] = "," + type(exc).__name__
-    return cells
+        points = resolved[~np.isnan(jn[resolved])]
+        rows = np.stack([delta, xi, shift, np.float_power(g, 2.0), jn], axis=1)  # rows of decay._point
+        for run in np.split(points, np.flatnonzero(np.diff(cavities[points])) + 1) if points.size else []:
+            grid = build_grid(_resolve_params({**fields, args.param: values[run[0]]}))
+            out[run] = decay._rates(grid.nodes, grid.end, rows[run], np.array([args.t]))[0][:, 0]
+        valued[points] = True
+    for n, where in groups if not rate else []:
+        for i, j in zip(where.tolist(), jn[where].tolist()):
+            try:
+                row = table[i].tolist()  # one point's fields at a time, so no sweep holds a SystemParams per point
+                params, j = SystemParams(*row[:4], int(cavities[i]), *row[4:]), None if math.isnan(j) else j
+                if args.quantity == "regime":
+                    cells[i] = decay.classify_regime(params, n, args.t, jn=j).regime + ","
+                else:
+                    out[i], valued[i] = decay.decay_rate_longtime(params, n, jn=j).rate, True
+            except (ConfigError, *NUMERICAL_FAILURES) as exc:
+                cells[i] = "," + type(exc).__name__
+    finite = valued & np.isfinite(out)
+    cells[finite] = np.array(_fmt_column(out[finite], ","), dtype=object)  # as object, no copy of each string
+    cells[valued & ~finite] = "," + NonFiniteResult.__name__
+    return cells.tolist()
+
+
+def _refusal(n: int, chi: float) -> str:
+    # The type name of the error bessel_j(n, chi) raises on its arguments, or "".
+    try:
+        _checked(n, chi)
+    except (ConfigError, *NUMERICAL_FAILURES) as exc:
+        return type(exc).__name__
+    return ""
 
 
 def _cmd_sweep(args) -> list[str]:
@@ -292,7 +322,8 @@ def _cmd_sweep(args) -> list[str]:
     if args.quantity != "golden-rate":
         _observation_time(args.t)
     lines = [f"{args.param},{quantity_col},error"]
-    lines.extend(f"{_fmt(v)},{cell}" for v, cell in zip(values, _sweep_cells(args, values)))
+    finite = values.dtype == float and np.isfinite(values).all()
+    lines.extend(map(",".join, zip(_fmt_column(values) if finite else map(_fmt, values), _sweep_cells(args, values))))
     return lines
 
 

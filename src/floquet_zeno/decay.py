@@ -182,8 +182,9 @@ def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.n
     whose detuning * t overflows is its phase average 2 / (detuning^2 t).
     """
     points = np.asarray(points, dtype=float)
-    if len(points) > 1:
-        bands, band = np.unique(points[:, :3], axis=0, return_inverse=True)
+    if len(points) > 1:  # distinct bands by their bytes, as np.unique(axis=0) would sort them far slower
+        bands, band = np.unique(np.ascontiguousarray(points[:, :3]).view(np.dtype((np.void, 24)))[:, 0], return_inverse=True)
+        bands = bands.view(float).reshape(-1, 3)
     else:
         bands, band = points[:, :3], slice(None)
     g_squared, jn = points[:, 3:].T[:, :, None]

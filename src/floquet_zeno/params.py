@@ -86,17 +86,21 @@ def validate(params: SystemParams) -> SystemParams:
 
 
 def default_sideband(params: SystemParams) -> int:
+    """nearest_sideband at the point's detuning delta and drive frequency nu."""
+    return nearest_sideband(params.delta, params.drive_freq)
+
+
+def nearest_sideband(delta: float, nu: float) -> int:
     """The integer n minimizing |delta + n nu|.
 
     Ties prefer smaller |n|, then negative n. The winner satisfies
     delta + n nu in [-nu/2, nu/2] up to the tie boundary. A ratio
     -delta / nu that overflows names no order: OrderTooLarge.
     """
-    nu = params.drive_freq
-    ratio = -params.delta / nu
+    ratio = -delta / nu
     if not math.isfinite(ratio):
         raise OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
-    guess, delta = round(ratio), params.delta
+    guess = round(ratio)
     return min((abs(delta + n * nu), abs(n), n) for n in range(guess - 2, guess + 3))[2]
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from floquet_zeno import bath, cli, decay, specfun
 from floquet_zeno.cli import run
@@ -278,14 +280,26 @@ def test_rate_sweep_builds_a_grid_only_when_n_moves(param, start, stop, flags, t
     assert sum(calls) == 13
 
 
-def _per_point_cell(args, fields: dict, value) -> tuple[str, str]:
-    # One sweep point as a fresh one-time call: the cell, or the error's type name.
+def _fresh_cell(args, fields: dict, value) -> tuple[str, str]:
+    # One sweep point as a fresh one-point call of its quantity: the cell, or the error's type name.
     try:
         params = cli._resolve_params({**fields, args.param: value})
         n = cli._sideband(args, params)
-        return cli._fmt(decay.decay_rate_finite(params, bath.build_grid(params), n, args.t)), ""
+        if args.quantity == "rate":
+            return cli._fmt(decay.decay_rate_finite(params, bath.build_grid(params), n, args.t)), ""
+        if args.quantity == "regime":
+            return decay.classify_regime(params, n, args.t).regime, ""
+        return cli._fmt(decay.decay_rate_longtime(params, n).rate), ""
     except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
         return "", type(exc).__name__
+
+
+def _fresh_cells(argv) -> list[tuple[str, str]]:
+    # Each point of a sweep argv as a fresh one-point call, under run()'s errstate.
+    args = cli._parser().parse_args(argv)
+    fields = cli._param_fields(args)
+    with np.errstate(all="ignore"):
+        return [_fresh_cell(args, fields, value) for value in cli._sweep_values(args)]
 
 
 MIXED_SWEEPS = [
@@ -315,9 +329,7 @@ def test_rate_sweep_cells_with_errors_match_fresh_per_point_calls(flags, errors,
     # own typed error cell, as a one-time call on a fresh grid gives it.
     argv = ["sweep", *flags, "--t", "7"]
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
-    args = cli.build_parser().parse_args(argv)
-    fields = cli._param_fields(args)
-    expected = [_per_point_cell(args, fields, value) for value in cli._sweep_values(args)]
+    expected = _fresh_cells(argv)
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {error for _, error in expected} == errors
 
@@ -350,16 +362,6 @@ def _assert_one_column_per_sideband(columns, argv) -> None:
     assert not hasattr(cli, "bessel_j")
 
 
-def _per_point_regime(args, fields: dict, value) -> tuple[str, str]:
-    # One regime sweep point as a fresh classify call: the label, or the error's type name.
-    try:
-        params = cli._resolve_params({**fields, args.param: value})
-        n = cli._sideband(args, params)
-        return decay.classify_regime(params, n, args.t).regime, ""
-    except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
-        return "", type(exc).__name__
-
-
 REGIME_SWEEPS = [
     # delta +- 1.5 puts sideband -+1 in band beside the default one.
     (["--param", "delta", "--start", "-3", "--stop", "3", "--count", "41", "--drive-freq", "3", "--chi", "1"],
@@ -381,38 +383,22 @@ def test_regime_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_pat
     # still be the label or error type of a fresh classify call at its point.
     argv = ["sweep", *flags, "--quantity", "regime", "--t", "10"]
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
-    args = cli.build_parser().parse_args(argv)
-    fields = cli._param_fields(args)
-    expected = [_per_point_regime(args, fields, value) for value in cli._sweep_values(args)]
+    expected = _fresh_cells(argv)
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {label or error for label, error in expected} == outcomes
 
 
 def test_regime_sweep_evaluates_each_bessel_value_once(tmp_path, monkeypatch):
     # The benchmark's 401-point delta sweep meets three (n, chi), so it makes
-    # three one-entry columns; it still classifies every point on its own.
-    columns, classified = _record_columns(monkeypatch), []
-    real_classify = decay.classify_regime
-
-    def counted_classify(*args, **kwargs):
-        classified.append(kwargs["jn"])
-        return real_classify(*args, **kwargs)
-
-    monkeypatch.setattr(decay, "classify_regime", counted_classify)
+    # three one-entry columns and no point evaluates J_n(chi) on its own; each
+    # label is still its fresh classify call's.
     argv = dict(BENCH.SWEEPS)["sweep-regime"]
-    run_to_file(argv, tmp_path / "s.csv")
+    expected, columns, scalar = _fresh_cells(argv), _record_columns(monkeypatch), []
+    monkeypatch.setattr(decay, "bessel_j", lambda n, x: scalar.append((n, x)) or specfun.bessel_j(n, x))
+    table = rows(run_to_file(argv, tmp_path / "s.csv"))
     _assert_one_column_per_sideband(columns, argv)
-    assert sorted(len(chis) for _, chis in columns) == [1, 1, 1]
-    assert len(classified) == 401 and None not in classified
-
-
-def _per_point_golden(args, fields: dict, value) -> tuple[str, str]:
-    # One golden-rate sweep point as a fresh decay_rate_longtime call: the cell, or the error's type name.
-    try:
-        params = cli._resolve_params({**fields, args.param: value})
-        return cli._fmt(decay.decay_rate_longtime(params, cli._sideband(args, params)).rate), ""
-    except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
-        return "", type(exc).__name__
+    assert sorted(len(chis) for _, chis in columns) == [1, 1, 1] and scalar == []
+    assert [tuple(row[1:]) for row in table[1:]] == expected
 
 
 GOLDEN_SWEEPS = [
@@ -449,12 +435,69 @@ def test_golden_sweep_cells_match_fresh_per_point_calls(flags, outcomes, tmp_pat
     columns = _record_columns(monkeypatch)
     argv = ["sweep", *flags, "--quantity", "golden-rate"]
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
-    args = cli.build_parser().parse_args(argv)
-    fields = cli._param_fields(args)
-    expected = [_per_point_golden(args, fields, value) for value in cli._sweep_values(args)]
+    expected = _fresh_cells(argv)
     assert [tuple(row[1:]) for row in table[1:]] == expected
     assert {error for _, error in expected} == outcomes
     _assert_one_column_per_sideband(columns, argv)
+
+
+# Sweep ends that cross the band edges (delta = +-2 xi), J_0 and J_1 roots,
+# g^2 overflow (g > 1.34e154) and delta overflow. GOLDEN_SWEEPS crosses the
+# Bessel argument ceiling, where each point below it costs milliseconds.
+ENDS = st.one_of(
+    st.sampled_from((0.0, -0.0, 2.0, -2.0, 1.999, 2.001, J0_ROOT, 3.8317059702075125,
+                     1.3e154, 1.4e154, 5e-324, 1e-300, 8e307, -8e307, 1.7e308, -1.7e308)),
+    st.floats(-12.0, 12.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sweep_argvs(draw) -> list[str]:
+    param = draw(st.sampled_from(cli.SWEEPABLE))
+    ends = st.integers(-2, 41) if param == "n_cavities" else ENDS
+    start, stop = draw(ends), draw(ends)
+    assume(start != stop and math.isfinite(stop - start))
+    argv = [
+        "sweep", f"--param={param}", f"--start={start!r}", f"--stop={stop!r}", f"--count={draw(st.integers(2, 9))}",
+        "--quantity=" + draw(st.sampled_from(("rate", "golden-rate", "regime"))),
+        f"--t={draw(st.sampled_from((0.5, 7.0, 100.0)))!r}",
+        # Below 4 xi a second sideband can lie in the band; at 5e-324 -delta / nu overflows.
+        f"--drive-freq={draw(st.sampled_from((5e-324, 1.5, 3.0, 3.9, 4.1, 6.0)))!r}",
+    ]
+    if param != "n_cavities":
+        argv.append(f"--n-cavities={draw(st.integers(1, 41))}")
+    flags = ("omega", st.floats(-4.0, 4.0)), ("delta", st.floats(-8.0, 8.0)), ("chi", st.floats(0.0, 6.0)), ("xi", st.floats(0.2, 2.0))
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(st.one_of(values, ENDS))!r}")
+    if draw(st.booleans()):
+        argv.append(f"--sideband={draw(st.integers(-3, 3))}")
+    return argv
+
+
+def _sweep_argv(param, start, stop, quantity, *flags) -> list[str]:
+    return ["sweep", f"--param={param}", f"--start={start}", f"--stop={stop}", "--count=5",
+            f"--quantity={quantity}", "--t=7.0", *flags]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=sweep_argvs())
+# Each field check of validate, and a delta = omega_c - omega past the float range.
+@example(argv=_sweep_argv("g", "-1", "1", "rate"))
+@example(argv=_sweep_argv("xi", "-1", "1", "regime"))
+@example(argv=_sweep_argv("drive_amp", "-6", "6", "golden-rate"))
+@example(argv=_sweep_argv("drive_freq", "-3", "3", "rate"))
+@example(argv=_sweep_argv("n_cavities", "-1", "3", "regime"))
+@example(argv=_sweep_argv("omega_c", "8e307", "1.7e308", "regime", "--omega=-1.7e308"))
+def test_sweep_cells_equal_fresh_one_point_calls(argv):
+    # The sweep clears most points by array comparisons and resolves the rest
+    # on their own; every (value, error) cell must be a fresh one-point call's.
+    code, out, err = _run_captured(argv)
+    assert (code, err) == (0, "")
+    with np.errstate(all="ignore"):
+        values = cli._sweep_values(cli._parser().parse_args(argv))
+    assert rows(out.encode())[1:] == [[cli._fmt(v), *cell] for v, cell in zip(values, _fresh_cells(argv))]
 
 
 # Over drive_freq the default sideband moves from 2 to 1; one point between fails SecondSideband.
@@ -822,6 +865,22 @@ def test_rate_sweep_over_n_holds_one_grid_at_a_time():
     assert (code, err) == (0, "")
     assert all(error == "" for *_, error in rows(out.encode())[1:])
     assert peak < 6 * 8 * (bath.MAX_CAVITIES // 2 + 1), peak
+
+
+def test_rate_sweep_holds_its_points_as_columns():
+    # A 20000-point chi sweep resolves its points as arrays and keeps no
+    # SystemParams or dict of floats per point: 9.0 MB traced through run(),
+    # stdout included, where one object per point peaked at 11.3 MB.
+    argv = ["sweep", "--param", "chi", "--start", "0", "--stop", "5", "--count", "20000", "--n-cavities", "2001",
+            "--delta", "1", "--t", "10"]
+    tracemalloc.start()
+    try:
+        code, out, err = _run_captured(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and len(out.splitlines()) == 20001
+    assert peak < 10e6, peak
 
 
 def test_one_parser_serves_every_run_in_a_process(tmp_path):

@@ -132,6 +132,9 @@ def _column_draws(rng: random.Random) -> dict:
     # Columns long enough for the array recurrence, one of them in the rescaling region.
     for n, top in ((rng.randint(-3, 3), 50.0), (rng.randint(-40, 40), 20.0), (rng.randint(300, 400), 10.0)):
         draws[n] = [0.0, 1e-9] + [rng.uniform(-top, top) for _ in range(80)]
+    # Sweep-sized columns on both sides of the switch from _miller's loop to the array recurrence.
+    for n, size in ((1, 20), (2, 50), (-3, 400)):
+        draws[n] = [rng.uniform(0.0, 5.0) for _ in range(size)]
     draws.setdefault(rng.randint(-40, 40), []).append(rng.choice((-1, 1)) * rng.uniform(1e5, 1e6))
     draws.setdefault(0, []).extend([rng.choice((-1e6, 1e6)), 1.0000001e6, math.inf, math.nan])
     draws[MAX_ORDER + 1] = [1.0]
