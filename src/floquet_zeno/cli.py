@@ -225,8 +225,8 @@ def _sweep_values(args) -> np.ndarray:
         raise ConfigError(f"--stop - --start must be finite, got {args.stop!r} - {args.start!r}")
     check_size("--count", args.count, MAX_ROWS)
     values = np.linspace(args.start, args.stop, args.count)
-    if args.param == "n_cavities":
-        values = np.array([int(round(v)) for v in values])
+    if args.param == "n_cavities":  # Python ints, which numpy would turn to float past 2**63
+        values = np.array([int(round(v)) for v in values], dtype=object)
     return values
 
 

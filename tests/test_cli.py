@@ -153,6 +153,10 @@ def test_sweep_reads_config_once_and_reports_swept_errors(tmp_path):
     assert table[1] == ["0", "", "ZeroCavities"]
     flags = ["sweep", "--g", "0.1", "--param", "n_cavities", "--start", "1", "--stop", "2", "--count", "2"]
     assert table[2:] == rows(run_to_file(flags, tmp_path / "flags.csv"))[1:]
+    # A swept N prints as an integer past 2**63 too, beside smaller ones.
+    argv = ["sweep", "--param", "n_cavities", "--start", "0", "--stop", "1e19", "--count", "3", "--quantity", "regime"]
+    table = rows(run_to_file(argv, tmp_path / "big.csv"))
+    assert [row[0] for row in table[1:]] == ["0", "5000000000000000000", "10000000000000000000"]
 
 
 def test_bare_value_error_exits_3(monkeypatch, capsys):
