@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import starmap
 
 import numpy as np
 
@@ -42,9 +43,15 @@ SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
 # decay-rate table at the defaults takes about 2 s and 160 MB; a 10^5-point
-# rate or regime sweep about 0.2-0.8 s and 66-77 MB, most of it the CSV text
+# rate or regime sweep about 0.2-0.6 s and 64-75 MB, most of it the CSV text
 # (see the README).
 MAX_ROWS = 1 << 20
+
+# Points per block of a regime or golden-rate sweep's per-point calls.
+SWEEP_BLOCK = 1 << 12
+
+# Each regime's sweep cell, one string shared by every point with that label.
+REGIME_CELLS = {regime: regime + "," for regime in (decay.ZENO, decay.ANTI_ZENO, decay.DECOUPLED, decay.INDETERMINATE)}
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
 # (1 / underflowed x) where numpy would return inf;
@@ -248,8 +255,7 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     clear &= np.asarray((cavities >= 1) & (cavities <= bath.MAX_CAVITIES if rate else True), bool)
     if args.sideband is None:
         clear &= np.isfinite(-delta / nu)
-        pairs, inverse = np.unique(delta[clear] + 1j * nu[clear], return_inverse=True)  # the distinct (delta, nu)
-        orders[clear] = np.array([nearest_sideband(z.real, z.imag) for z in pairs.tolist()], dtype=float)[inverse]
+        orders[clear] = nearest_sideband(delta[clear], nu[clear])
         # check_single_sideband's search, m != n in resonant_sidebands within its reach, as float bounds.
         reach, big = np.trunc(np.minimum(math.e * chi / 2.0 + 20.0, MAX_ORDER + 1.0)), sys.float_info.max
         first = np.maximum(np.floor(np.clip((-2.0 * xi - delta) / nu, -big, big)) + 1.0, -reach)
@@ -290,21 +296,33 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
             grid = build_grid(_resolve_params({**fields, args.param: values[run[0]]}))
             out[run] = decay._rates(grid.nodes, grid.end, rows[run], np.array([args.t]))[0][:, 0]
         valued[points] = True
+    # A regime or golden-rate point is a fresh call on its own SystemParams. The fields are
+    # listed SWEEP_BLOCK points at a time, so no sweep holds every point's fields at once.
     for n, where in groups if not rate else []:
-        for i, j in zip(where.tolist(), jn[where].tolist()):
-            try:
-                row = table[i].tolist()  # one point's fields at a time, so no sweep holds a SystemParams per point
-                params, j = SystemParams(*row[:4], int(cavities[i]), *row[4:]), None if math.isnan(j) else j
-                if args.quantity == "regime":
-                    cells[i] = decay.classify_regime(params, n, args.t, jn=j).regime + ","
-                else:
+        for block in (where[lo : lo + SWEEP_BLOCK] for lo in range(0, where.size, SWEEP_BLOCK)):
+            fields = table[block].T.tolist()
+            points = starmap(SystemParams, zip(*fields[:4], cavities[block].tolist(), *fields[4:]))
+            jns = [None if math.isnan(j) else j for j in jn[block].tolist()]
+            if args.quantity == "regime":
+                cells[block] = [_regime_cell(params, n, args.t, j) for params, j in zip(points, jns)]
+                continue
+            for i, params, j in zip(block.tolist(), points, jns):
+                try:
                     out[i], valued[i] = decay.decay_rate_longtime(params, n, jn=j).rate, True
-            except (ConfigError, *NUMERICAL_FAILURES) as exc:
-                cells[i] = "," + type(exc).__name__
+                except (ConfigError, *NUMERICAL_FAILURES) as exc:
+                    cells[i] = "," + type(exc).__name__
     finite = valued & np.isfinite(out)
     cells[finite] = np.array(_fmt_column(out[finite], ","), dtype=object)  # as object, no copy of each string
     cells[valued & ~finite] = "," + NonFiniteResult.__name__
     return cells.tolist()
+
+
+def _regime_cell(params: SystemParams, n: int, t: float, jn: float | None) -> str:
+    # The "regime," cell of classify_regime at the point, or its error's ",TypeName".
+    try:
+        return REGIME_CELLS[decay.classify_regime(params, n, t, jn=jn).regime]
+    except (ConfigError, *NUMERICAL_FAILURES) as exc:
+        return "," + type(exc).__name__
 
 
 def _refusal(n: int, chi: float) -> str:

@@ -89,8 +89,9 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     # sin(x) / x with a series branch through x = 0, where the caller's errstate hides 0 / 0.
     out = np.sin(x)
     out /= x
-    small = np.abs(x) < 1e-4
-    if small.any():
+    size = np.abs(x)
+    if np.fmin.reduce(size, axis=None, initial=math.inf) < 1e-4:  # x may be empty or hold nan
+        small = size < 1e-4
         xs = x[small]
         x2 = xs * xs
         out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
@@ -119,7 +120,8 @@ def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, 
     """Fill out[..., b, i] with row_sums(detuning_b, t_i, end), a ring_sum; return each reach and the sites.
 
     Row b of bands is (delta, xi, n nu), so detuning_b = delta - 2 xi nodes + n nu;
-    reach_b is max |detuning_b| over the given nodes, at an end, as they run from
+    reach_b is max |detuning_b| over the given nodes: taken from the detunings
+    built where the given nodes are summed, else at an end, as the nodes run from
     the largest cos to the smallest. A ring of N = nodes.size + end - 1 >
     SMALLEST_RING sites is summed at each band and time on bath.ring_sizes(N, xi t)
     sites, returned per band and time; else the sites are N, an int, and plain
@@ -129,9 +131,10 @@ def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, 
     """
     delta, xi, shift = bands.T[:, :, None]
     modes = nodes.size + end - 1
-    reach = np.maximum.reduce(np.abs(delta - 2.0 * xi * nodes[[0, -1]] + shift), axis=1)
-    sizes, blocks = modes, [(0, len(bands), 0, times.size, nodes, end)]
+    reach, sizes, blocks = np.empty(len(bands)), modes, [(0, len(bands), 0, times.size, nodes, end)]
     if modes > SMALLEST_RING and end > 1 and band_nodes(np.minimum.reduce(xi, axis=None) * times[0]) < modes:
+        # A block may sum a smaller ring, so each reach is taken at the given end nodes.
+        reach = np.maximum.reduce(np.abs(delta - 2.0 * xi * nodes[[0, -1]] + shift), axis=1)
         # A block: bands lo..hi-1 with one row of sizes, times first..stop-1 with one size.
         sizes, blocks = ring_sizes(modes, xi * times), []
         runs = [0, *(np.flatnonzero((sizes[1:] != sizes[:-1]).any(axis=1)) + 1).tolist(), len(bands)]
@@ -145,6 +148,8 @@ def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, 
         for b in range(lo, hi, step):
             rows = slice(b, min(b + step, hi))
             detuning = delta[rows] - 2.0 * xi[rows] * ring + shift[rows]
+            if isinstance(sizes, int):  # the given nodes, summed as they are
+                reach[rows] = np.maximum.reduce(np.abs(detuning), axis=1)
             for i in range(first, stop, span):
                 cols = slice(i, min(i + span, stop))
                 out[..., rows, cols] = row_sums(detuning[:, None], times[cols, None], ring_end)
@@ -165,6 +170,7 @@ def _rate_sums(detuning: np.ndarray, t, end: int) -> np.ndarray:
     return ring_sum(np.square(s, out=s), end)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator, cheaper per call than a with block
 def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R(t) at each point and checked, increasing time >= 0: the kernel behind every R(t).
 
@@ -189,27 +195,26 @@ def _rates(nodes: np.ndarray, end: int, points, times: np.ndarray) -> tuple[np.n
         bands, band = points[:, :3], slice(None)
     g_squared, jn = points[:, 3:].T[:, :, None]
     totals = np.empty((len(bands), times.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach, sizes = _chunked(nodes, end, bands, times, _rate_sums, totals)
-        factors = times
-        if not np.maximum.reduce(reach) * times[-1] <= SCALED_ABOVE:  # a later row, or a reach that is not finite
-            scaled = ~(reach[:, None] * times <= SCALED_ABOVE)
-            for b, i in zip(*np.nonzero(scaled)):
-                delta, xi, shift = bands[b]
-                ring, ring_end = _ring(nodes, end, np.broadcast_to(sizes, totals.shape)[b, i])
-                detuning, t = delta - 2.0 * xi * ring + shift, times[i]
-                x = detuning * t
-                near = np.isfinite(x)
-                s = _sinc(x[near] / 2.0)
-                far = detuning[~near]
-                terms = np.empty_like(x)
-                terms[near], terms[~near] = s * (s * t), 2.0 / far / far / t
-                totals[b, i] = ring_sum(terms, ring_end)
-            totals[~np.isfinite(reach)] = math.nan
-            factors = np.where(scaled, 1.0, times)[band]
-        # An int N, as a scalar, lets numpy reuse the product's buffer for the quotient.
-        sizes = sizes if isinstance(sizes, int) else sizes[band]
-        rates = factors * g_squared / sizes * jn * jn * totals[band]
+    reach, sizes = _chunked(nodes, end, bands, times, _rate_sums, totals)
+    factors = times
+    if not np.maximum.reduce(reach) * times[-1] <= SCALED_ABOVE:  # a later row, or a reach that is not finite
+        scaled = ~(reach[:, None] * times <= SCALED_ABOVE)
+        for b, i in zip(*np.nonzero(scaled)):
+            delta, xi, shift = bands[b]
+            ring, ring_end = _ring(nodes, end, np.broadcast_to(sizes, totals.shape)[b, i])
+            detuning, t = delta - 2.0 * xi * ring + shift, times[i]
+            x = detuning * t
+            near = np.isfinite(x)
+            s = _sinc(x[near] / 2.0)
+            far = detuning[~near]
+            terms = np.empty_like(x)
+            terms[near], terms[~near] = s * (s * t), 2.0 / far / far / t
+            totals[b, i] = ring_sum(terms, ring_end)
+        totals[~np.isfinite(reach)] = math.nan
+        factors = np.where(scaled, 1.0, times)[band]
+    # An int N, as a scalar, lets numpy reuse the product's buffer for the quotient.
+    sizes = sizes if isinstance(sizes, int) else sizes[band]
+    rates = factors * g_squared / sizes * jn * jn * totals[band]
     return rates, reach[band]
 
 
@@ -419,9 +424,7 @@ def classify_regime(params: SystemParams, n: int, t: float, *, jn: float | None 
         regime = ANTI_ZENO
     else:
         regime = INDETERMINATE
-    return RegimeReport(
-        regime=regime, delta_f=delta_f, omega_f=omega_f, delta_g=delta_g, omega_g=omega_g
-    )
+    return RegimeReport(regime, delta_f, omega_f, delta_g, omega_g)  # positional, the fields' order: a sweep calls this per point
 
 
 def decay_curve(params: SystemParams, grid: MomentumGrid, n: int, times) -> DecayCurve:

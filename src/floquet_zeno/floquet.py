@@ -108,13 +108,6 @@ class FloquetMatrix:
             raise IndexError(f"alpha = {alpha} outside 0..{self.n_cavities}")
         return (m + self.truncation) * (self.n_cavities + 1) + alpha
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense matrix, built on each access; no routine here reads it."""
-        shape = (self.emitter.size, self.n_cavities, self.emitter.size)
-        photon = self.photon[:, _fold(self, np.arange(1, self.n_cavities + 1))[0] - 1]
-        return _bordered(self.emitter, photon, np.broadcast_to(self.coupling[:, None, :], shape))
-
     @cached_property
     def _bright(self) -> tuple[np.ndarray, np.ndarray]:
         # Kept only on success, so an EigenFailure is raised again on the

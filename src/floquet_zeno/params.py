@@ -87,21 +87,47 @@ def validate(params: SystemParams) -> SystemParams:
 
 def default_sideband(params: SystemParams) -> int:
     """nearest_sideband at the point's detuning delta and drive frequency nu."""
-    return nearest_sideband(params.delta, params.drive_freq)
+    return _nearest_order(params.omega_c - params.omega, params.drive_freq)  # delta, without the property call
 
 
-def nearest_sideband(delta: float, nu: float) -> int:
-    """The integer n minimizing |delta + n nu|.
+def nearest_sideband(delta, nu):
+    """The integer n minimizing |delta + n nu|, or over two equal-shape float arrays each entry's n, as floats.
 
-    Ties prefer smaller |n|, then negative n. The winner satisfies
-    delta + n nu in [-nu/2, nu/2] up to the tie boundary. A ratio
-    -delta / nu that overflows names no order: OrderTooLarge.
+    Among the five orders next to round(-delta / nu), the one with the least
+    |delta + n nu| in floats; ties prefer smaller |n|, then negative n. The
+    winner satisfies delta + n nu in [-nu/2, nu/2] up to the tie boundary. A
+    ratio -delta / nu that overflows names no order: OrderTooLarge.
+
+    Two floats give an int n. Two arrays give float(n) for each entry: exact
+    below 2**53, and past it the float that n nu already rounds n to.
     """
+    return _nearest_orders(delta, nu) if isinstance(delta, np.ndarray) else _nearest_order(delta, nu)
+
+
+def _order_too_large(ratio) -> OrderTooLarge:
+    return OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
+
+
+def _nearest_order(delta: float, nu: float) -> int:
+    # nearest_sideband's keys (|delta + n nu|, |n|, n), least first, over the five candidates.
     ratio = -delta / nu
     if not math.isfinite(ratio):
-        raise OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
+        raise _order_too_large(ratio)
     guess = round(ratio)
-    return min((abs(delta + n * nu), abs(n), n) for n in range(guess - 2, guess + 3))[2]
+    return min([(abs(delta + n * nu), abs(n), n) for n in range(guess - 2, guess + 3)])[2]
+
+
+@np.errstate(all="ignore")  # a ratio or n nu past the float range reads inf, as in floats
+def _nearest_orders(delta: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    # The same keys compared in turn, entry by entry, over each entry's five candidates as floats.
+    ratio = -delta / nu
+    if not np.isfinite(ratio).all():
+        raise _order_too_large(float(ratio[~np.isfinite(ratio)][0]))
+    orders = np.add.outer(np.arange(-2.0, 3.0), np.rint(ratio))
+    key = np.abs(delta + orders * nu)
+    for tie_break in (np.abs(orders), orders):
+        key = np.where(key == key.min(axis=0), tie_break, math.inf)
+    return key.min(axis=0)
 
 
 def resonant_sidebands(params: SystemParams) -> range:

@@ -887,6 +887,23 @@ def test_rate_sweep_holds_its_points_as_columns():
     assert peak < 10e6, peak
 
 
+def test_regime_sweep_lists_its_points_a_block_at_a_time():
+    # A 20000-point delta sweep builds each point's SystemParams from fields listed
+    # cli.SWEEP_BLOCK points at a time: 7.0 MB traced through run(), stdout
+    # included, where listing each sideband's points at once peaked at 8.5 MB.
+    argv = ["sweep", "--param", "delta", "--start", "-5", "--stop", "5", "--count", "20000", "--quantity", "regime",
+            "--chi", "1", "--t", "10"]
+    tracemalloc.start()
+    try:
+        code, out, err = _run_captured(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and len(out.splitlines()) == 20001
+    assert {line.split(",", 1)[1] for line in out.splitlines()[1:]} == {"AntiZeno,", "Indeterminate,"}
+    assert peak < 7.6e6, peak
+
+
 def test_one_parser_serves_every_run_in_a_process(tmp_path):
     # run() parses with one parser per process. The benchmark's argv lists,
     # run twice interleaved, give the same bytes, and no flag carries over.

@@ -2,14 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, SizeTooLarge, ZeroCavities
+from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, OrderTooLarge, SizeTooLarge, ZeroCavities
 from floquet_zeno.params import (
     SystemParams,
     check_size,
     default_sideband,
     from_mapping,
+    nearest_sideband,
     parse_config,
     resonant_sidebands,
     validate,
@@ -107,6 +111,31 @@ def test_default_sideband_folds_into_half_window(delta, nu):
     p = validate(make(omega=0.0, omega_c=delta, drive_freq=nu, drive_amp=0.0))
     n = default_sideband(p)
     assert abs(delta + n * nu) <= nu / 2.0 + 1e-12
+
+
+SUBNORMAL = 5e-324
+HUGE = 1.7e308
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.floats(SUBNORMAL, HUGE)), min_size=1, max_size=12))
+@example([(-(k + 0.5) * nu, nu) for nu in (6.0, 1.0, 0.5) for k in range(-3, 3)])  # exact ties
+@example([(0.0, 6.0), (-0.0, 6.0), (0.0, SUBNORMAL), (-0.0, HUGE)])
+@example([(-(2.0**52 - 0.5), 1.0), (2.0**52 + 1.0, 1.0), (-(2.0**53 + 2.0), 1.0), (2.0**53 + 6.0, 1.0),
+          (-(2.0**52) * 3.0, 3.0), (2.0**60 + 2.0**8, 0.7), (-1e300, 1.0)])  # |-delta / nu| near and past 2**52
+@example([(2.5e-323, 1e-323), (-2.5e-323, 1e-323), (1e-320, SUBNORMAL)])  # subnormal nu, a tie among them
+@example([(8.5e307, HUGE), (-8.5e307, HUGE), (1e308, HUGE), (-HUGE, HUGE)])  # n nu overflows beside the nearest
+@example([(1.0, 6.0), (1e300, 1e-300)])  # the ratio overflows: OrderTooLarge for the column as for its entry
+def test_nearest_sideband_over_columns_is_the_one_point_rule_entry_by_entry(pairs):
+    delta, nu = np.array(pairs).T
+    try:
+        expected = [float(nearest_sideband(d, v)) for d, v in pairs]
+    except OrderTooLarge:
+        with pytest.raises(OrderTooLarge):
+            nearest_sideband(delta, nu)
+        return
+    orders = nearest_sideband(delta, nu)
+    assert orders.dtype == float and np.array_equal(orders, expected)
+    assert np.array_equal(nearest_sideband(delta.reshape(1, -1), nu.reshape(1, -1)), [expected])
 
 
 @pytest.mark.parametrize(
