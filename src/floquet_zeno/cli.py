@@ -241,11 +241,13 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
     """Each point's "cell,error": its quantity and no error, or no cell and the error's type name.
 
     The points resolve as columns. One that array comparisons do not clear of a check
-    a fresh call makes resolves on its own, so its error is a fresh call's. J_n(chi)
-    comes from one column per n over the distinct chi that _checked passes, and each
-    run of rate points that share N goes to the kernel on one grid at a time.
+    a fresh call makes resolves on its own, so its error is a fresh call's. Then one pass
+    over the runs of equal sideband n writes each run's error cells for the chi that
+    _checked refuses and takes J_n(chi) from one column over the chi that pass. A rate
+    run stages its rows for the kernel, which takes each run of points that share N on
+    one grid; a regime or golden-rate run evaluates its points, SWEEP_BLOCK at a time.
     """
-    fields, size, rate = _param_fields(args), values.size, args.quantity == "rate"
+    fields, size, rate, regime = _param_fields(args), values.size, args.quantity == "rate", args.quantity == "regime"
     cols = _laid({**fields, args.param: values})
     cavities = np.broadcast_to(cols["n_cavities"], values.shape)
     table = np.stack([np.broadcast_to(np.asarray(cols[k], float), size) for k in CONFIG_KEYS if k != "n_cavities"], axis=1)
@@ -272,57 +274,46 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             cells[i] = "," + type(exc).__name__
 
-    # A default order is below 2**1024, where int(float(n)) acts as n does.
-    resolved = np.flatnonzero(clear)
-    ranked = resolved[np.argsort(orders[resolved], kind="stable")]
-    runs = np.split(ranked, np.flatnonzero(np.diff(orders[ranked])) + 1) if ranked.size else []
-    groups = [(int(orders[run[0]]) if args.sideband is None else args.sideband, run) for run in runs]
-    jn, shift = np.full(size, math.nan), np.full(size, math.nan)  # jn stays nan at a refused key
-    for n, where in groups:
-        chis, inverse = np.unique(chi[where], return_inverse=True)
-        # chi >= 0 at a resolved point, so each chi passes _checked when the largest does.
-        names = [_refusal(n, c) for c in chis.tolist()] if _refusal(n, chis[-1]) else [""] * chis.size
-        column, ok = np.full(chis.size, math.nan), np.array(names) == ""
-        if ok.any():
-            column[ok], shift[where] = _bessel_column(n, chis[ok]), n * nu[where]
-        jn[where] = column[inverse]  # a regime or golden-rate point meets its refusal as a fresh call does
-        cells[where[~ok[inverse]]] = ["," + names[j] for j in inverse[~ok[inverse]].tolist()]
-
+    ranked = np.flatnonzero(clear)[np.argsort(orders[clear], kind="stable")]
     out, valued = np.empty(size), np.zeros(size, bool)
-    if rate:
-        points = resolved[~np.isnan(jn[resolved])]
-        rows = np.stack([delta, xi, shift, np.float_power(g, 2.0), jn], axis=1)  # rows of decay._point
-        for run in np.split(points, np.flatnonzero(np.diff(cavities[points])) + 1) if points.size else []:
-            grid = build_grid(_resolve_params({**fields, args.param: values[run[0]]}))
-            out[run] = decay._rates(grid.nodes, grid.end, rows[run], np.array([args.t]))[0][:, 0]
-        valued[points] = True
-    # A regime or golden-rate point is a fresh call on its own SystemParams. The fields are
-    # listed SWEEP_BLOCK points at a time, so no sweep holds every point's fields at once.
-    for n, where in groups if not rate else []:
-        for block in (where[lo : lo + SWEEP_BLOCK] for lo in range(0, where.size, SWEEP_BLOCK)):
-            fields = table[block].T.tolist()
-            points = starmap(SystemParams, zip(*fields[:4], cavities[block].tolist(), *fields[4:]))
-            jns = [None if math.isnan(j) else j for j in jn[block].tolist()]
-            if args.quantity == "regime":
-                cells[block] = [_regime_cell(params, n, args.t, j) for params, j in zip(points, jns)]
-                continue
-            for i, params, j in zip(block.tolist(), points, jns):
+    # The kernel's rows of decay._point, (delta, xi, n nu, g^2, J_n(chi)); each run sets n nu and J_n(chi).
+    rows = np.stack([delta, xi, nu, np.float_power(g, 2.0), chi], axis=1) if rate else None
+    for where in np.split(ranked, np.flatnonzero(np.diff(orders[ranked])) + 1) if ranked.size else []:
+        n = int(orders[where[0]]) if args.sideband is None else args.sideband  # n < 2**1024, so int(float(n)) acts as n
+        chis, inverse = np.unique(chi[where], return_inverse=True)
+        column, ok = np.full(chis.size, math.nan), np.ones(chis.size, bool)
+        if _refusal(n, chis[-1]):  # chi >= 0 at a resolved point, so each chi passes _checked when the largest does
+            names = [_refusal(n, c) for c in chis.tolist()]
+            ok[:] = [not name for name in names]
+            cells[where[~ok[inverse]]] = ["," + names[j] for j in inverse[~ok[inverse]].tolist()]
+        if ok.any():  # n nu waits for a key that passes, as an n past the order ceiling may pass the float range
+            column[ok] = _bessel_column(n, chis[ok])
+            if rate:  # a refused key's row holds nan and its point keeps its error cell
+                rows[where, 2], rows[where, 4], valued[where] = n * nu[where], column[inverse], ok[inverse]
+        # Regime or golden rate: each point a fresh call on SystemParams from fields listed SWEEP_BLOCK at a time.
+        for lo in range(0, 0 if rate else where.size, SWEEP_BLOCK):
+            block, found = where[lo : lo + SWEEP_BLOCK], []
+            listed = table[block].T.tolist()
+            points = starmap(SystemParams, zip(*listed[:4], cavities[block].tolist(), *listed[4:]))
+            jns = [None if math.isnan(j) else j for j in column[inverse[lo : lo + SWEEP_BLOCK]].tolist()]
+            for i, params, jn in zip(block.tolist(), points, jns):
                 try:
-                    out[i], valued[i] = decay.decay_rate_longtime(params, n, jn=j).rate, True
+                    if regime:
+                        found.append(REGIME_CELLS[decay.classify_regime(params, n, args.t, jn=jn).regime])
+                    else:
+                        out[i], valued[i] = decay.decay_rate_longtime(params, n, jn=jn).rate, True
+                        found.append(",")  # the rate is formatted with the others below
                 except (ConfigError, *NUMERICAL_FAILURES) as exc:
-                    cells[i] = "," + type(exc).__name__
+                    found.append("," + type(exc).__name__)
+            cells[block] = found
+    staged = np.flatnonzero(valued & rate)  # a rate sweep's valued points, none of another quantity's
+    for run in np.split(staged, np.flatnonzero(np.diff(cavities[staged])) + 1) if staged.size else []:
+        grid = build_grid(_resolve_params({**fields, args.param: values[run[0]]}))
+        out[run] = decay._rates(grid.nodes, grid.end, rows[run], np.array([args.t]))[0][:, 0]
     finite = valued & np.isfinite(out)
     cells[finite] = np.array(_fmt_column(out[finite], ","), dtype=object)  # as object, no copy of each string
     cells[valued & ~finite] = "," + NonFiniteResult.__name__
     return cells.tolist()
-
-
-def _regime_cell(params: SystemParams, n: int, t: float, jn: float | None) -> str:
-    # The "regime," cell of classify_regime at the point, or its error's ",TypeName".
-    try:
-        return REGIME_CELLS[decay.classify_regime(params, n, t, jn=jn).regime]
-    except (ConfigError, *NUMERICAL_FAILURES) as exc:
-        return "," + type(exc).__name__
 
 
 def _refusal(n: int, chi: float) -> str:

@@ -156,10 +156,9 @@ def _chunked(nodes: np.ndarray, end: int, bands: np.ndarray, times: np.ndarray, 
     return reach, sizes
 
 
-def _point(params: SystemParams, n: int, jn: float | None = None) -> tuple[float, float, float, float, float]:
-    """What the kernels read of sideband n at params: (delta, xi, n nu, g^2, J_n(chi)); a caller may pass jn = J_n(chi)."""
-    if jn is None:
-        jn = bessel_j(n, params.chi)
+def _point(params: SystemParams, n: int) -> tuple[float, float, float, float, float]:
+    """What the kernels read of sideband n at params: (delta, xi, n nu, g^2, J_n(chi))."""
+    jn = bessel_j(n, params.chi)
     return params.delta, params.xi, n * params.drive_freq, params.g_squared, jn
 
 
@@ -303,12 +302,17 @@ def decay_rate_longtime(params: SystemParams, n: int, *, jn: float | None = None
     """Golden-rule limit of R(t); jn is J_n(chi), evaluated here when needed and not given.
 
     Resonant iff |delta + n nu| <= 2 xi, i.e. some band mode matches the
-    shifted emitter frequency in the continuum; then
-    R = 2 pi g^2 J_n(chi)^2 rho(delta + n nu). Off resonance the emitter
-    keeps its excitation and the rate is zero. Band-edge evaluation
-    raises BandEdgeSingularity (rho diverges there).
+    shifted emitter frequency in the continuum; then R = 2 pi g^2 J_n(chi)^2
+    rho(delta + n nu). Off resonance the emitter keeps its excitation and the
+    rate is zero. Band-edge evaluation raises BandEdgeSingularity (rho diverges
+    there); a delta + n nu that is not a finite float raises NonFiniteResult.
     """
-    omega_f = params.delta + n * params.drive_freq
+    try:
+        omega_f = params.delta + n * params.drive_freq
+    except OverflowError:  # an int n past the float range
+        omega_f = math.inf
+    if not math.isfinite(omega_f):
+        raise NonFiniteResult(f"delta + n nu is not a finite float at n = {n}")
     rho = spectral_density(params.xi, omega_f)  # raises at the edge
     if rho == 0.0:
         return LongTimeRate(resonant=False, rate=0.0)

@@ -242,28 +242,29 @@ def rate_sweep_argv(param, start, stop, flags) -> list[str]:
 
 @pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
 def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags, tmp_path, monkeypatch):
-    # A sweep may keep its grid between points. Each R cell must still be
-    # the one-time rate on a grid built afresh for its own point, and the
-    # grid the sweep passes must equal that fresh grid.
-    fresh_rate = decay.decay_rate_finite
+    # A sweep may keep its grid between points. The nodes and end each kernel
+    # call receives must be, bit for bit, those of a grid built afresh for each
+    # of its points, each point's row must be decay._point's there, and each R
+    # cell must be the one-time rate on that fresh grid.
+    calls, real = [], decay._rates
 
-    def checked_rate(params, grid, n, t):
-        fresh = bath.build_grid(params)
-        assert grid.n_cavities == fresh.n_cavities
-        assert (grid.nodes.tobytes(), grid.end) == (fresh.nodes.tobytes(), fresh.end)
-        assert grid.energies.tobytes() == fresh.energies.tobytes()
-        return fresh_rate(params, grid, n, t)
+    def recorded_rates(nodes, end, points, times):
+        calls.append((nodes.tobytes(), end, np.array(points)))
+        return real(nodes, end, points, times)
 
-    monkeypatch.setattr(decay, "decay_rate_finite", checked_rate)
+    monkeypatch.setattr(decay, "_rates", recorded_rates)
     argv = rate_sweep_argv(param, start, stop, flags)
     table = rows(run_to_file(argv, tmp_path / "s.csv"))
     fields = cli._param_fields(cli.build_parser().parse_args(argv))
     values = np.linspace(float(start), float(stop), 13)
-    assert len(table) == 14
-    for value, (_, cell, error) in zip(values, table[1:]):
+    received = [(nodes, end, row) for nodes, end, points in calls for row in points]
+    assert len(table) == len(received) + 1 == 14
+    for value, (_, cell, error), (nodes, end, row) in zip(values, table[1:], received):
         params = cli._resolve_params({**fields, param: int(round(value)) if param == "n_cavities" else value})
-        expected = cli._fmt(fresh_rate(params, bath.build_grid(params), default_sideband(params), 7.0))
-        assert (cell, error) == (expected, "")
+        fresh, n = bath.build_grid(params), default_sideband(params)
+        assert (nodes, end) == (fresh.nodes.tobytes(), fresh.end)
+        assert row.tobytes() == np.array(decay._point(params, n)).tobytes()
+        assert (cell, error) == (cli._fmt(decay.decay_rate_finite(params, fresh, n, 7.0)), "")
 
 
 @pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
@@ -306,6 +307,10 @@ def _fresh_cells(argv) -> list[tuple[str, str]]:
         return [_fresh_cell(args, fields, value) for value in cli._sweep_values(args)]
 
 
+# A forced sideband n = 10^400, whose n nu no float holds, and n = 1000 at a nu where n nu overflows.
+HUGE_SIDEBAND = ["--sideband", str(10**400)]
+FAR_SHIFT = ["--sideband", "1000", "--drive-freq", "1e306"]
+
 MIXED_SWEEPS = [
     # g^2 passes the float range past g = 1.34e154.
     (["--param", "g", "--start", "0", "--stop", "2e154", "--count", "9"], {"", "NonFiniteResult"}),
@@ -324,6 +329,10 @@ MIXED_SWEEPS = [
      {"", "OrderTooLarge", "SecondSideband"}),
     # The first grid is past the cavity ceiling; the later points build their own.
     (["--param", "n_cavities", "--start", "1048577", "--stop", "1048575", "--count", "3"], {"", "SizeTooLarge"}),
+    # A forced sideband whose n nu is past the float range: refused by the order ceiling, and
+    # past it inside the ceiling, where the detuning overflows.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"OrderTooLarge"}),
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"NonFiniteResult"}),
 ]
 
 
@@ -378,6 +387,9 @@ REGIME_SWEEPS = [
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {"OrderTooLarge"}),
     (["--param", "drive_freq", "--start", "1e-300", "--stop", "7", "--count", "41"],
      {"Indeterminate", "OrderTooLarge", "SecondSideband"}),
+    # n nu past the float range: refused by the order ceiling, and at J_1000(6e-306) = 0 decoupled.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"OrderTooLarge"}),
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"Decoupled"}),
 ]
 
 
@@ -428,6 +440,9 @@ GOLDEN_SWEEPS = [
      {"", "OrderTooLarge", "SecondSideband"}),
     (["--param", "drive_freq", "--start", "2.5", "--stop", "7", "--count", "13", "--chi", "1", "--delta", "-5"],
      {"", "BandEdgeSingularity", "SecondSideband"}),
+    # delta + n nu past the float range, with n itself past it and inside the order ceiling.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"NonFiniteResult"}),
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"NonFiniteResult"}),
 ]
 
 

@@ -169,6 +169,25 @@ def test_longtime_band_edge_raises():
         decay_rate_longtime(p, 0)
 
 
+@pytest.mark.parametrize(
+    "overrides, n",
+    [
+        (dict(drive_freq=1e306), 1000),  # n nu overflows to inf
+        (dict(), 10**400),  # n itself is past the float range
+        (dict(omega_c=1.7e308, omega=-1.7e308), 0),  # delta overflows
+        (dict(omega_c=1.7e308, omega=-1.7e308, drive_freq=1e306), -(10**400)),
+    ],
+    ids=["n-nu", "huge-n", "delta", "delta-and-huge-n"],
+)
+def test_longtime_center_past_the_float_range_is_a_non_finite_result(overrides, n):
+    # delta + n nu is the result's center, not an argument: past the float range it is
+    # NonFiniteResult (exit 3), whether J_n(chi) is given or not.
+    p = make(**overrides)
+    for jn in (None, 0.5):
+        with pytest.raises(NonFiniteResult):
+            decay_rate_longtime(p, n, jn=jn)
+
+
 def test_continuum_matches_dense_grid():
     p_dense = make(omega_c=3.0, n_cavities=2001)
     grid = build_grid(p_dense)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from floquet_zeno.errors import ConfigError, Negative, NonFinite, NonPositive, OrderTooLarge, SizeTooLarge, ZeroCavities
+from floquet_zeno.errors import (
+    ConfigError,
+    InvalidArgument,
+    Negative,
+    NonFinite,
+    NonPositive,
+    OrderTooLarge,
+    SizeTooLarge,
+    ZeroCavities,
+)
 from floquet_zeno.params import (
     SystemParams,
     check_size,
@@ -125,13 +134,24 @@ HUGE = 1.7e308
 @example([(2.5e-323, 1e-323), (-2.5e-323, 1e-323), (1e-320, SUBNORMAL)])  # subnormal nu, a tie among them
 @example([(8.5e307, HUGE), (-8.5e307, HUGE), (1e308, HUGE), (-HUGE, HUGE)])  # n nu overflows beside the nearest
 @example([(1.0, 6.0), (1e300, 1e-300)])  # the ratio overflows: OrderTooLarge for the column as for its entry
+# A nu that validate refuses: InvalidArgument for the column as for its entry, and the first refused entry
+# names the column's error.
+@example([(1.0, 0.0)])
+@example([(1.0, -0.0)])
+@example([(0.0, -1.0)])
+@example([(1.0, math.inf)])
+@example([(math.inf, math.inf)])
+@example([(1.0, math.nan)])
+@example([(1.0, 6.0), (1e300, 1e-300), (1.0, 0.0)])
+@example([(1.0, 6.0), (1.0, math.nan), (1e300, 1e-300)])
 def test_nearest_sideband_over_columns_is_the_one_point_rule_entry_by_entry(pairs):
     delta, nu = np.array(pairs).T
     try:
         expected = [float(nearest_sideband(d, v)) for d, v in pairs]
-    except OrderTooLarge:
-        with pytest.raises(OrderTooLarge):
-            nearest_sideband(delta, nu)
+    except (InvalidArgument, OrderTooLarge) as exc:
+        for shape in (delta.shape, (1, -1)):
+            with pytest.raises(type(exc)):
+                nearest_sideband(delta.reshape(shape), nu.reshape(shape))
         return
     orders = nearest_sideband(delta, nu)
     assert orders.dtype == float and np.array_equal(orders, expected)
