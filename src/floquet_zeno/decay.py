@@ -405,7 +405,9 @@ def classify_regime(params: SystemParams, n: int, t: float, *, jn: float | None 
     AntiZeno: the kernel is much narrower than its center offset and the
     center lies outside the band, delta_f <= |omega_f - omega_g| /
     SEPARATION and |omega_f| > 2 xi.
-    Anything else: Indeterminate.
+    Anything else: Indeterminate. A report field past the float range
+    (1/t, delta + n nu or delta_g) raises NonFiniteResult, as the
+    `classify` row that prints it does.
 
     Valid domain: test_regime_labels_agree_with_the_golden_rule checks
     that the labels agree with the Kofman-Kurizki criterion (Zeno: R(t)
@@ -420,6 +422,9 @@ def classify_regime(params: SystemParams, n: int, t: float, *, jn: float | None 
     omega_f = params.delta + n * params.drive_freq
     delta_g = math.sqrt(2.0) * params.xi * params.g * abs(jn)
     omega_g = 0.0
+    if not (math.isfinite(delta_f) and math.isfinite(omega_f) and math.isfinite(delta_g)):
+        fields = f"delta_f = {delta_f!r}, omega_f = {omega_f!r}, delta_g = {delta_g!r}"
+        raise NonFiniteResult(f"a regime report field is not finite: {fields}")
     if abs(jn) < DECOUPLING_THRESHOLD:
         regime = DECOUPLED
     elif abs(omega_f) < 2.0 * params.xi <= delta_f and delta_f >= SEPARATION * max(delta_g, abs(omega_f)):

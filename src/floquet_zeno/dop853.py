@@ -245,13 +245,23 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-# (row of A up to the stage, node) for stages 1-11 of a step and the three extra interpolant stages.
-STAGES = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
-EXTRA_STAGES = [(A[s, :s], C[s]) for s in range(N_STAGES + 1, 16)]
+# The tableau as complex, converted once: np.dot casts a real operand against
+# the complex stages to this anyway, and makes the same complex gemv of it.
+# ROWS[s] is row s of A up to stage s; row 12 is B, which gives the new state,
+# and rows 13 to 15 give the interpolant's extra stages.
+ROWS = [A[s, :s].astype(complex) for s in range(16)]
+E3_ROW, E5_ROW, D_ROWS = E3.astype(complex), E5.astype(complex), D.astype(complex)
 
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _error_norm_2(K: np.ndarray, row: np.ndarray, scale: np.ndarray) -> float:
+    # |K^T row / scale|^2, squared from np.linalg.norm of the complex vector as numpy computes it.
+    e = np.dot(K.T, row)
+    e /= scale
+    return np.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) ** 2
 
 
 class DOP853:
@@ -259,8 +269,16 @@ class DOP853:
 
     `t`, `y`, `status` ("running", "finished" or "failed") and `nfev`
     (right-hand-side calls, the start and first-step calls included)
-    read as on scipy's solver. y is complex and 1-D; `fun` returns a
-    complex array of its shape.
+    read as on scipy's solver. y is complex and 1-D.
+
+    `fun` is called three ways. `fun(t, y)` returns y'(t) as a new complex
+    array of y's shape; it gives the start derivative and the first-step
+    trial. A step attempt (12 stages) and a dense output (3) instead name
+    all their stage times at once, as soon as h is known: `fun.at(times)`
+    readies the equation at each time (a step's time-only work, done once
+    for all its stages), and then `fun.stage(i, y, out)`, called once per
+    time in order, writes y'(times[i]) at y into out. Each stage counts as
+    one call in `nfev`, as on scipy's solver.
     """
 
     def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
@@ -274,10 +292,25 @@ class DOP853:
         self._f = self._fun(t0, self.y)
         self._h_abs = self._first_step()
         self._k = np.empty((16, self.y.size), dtype=self.y.dtype)  # the stages, the interpolant's three last
+        self._k_before = [self._k[:s].T for s in range(16)]  # the stages before stage s, as columns
 
     def _fun(self, t, y):
         self.nfev += 1
         return self._rhs(t, y)
+
+    def _stages(self, t, h, y, first, last) -> np.ndarray:
+        # Stages first .. last - 1 of the step of length h from y at t, each at
+        # t + C[s] h and y + h sum_r A[s, r] K[r]; returns the last stage's state.
+        K, ys, stage = self._k, np.empty_like(y), self._rhs.stage
+        self._rhs.at(t + C[first:last] * h)
+        h = np.array(h, dtype=complex)  # the complex h numpy multiplies by, converted once
+        for i, s in enumerate(range(first, last)):
+            np.dot(self._k_before[s], ROWS[s], out=ys)
+            ys *= h
+            ys += y
+            stage(i, ys, K[s])
+        self.nfev += last - first
+        return ys
 
     def _first_step(self) -> float:
         # Hairer, Norsett & Wanner, Sec. II.4, as scipy's select_initial_step with no max_step.
@@ -308,6 +341,7 @@ class DOP853:
         min_step = 10 * np.abs(np.nextafter(t, self._direction * np.inf) - t)
         h_abs = max(self._h_abs, min_step)
         rejected = False
+        K[0] = self._f
         while True:
             if h_abs < min_step:
                 self.status = "failed"
@@ -317,14 +351,10 @@ class DOP853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            K[0] = self._f
-            for s, (a, c) in enumerate(STAGES, start=1):
-                K[s] = self._fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = self._fun(t + h, y_new)
+            # Stage 12 sits at t + h, on the new state y_new (B is row 12 of A), and is f_new.
+            y_new = self._stages(t, h, y, 1, N_STAGES + 1)
             scale = self._atol + np.maximum(np.abs(y), np.abs(y_new)) * self._rtol
-            err5_norm_2 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            err3_norm_2 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            err5_norm_2, err3_norm_2 = _error_norm_2(K, E5_ROW, scale), _error_norm_2(K, E3_ROW, scale)
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -337,7 +367,8 @@ class DOP853:
         factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
         self._h_abs = h_abs * (min(1, factor) if rejected else factor)
         self._h, self._y_old, self.t_old = h, y, t
-        self.t, self.y, self._f = t_new, y_new, f_new
+        # f_new stays in K[12]: the next step copies it to K[0] before any stage.
+        self.t, self.y, self._f = t_new, y_new, K[-1]
         if self._direction * (t_new - self.t_bound) >= 0:
             self.status = "finished"
 
@@ -348,15 +379,15 @@ class DOP853:
         if self.t == self.t_old:  # a run from t_bound itself, which took no step
             return Interpolant(self.t, 1.0, self.y, np.empty((0, self.y.size), self.y.dtype))
         K, h, y_old = self._k, self._h, self._y_old
-        for s, (a, c) in enumerate(EXTRA_STAGES, start=N_STAGES + 1):
-            K[s] = self._fun(self.t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
+        self._stages(self.t_old, h, y_old, N_STAGES + 1, 16)
         F = np.empty((7, self.y.size), dtype=y_old.dtype)
         f_old = K[0]
         delta_y = self.y - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self._f + f_old)
-        F[3:] = h * np.dot(D, K)
+        np.dot(D_ROWS, K, out=F[3:])
+        F[3:] *= h
         return Interpolant(self.t_old, self.t - self.t_old, y_old, F)
 
 

@@ -73,10 +73,14 @@ MAX_STEPS = 1_000_000
 # 4.5, 7.4, 43 and 113 at N = 11, 41, 101, 201, 463 and 925; a log fit over
 # thirteen N gives (465, 1149), within 31% of each. MAP_SETUP is rounded up
 # because at A = 0 (8 steps a period) 1.9 periods at N = 41 ran faster direct.
+# Since a step builds its stage times' phase rows in one exp, c reads 1.6 at
+# N = 41 and 17 at N = 201 in process (1.3-1.4 and 14 before, same runs); the
+# constants stay as fitted, because a refit moves which route a run takes and
+# with it the last bits of its output.
 MAP_OVERHEAD = 1150.0
 MAP_SETUP = 650.0
 # Ceiling on the map's complex entries, S (S + samples); past it a run
-# integrates directly. DOP853 keeps about 37 S^2 arrays: a 158 MB peak RSS
+# integrates directly. DOP853 keeps about 37 S^2 arrays: a 169 MB peak RSS
 # at N = 925 with 100 samples, where c(N) asks for 135 periods. A sample
 # reads only its emitter row off the step interpolant (one entry direct, S
 # on the map), so a step's samples are read in one call.
@@ -121,44 +125,73 @@ def _frame(params: SystemParams, energies: np.ndarray, t: float) -> np.ndarray:
     return np.exp(1j * np.concatenate(([phi], energies * t - phi)))
 
 
-def _rhs(params: SystemParams, grid: MomentumGrid, columns: int):
-    # The emitter and the bright modes j = 0 .. floor(N/2); a pair's bright
-    # mode couples with weight sqrt(2), carried in the exponent as log sqrt(2).
-    n = grid.n_cavities
-    exponent = -1j * (params.omega - grid.energies)
-    log_weight = np.zeros(exponent.size, dtype=complex)
-    log_weight[1 : (n + 1) // 2] = 0.5 * math.log(2.0)
-    coupling = -1j * params.g / math.sqrt(n)
-    amp, nu = params.drive_amp, params.drive_freq
+class _Coupling:
+    """The frame equation's right-hand side for `columns` states side by side, a flattened (S x columns) matrix.
 
-    # w_j exp(-i (omega - eps_j) t) over the bright modes, and the drive's
-    # common phase exp(-i A t sinc(nu t)) as one scalar on the emitter
-    # amplitude: together w_j exp(-i theta_j(t)). DOP853 passes a numpy t;
-    # a float nu t overflows to inf without a warning.
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        t = float(t)
-        phases = np.exp(log_weight + exponent * t)
-        drive = cmath.exp(-1j * (amp * t * _sinc(nu * t)))
+    Called as fun(t, y) it returns y'(t), the plain form scipy's steppers
+    take. DOP853 instead names all the stage times of a step at once
+    (`at`), which builds their phase rows in one exp, and then has each
+    stage written into its row of the stepper (`stage`). At N = 41 (on a
+    shared 2-core VM) a stage costs 1.8 us for a state vector and 5.4 us
+    for the map's 22 columns, and `at` 12.6 us for a step's 12 times, 7 of
+    them in the drive scalars; a plain call costs 7.3 and 11.4 us.
+    """
+
+    def __init__(self, params: SystemParams, grid: MomentumGrid, columns: int):
+        # The emitter and the bright modes j = 0 .. floor(N/2); a pair's bright
+        # mode couples with weight sqrt(2), carried in the exponent as log sqrt(2).
+        n = grid.n_cavities
+        self._exponent = -1j * (params.omega - grid.energies)
+        self._log_weight = np.zeros(self._exponent.size, dtype=complex)
+        self._log_weight[1 : (n + 1) // 2] = 0.5 * math.log(2.0)
+        self._coupling = -1j * params.g / math.sqrt(n)
+        self._amp, self._nu, self._columns = params.drive_amp, params.drive_freq, columns
+        self._table = np.empty((0, self._exponent.size), dtype=complex)  # a phase row per time, grown on demand
+        self.stage = self._state_stage if columns == 1 else self._columns_stage
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         out = np.empty_like(y)
-        # vdot conjugates the rotation back for the emitter row.
-        out[0] = coupling * drive.conjugate() * np.vdot(phases, y[1:])
-        np.multiply(phases, coupling * drive * y[0], out=out[1:])
+        self.at(np.array([t], dtype=float))
+        self.stage(0, y, out)
         return out
 
-    def columns_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # The same equation for each column of a flattened (size x columns) matrix.
-        t = float(t)
-        phases = np.exp(log_weight + exponent * t)
-        drive = cmath.exp(-1j * (amp * t * _sinc(nu * t)))
-        y = y.reshape(-1, columns)
-        out = np.empty_like(y)
-        out[0] = coupling * drive.conjugate() * (phases.conj() @ y[1:])
-        np.multiply(phases[:, None], coupling * drive * y[0], out=out[1:])
-        return out.ravel()
+    def at(self, times: np.ndarray) -> None:
+        """Readies the equation at each of these times, for `stage`."""
+        # w_j exp(-i (omega - eps_j) t) over the bright modes, all times in one
+        # exp. The rows are kept apart from the stepper's stage rows, so a
+        # stage's product is never made in place: numpy rounds a complex
+        # product of one entry (N = 1) in place differently, and the oracle's
+        # bytes are those of the out-of-place product.
+        if len(self._table) < times.size:
+            self._table = np.empty((times.size, self._exponent.size), dtype=complex)
+        phases = self._table[: times.size]
+        np.multiply(self._exponent, times[:, None], out=phases)
+        phases += self._log_weight
+        np.exp(phases, out=phases)
+        if self._columns > 1:
+            self._conj_phases = phases.conj()
+        # The drive's common phase exp(-i A t sinc(nu t)) as one scalar on the
+        # emitter amplitude: together w_j exp(-i theta_j(t)). A float nu t
+        # overflows to inf without a warning.
+        coupling, amp, nu = self._coupling, self._amp, self._nu
+        drives = [cmath.exp(-1j * (amp * t * _sinc(nu * t))) for t in times.tolist()]
+        # Per time, the coupling times the drive scalar and times its conjugate.
+        self._drives = [(coupling * drive, coupling * drive.conjugate()) for drive in drives]
 
-    # One column, a state vector, costs 3.2 us per call here, 6.5 in columns_rhs
-    # (N = 41); the two phase lines are inline because a shared helper added 0.4 us.
-    return rhs if columns == 1 else columns_rhs
+    def _state_stage(self, i: int, y: np.ndarray, out: np.ndarray) -> None:
+        """Writes y'(times[i]) into out."""
+        phases = self._table[i]
+        drive, drive_conj = self._drives[i]
+        # vdot conjugates the rotation back for the emitter row.
+        out[0] = drive_conj * np.vdot(phases, y[1:])
+        np.multiply(phases, drive * y[0], out=out[1:])
+
+    def _columns_stage(self, i: int, y: np.ndarray, out: np.ndarray) -> None:
+        # The same equation for each column of the matrix.
+        out, y = out.reshape(-1, self._columns), y.reshape(-1, self._columns)
+        drive, drive_conj = self._drives[i]
+        np.multiply(drive_conj, self._conj_phases[i] @ y[1:], out=out[0])
+        np.multiply(self._table[i][:, None], drive * y[0], out=out[1:])
 
 
 def _map_pays(params: SystemParams, rate: float, span: float, columns: int, samples: int) -> bool:
@@ -218,7 +251,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     order = np.argsort(sign * reads[:-1], kind="stable")
     ahead = sign * reads[order]
     rows = np.empty((pending.size, columns), dtype=complex)
-    stepper = RK45(_rhs(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
+    stepper = RK45(_Coupling(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
     steps, done, end = 0, 0, None
     while stepper.status == "running":
         if steps >= MAX_STEPS:

@@ -387,9 +387,13 @@ REGIME_SWEEPS = [
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "2000"], {"OrderTooLarge"}),
     (["--param", "drive_freq", "--start", "1e-300", "--stop", "7", "--count", "41"],
      {"Indeterminate", "OrderTooLarge", "SecondSideband"}),
-    # n nu past the float range: refused by the order ceiling, and at J_1000(6e-306) = 0 decoupled.
+    # n nu past the float range: refused by the order ceiling, and inside it an omega_f = delta + n nu
+    # of inf, which classify cannot print either (exit 3), though J_1000(6e-306) = 0 is decoupled.
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"OrderTooLarge"}),
-    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"Decoupled"}),
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"NonFiniteResult"}),
+    # J_180(170) = 5.2e-3 is not decoupled, and omega_f is inf again.
+    (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "180", "--drive-freq", "1e306",
+      "--chi", "170"], {"NonFiniteResult"}),
 ]
 
 

@@ -482,6 +482,17 @@ def test_classifier_indeterminate_between_limits():
     assert classify_regime(p, 0, 10.0).regime == INDETERMINATE
 
 
+@pytest.mark.parametrize(
+    "overrides, t",
+    [({}, 5e-324), (dict(g=1e300, xi=1e10), 10.0)],  # delta_f = 1 / t, delta_g = sqrt(2) xi g |J_n|
+)
+def test_classifier_refuses_a_report_field_that_is_not_finite(overrides, t):
+    # As classify, which prints every field, exits 3 on one that is not finite;
+    # tests/test_cli.py's REGIME_SWEEPS meet omega_f = delta + n nu of inf.
+    with pytest.raises(NonFiniteResult, match="not finite"):
+        classify_regime(make(**overrides), 0, t)
+
+
 # Kofman-Kurizki criterion: Zeno means R(t) below the golden-rule rate,
 # anti-Zeno means R(t) above it. N = 4001 keeps the lattice sum close to
 # the continuum, and nu = 6 > 4 xi keeps one sideband in band at most.

@@ -48,7 +48,12 @@ def test_tableau_is_scipys():
 
 @pytest.mark.parametrize("route", ["direct", "map"])
 @pytest.mark.parametrize("t0, periods", [(0.0, 2.3), (0.7, -1.6)])
-@pytest.mark.parametrize("overrides", [{}, dict(g=0.05, n_cavities=41, drive_amp=0.0)])
+@pytest.mark.parametrize(
+    "overrides",
+    # The defaults, a weak undriven coupling, an even N (its mode j = N/2 is single),
+    # and a strong drive, whose steps are rejected now and then.
+    [{}, dict(g=0.05, n_cavities=41, drive_amp=0.0), dict(n_cavities=12), dict(drive_amp=60.0)],
+)
 def test_steps_match_scipy_bit_for_bit(route, t0, periods, overrides):
     p = make(**overrides)
     grid = build_grid(p)
@@ -56,10 +61,15 @@ def test_steps_match_scipy_bit_for_bit(route, t0, periods, overrides):
     columns = n if route == "map" else 1
     y0 = np.eye(n, columns, dtype=complex).ravel()  # the excited emitter, or the identity basis
     t_bound = t0 + periods * p.period
-    ours = trajectory(dop853.DOP853, oracle._rhs(p, grid, columns), t0, y0, t_bound, columns)
-    scipys = trajectory(ScipyDOP853, oracle._rhs(p, grid, columns), t0, y0, t_bound, columns)
+    ours = trajectory(dop853.DOP853, oracle._Coupling(p, grid, columns), t0, y0, t_bound, columns)
+    scipys = trajectory(ScipyDOP853, oracle._Coupling(p, grid, columns), t0, y0, t_bound, columns)
     assert len(ours) > 10
     assert ours == scipys
+    # An accepted step and its dense output take 12 + 3 evaluations, and each
+    # rejected attempt before it 12 more, on a stage table built anew for its h.
+    calls = np.diff([ours[0]] + [step[-1] for step in ours[1:]])
+    assert set(((calls - 15) % 12).tolist()) == {0}
+    assert (calls > 15).any() == (p.drive_amp == 60.0)
 
 
 def test_a_run_to_its_own_start_finishes_without_stepping_as_scipys():
@@ -69,7 +79,7 @@ def test_a_run_to_its_own_start_finishes_without_stepping_as_scipys():
     y0 = np.eye(grid.n_cavities // 2 + 2, 1, dtype=complex).ravel()
     results = []
     for stepper_class in (dop853.DOP853, ScipyDOP853):
-        stepper = stepper_class(oracle._rhs(p, grid, 1), 1e17, y0, 1e17, rtol=oracle.RTOL, atol=oracle.ATOL)
+        stepper = stepper_class(oracle._Coupling(p, grid, 1), 1e17, y0, 1e17, rtol=oracle.RTOL, atol=oracle.ATOL)
         stepper.step()
         dense = stepper.dense_output()
         results.append((stepper.status, stepper.t, stepper.nfev, stepper.y.tobytes(), dense(1e17).tobytes()))
