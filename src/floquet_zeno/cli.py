@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand emits CSV (comma separated, header row, 12 significant
-digits, LF line endings, no locale formatting) to stdout or --out, so
-identical invocations produce byte-identical output. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures.
+Every subcommand's handler returns a header and columns, and `_write_csv`
+writes them to stdout or --out in the one CSV format its docstring states.
+Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
+failures.
 
 Parameters resolve in three layers: built-in defaults, then a --config
 file of `key = value` lines, then individual flags. --delta positions
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from itertools import starmap
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -42,16 +42,12 @@ DEFAULTS = {
 SWEEPABLE = CONFIG_KEYS + ("chi", "delta")
 
 # Ceiling on --t-steps and --count, the CSV rows of a table. A 10^6-row
-# decay-rate table at the defaults takes about 2 s and 160 MB; a 10^5-point
-# rate or regime sweep about 0.2-0.6 s and 64-75 MB, most of it the CSV text
-# (see the README).
+# decay-rate table at the defaults takes about 1 s and 61 MB; a 10^5-point
+# sweep about 0.4-0.6 s and 55-66 MB, most of it its columns (see the README).
 MAX_ROWS = 1 << 20
 
-# Points per block of a regime or golden-rate sweep's per-point calls.
-SWEEP_BLOCK = 1 << 12
-
-# Each regime's sweep cell, one string shared by every point with that label.
-REGIME_CELLS = {regime: regime + "," for regime in (decay.ZENO, decay.ANTI_ZENO, decay.DECOUPLED, decay.INDETERMINATE)}
+# Rows per block of a written table, and points per block of a regime or golden-rate sweep's per-point calls.
+BLOCK = 1 << 12
 
 # Python float arithmetic raises OverflowError or ZeroDivisionError
 # (1 / underflowed x) where numpy would return inf;
@@ -60,36 +56,43 @@ REGIME_CELLS = {regime: regime + "," for regime in (decay.ZENO, decay.ANTI_ZENO,
 NUMERICAL_FAILURES = (NumericalError, ArithmeticError, ValueError)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteResult(f"non-finite result {value!r}")
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.12g}"
+def _floating(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def _fmt_column(values: np.ndarray, end: str = "") -> list[str]:
-    """_fmt(v) + end for each entry v of a float array of finite values, in one %.12g pass (+ 0.0 clears -0.0)."""
-    return (f"%.12g{end}\n" * values.size % tuple((values + 0.0).tolist())).split("\n")[:-1]
+def _text(columns) -> str:
+    """CSV lines of finite cells in one % pass: %.12g for a float column (+ 0.0 clears -0.0), str for any other."""
+    floats = [_floating(c) for c in columns]
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
+    cells = [(c + 0.0).tolist() if f else list(c) for c, f in zip(columns, floats)]
+    return row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
 
 
-def _row(*cells) -> str:
-    return ",".join(_fmt(c) for c in cells)
+def _write_csv(header: str, columns: list, path: str | None) -> None:
+    """Write a table as the one CSV format of every subcommand, to path or to stdout.
 
-
-def _write_csv(lines: list[str], path: str | None) -> None:
-    """The one CSV file format: UTF-8 lines joined by LF with a final LF, to path or to stdout."""
-    text = "\n".join(lines) + "\n"
+    The format: UTF-8, a header row, then one row per entry of the equal-length
+    columns, cells joined by commas and every row, the last too, ended by LF;
+    no quoting and no locale formatting, so identical invocations produce
+    byte-identical output. A column is a float array, whose cells print with
+    12 significant digits (%.12g, -0.0 as 0), an int array, whose cells print
+    in full, or a list of ready string cells. Before any byte is written (and
+    before path is opened) a float that is not finite is refused with
+    NonFiniteResult, naming the first such cell in row order. The rows go out
+    BLOCK at a time, so no more than a block's text is held at once.
+    """
+    bad = [(int(np.argmin(np.isfinite(c))), j) for j, c in enumerate(columns)
+           if _floating(c) and not np.isfinite(c).all()]
+    if bad:
+        row, j = min(bad)
+        raise NonFiniteResult(f"non-finite result {float(columns[j][row])!r}")
+    rows = range(0, len(columns[0]), BLOCK)
+    blocks = chain([header + "\n"], (_text([c[lo : lo + BLOCK] for c in columns]) for lo in rows))
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -162,19 +165,19 @@ def _observation_time(t: float) -> float:
     return t
 
 
-def _rate_table(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> list[str]:
+def _rate_table(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndarray) -> tuple[str, list]:
     curve = decay.decay_curve(params, grid, n, times)
-    return ["t,R", *(_row(t, r) for t, r in zip(curve.times, curve.rates))]
+    return "t,R", [curve.times, curve.rates]
 
 
-def _cmd_decay_rate(args) -> list[str]:
+def _cmd_decay_rate(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     n = _sideband(args, params)
     return _rate_table(params, grid, n, _time_grid(args))
 
 
-def _cmd_survival(args) -> list[str]:
+def _cmd_survival(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     times = _time_grid(args)
@@ -188,37 +191,31 @@ def _cmd_survival(args) -> list[str]:
             curve = decay.survival_curve(params, grid, n, times, args.method)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-    lines = ["t,P_e"]
-    lines.extend(_row(t, p) for t, p in zip(curve.times, curve.probabilities))
-    return lines
+    return "t,P_e", [curve.times, curve.probabilities]
 
 
-def _cmd_spectral_density(args) -> list[str]:
+def _cmd_spectral_density(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
     rho = spectral_density(params.xi, args.omega_eval)
-    return ["omega,rho", _row(args.omega_eval, rho)]
+    return "omega,rho", [*np.array([[args.omega_eval, rho]]).T]
 
 
-def _cmd_floquet_spectrum(args) -> list[str]:
+def _cmd_floquet_spectrum(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
     grid = build_grid(params)
     m_max = args.truncation if args.truncation is not None else default_truncation(params)
     fm = build_floquet_matrix(params, grid, m_max)
     spectrum = quasi_energies(fm)
     weights = edge_weights(fm, spectrum)
-    lines = ["index,quasi_energy,edge_weight"]
-    lines.extend(_row(i, e, w) for i, (e, w) in enumerate(zip(spectrum.eigenvalues, weights)))
-    return lines
+    return "index,quasi_energy,edge_weight", [np.arange(weights.size), spectrum.eigenvalues, weights]
 
 
-def _cmd_classify(args) -> list[str]:
+def _cmd_classify(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
     n = _sideband(args, params)
     report = decay.classify_regime(params, n, _observation_time(args.t))
-    return [
-        "regime,delta_f,omega_f,delta_g,omega_g",
-        _row(report.regime, report.delta_f, report.omega_f, report.delta_g, report.omega_g),
-    ]
+    fields = (report.delta_f, report.omega_f, report.delta_g, report.omega_g)
+    return "regime,delta_f,omega_f,delta_g,omega_g", [[report.regime], *np.array([fields]).T]
 
 
 def _sweep_values(args) -> np.ndarray:
@@ -237,33 +234,34 @@ def _sweep_values(args) -> np.ndarray:
     return values
 
 
-def _sweep_cells(args, values: np.ndarray) -> list[str]:
-    """Each point's "cell,error": its quantity and no error, or no cell and the error's type name.
+def _sweep_cells(args, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's quantity and error columns of string cells: each point's quantity or the error's type name.
 
     The points resolve as columns. One that array comparisons do not clear of a check
     a fresh call makes resolves on its own, so its error is a fresh call's. Then one pass
-    over the runs of equal sideband n writes each run's error cells for the chi that
-    _checked refuses and takes J_n(chi) from one column over the chi that pass. A rate
-    run stages its rows for the kernel, which takes each run of points that share N on
-    one grid; a regime or golden-rate run evaluates its points, SWEEP_BLOCK at a time.
+    over the runs of equal sideband n takes J_n(chi) from one column over the chi that
+    _checked passes. A rate run writes the error cells of the chi it refuses and stages
+    its rows for the kernel, which takes each run of points that share N on one grid;
+    a regime or golden-rate run evaluates its points, BLOCK at a time, and a point at a
+    refused chi meets the refusal in its own call. The rates print as the writer prints
+    a float column.
     """
     fields, size, rate, regime = _param_fields(args), values.size, args.quantity == "rate", args.quantity == "regime"
     cols = _laid({**fields, args.param: values})
     cavities = np.broadcast_to(cols["n_cavities"], values.shape)
     table = np.stack([np.broadcast_to(np.asarray(cols[k], float), size) for k in CONFIG_KEYS if k != "n_cavities"], axis=1)
     omega, omega_c, xi, g, amp, nu = table.T
-    delta, chi, orders = omega_c - omega, amp / nu, np.zeros(size)
-    clear = np.isfinite(table).all(axis=1) & (xi > 0.0) & (nu > 0.0) & (g >= 0.0) & (amp >= 0.0)
+    delta, chi = omega_c - omega, amp / nu
+    orders = nearest_sideband(delta, nu) if args.sideband is None else np.zeros(size)  # nan where a fresh call raises
+    clear = np.isfinite(table).all(axis=1) & np.isfinite(orders) & (xi > 0.0) & (nu > 0.0) & (g >= 0.0) & (amp >= 0.0)
     clear &= np.asarray((cavities >= 1) & (cavities <= bath.MAX_CAVITIES if rate else True), bool)
     if args.sideband is None:
-        clear &= np.isfinite(-delta / nu)
-        orders[clear] = nearest_sideband(delta[clear], nu[clear])
         # check_single_sideband's search, m != n in resonant_sidebands within its reach, as float bounds.
         reach, big = np.trunc(np.minimum(math.e * chi / 2.0 + 20.0, MAX_ORDER + 1.0)), sys.float_info.max
         first = np.maximum(np.floor(np.clip((-2.0 * xi - delta) / nu, -big, big)) + 1.0, -reach)
         stop = np.minimum(np.ceil(np.clip((2.0 * xi - delta) / nu, -big, big)), reach + 1.0)
         clear &= (stop <= first) | ((stop - first == 1.0) & (first == orders))
-    cells = np.full(size, ",", dtype=object)
+    quantity, errors = np.full(size, "", dtype=object), np.full(size, "", dtype=object)
     for i in np.flatnonzero(~clear).tolist():
         try:
             params = _resolve_params({**fields, args.param: values[i]})
@@ -272,7 +270,7 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
                 check_size("n_cavities", params.n_cavities, bath.MAX_CAVITIES)
             clear[i], orders[i] = True, n if args.sideband is None else 0.0
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
-            cells[i] = "," + type(exc).__name__
+            errors[i] = type(exc).__name__
 
     ranked = np.flatnonzero(clear)[np.argsort(orders[clear], kind="stable")]
     out, valued = np.empty(size), np.zeros(size, bool)
@@ -285,35 +283,37 @@ def _sweep_cells(args, values: np.ndarray) -> list[str]:
         if _refusal(n, chis[-1]):  # chi >= 0 at a resolved point, so each chi passes _checked when the largest does
             names = [_refusal(n, c) for c in chis.tolist()]
             ok[:] = [not name for name in names]
-            cells[where[~ok[inverse]]] = ["," + names[j] for j in inverse[~ok[inverse]].tolist()]
+            if rate:  # a regime or golden-rate point's own call below meets its refusal itself
+                errors[where[~ok[inverse]]] = [names[j] for j in inverse[~ok[inverse]].tolist()]
         if ok.any():  # n nu waits for a key that passes, as an n past the order ceiling may pass the float range
             column[ok] = _bessel_column(n, chis[ok])
             if rate:  # a refused key's row holds nan and its point keeps its error cell
                 rows[where, 2], rows[where, 4], valued[where] = n * nu[where], column[inverse], ok[inverse]
-        # Regime or golden rate: each point a fresh call on SystemParams from fields listed SWEEP_BLOCK at a time.
-        for lo in range(0, 0 if rate else where.size, SWEEP_BLOCK):
-            block, found = where[lo : lo + SWEEP_BLOCK], []
+        # Regime or golden rate: each point a fresh call on SystemParams from fields listed BLOCK at a time.
+        for lo in range(0, 0 if rate else where.size, BLOCK):
+            block, found = where[lo : lo + BLOCK], []
             listed = table[block].T.tolist()
             points = starmap(SystemParams, zip(*listed[:4], cavities[block].tolist(), *listed[4:]))
-            jns = [None if math.isnan(j) else j for j in column[inverse[lo : lo + SWEEP_BLOCK]].tolist()]
+            jns = [None if math.isnan(j) else j for j in column[inverse[lo : lo + BLOCK]].tolist()]
             for i, params, jn in zip(block.tolist(), points, jns):
                 try:
                     if regime:
-                        found.append(REGIME_CELLS[decay.classify_regime(params, n, args.t, jn=jn).regime])
+                        found.append(decay.classify_regime(params, n, args.t, jn=jn).regime)
                     else:
                         out[i], valued[i] = decay.decay_rate_longtime(params, n, jn=jn).rate, True
-                        found.append(",")  # the rate is formatted with the others below
+                        found.append("")  # the rate is formatted with the others below
                 except (ConfigError, *NUMERICAL_FAILURES) as exc:
-                    found.append("," + type(exc).__name__)
-            cells[block] = found
+                    found.append("")
+                    errors[i] = type(exc).__name__
+            quantity[block] = found
     staged = np.flatnonzero(valued & rate)  # a rate sweep's valued points, none of another quantity's
     for run in np.split(staged, np.flatnonzero(np.diff(cavities[staged])) + 1) if staged.size else []:
         grid = build_grid(_resolve_params({**fields, args.param: values[run[0]]}))
         out[run] = decay._rates(grid.nodes, grid.end, rows[run], np.array([args.t]))[0][:, 0]
     finite = valued & np.isfinite(out)
-    cells[finite] = np.array(_fmt_column(out[finite], ","), dtype=object)  # as object, no copy of each string
-    cells[valued & ~finite] = "," + NonFiniteResult.__name__
-    return cells.tolist()
+    quantity[finite] = np.array(_text([out[finite]]).split("\n")[:-1], dtype=object)  # no copy of each string
+    errors[valued & ~finite] = NonFiniteResult.__name__
+    return quantity, errors
 
 
 def _refusal(n: int, chi: float) -> str:
@@ -325,18 +325,15 @@ def _refusal(n: int, chi: float) -> str:
     return ""
 
 
-def _cmd_sweep(args) -> list[str]:
+def _cmd_sweep(args) -> tuple[str, list]:
     values = _sweep_values(args)
     quantity_col = {"rate": "R", "golden-rate": "golden_rate", "regime": "regime"}[args.quantity]
     if args.quantity != "golden-rate":
         _observation_time(args.t)
-    lines = [f"{args.param},{quantity_col},error"]
-    finite = values.dtype == float and np.isfinite(values).all()
-    lines.extend(map(",".join, zip(_fmt_column(values) if finite else map(_fmt, values), _sweep_cells(args, values))))
-    return lines
+    return f"{args.param},{quantity_col},error", [values, *_sweep_cells(args, values)]
 
 
-def _cmd_reproduce_fig3(args) -> list[str]:
+def _cmd_reproduce_fig3(args) -> None:
     # decay-rate at the defaults with --sideband 0 for three (delta, chi):
     # climbing (1, 1), descending (3, 1) and suppressed (3, first root of
     # J_0). At sideband 0 only chi = A/nu enters R(t), so --nu only picks
@@ -358,9 +355,8 @@ def _cmd_reproduce_fig3(args) -> list[str]:
         except SecondSideband as exc:
             print(f"warning: {name}: {exc}", file=sys.stderr)
         path = os.path.join(args.out_dir, name)
-        _write_csv(_rate_table(params, build_grid(params), 0, times), path)
+        _write_csv(*_rate_table(params, build_grid(params), 0, times), path)
         print(f"wrote {path}", file=sys.stderr)
-    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,11 +433,11 @@ def run(argv=None) -> int:
     # Looked up per run, so a handler replaced after import is the one called.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        # numpy's overflow warnings would only repeat _fmt's NonFiniteResult (exit 3).
+        # numpy's overflow warnings would only repeat the writer's NonFiniteResult (exit 3).
         with np.errstate(all="ignore"):
-            lines = handler(args)
-        if lines:
-            _write_csv(lines, args.out)
+            table = handler(args)
+        if table:
+            _write_csv(*table, args.out)
     except (ConfigError, OSError) as exc:
         # OSError: an --out or --out-dir that cannot be written.
         print(f"error: {exc}", file=sys.stderr)

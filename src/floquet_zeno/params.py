@@ -95,27 +95,24 @@ def nearest_sideband(delta, nu):
 
     Among the five orders next to round(-delta / nu), the one with the least
     |delta + n nu| in floats; ties prefer smaller |n|, then negative n. The
-    winner satisfies delta + n nu in [-nu/2, nu/2] up to the tie boundary. A
-    nu that is not finite and > 0 is InvalidArgument, and a ratio -delta / nu
-    that overflows names no order: OrderTooLarge (for arrays, at the first such entry).
+    winner satisfies delta + n nu in [-nu/2, nu/2] up to the tie boundary. For
+    two floats, a nu that is not finite and > 0 is InvalidArgument, and a
+    ratio -delta / nu that is not finite names no order: OrderTooLarge.
 
     Two floats give an int n. Two arrays give float(n) for each entry: exact
-    below 2**53, and past it the float that n nu already rounds n to.
+    below 2**53, and past it the float that n nu already rounds n to. An entry
+    whose two floats would raise is nan instead; the arrays raise nothing.
     """
     return _nearest_orders(delta, nu) if isinstance(delta, np.ndarray) else _nearest_order(delta, nu)
 
 
-def _refused(nu: float, ratio: float) -> InvalidArgument | OrderTooLarge:
-    if not 0.0 < nu < math.inf:
-        return InvalidArgument(f"nearest sideband needs a finite drive frequency nu > 0, got {nu!r}")
-    return OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
-
-
 def _nearest_order(delta: float, nu: float) -> int:
     # nearest_sideband's keys (|delta + n nu|, |n|, n), least first, over the five candidates.
-    ratio = -delta / nu if 0.0 < nu < math.inf else math.nan
+    if not 0.0 < nu < math.inf:
+        raise InvalidArgument(f"nearest sideband needs a finite drive frequency nu > 0, got {nu!r}")
+    ratio = -delta / nu
     if not math.isfinite(ratio):
-        raise _refused(nu, ratio)
+        raise OrderTooLarge(f"nearest sideband -delta / nu = {ratio!r} is not a finite order")
     guess = round(ratio)
     return min([(abs(delta + n * nu), abs(n), n) for n in range(guess - 2, guess + 3)])[2]
 
@@ -124,14 +121,11 @@ def _nearest_order(delta: float, nu: float) -> int:
 def _nearest_orders(delta: np.ndarray, nu: np.ndarray) -> np.ndarray:
     # The same keys compared in turn, entry by entry, over each entry's five candidates as floats.
     ratio = np.where((nu > 0.0) & (nu < math.inf), -delta / nu, math.nan)
-    refused = ~np.isfinite(ratio)
-    if refused.any():
-        raise _refused(float(nu[refused][0]), float(ratio[refused][0]))
     orders = np.add.outer(np.arange(-2.0, 3.0), np.rint(ratio))
     key = np.abs(delta + orders * nu)
     for tie_break in (np.abs(orders), orders):
         key = np.where(key == key.min(axis=0), tie_break, math.inf)
-    return key.min(axis=0)
+    return np.where(np.isfinite(ratio), key.min(axis=0), math.nan)
 
 
 def resonant_sidebands(params: SystemParams) -> range:

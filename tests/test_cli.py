@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from floquet_zeno import bath, cli, decay, specfun
 from floquet_zeno.cli import run
-from floquet_zeno.params import default_sideband
+from floquet_zeno.errors import NonFiniteResult
+from floquet_zeno.params import SystemParams, default_sideband
 from floquet_zeno.specfun import bessel_j_zero
 
 J0_ROOT = 2.4048255576957733
@@ -45,6 +46,16 @@ def run_to_file(argv, path) -> bytes:
 def rows(data: bytes) -> list[list[str]]:
     lines = data.decode("ascii").splitlines()
     return [line.split(",") for line in lines]
+
+
+def csv_cell(value) -> str:
+    # One CSV cell as the CLI prints it, built here without the CLI's own code: an int in
+    # full, a float with 12 significant digits and -0.0 as 0, and a non-finite float refused.
+    if isinstance(value, int):
+        return str(value)
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"non-finite result {value!r}")
+    return f"{value + 0.0:.12g}"
 
 
 def test_decay_rate_output_shape(tmp_path):
@@ -172,20 +183,82 @@ def test_bare_value_error_exits_3(monkeypatch, capsys):
     assert err == "numerical error: ValueError: array is too big\n"
 
 
-def test_a_nan_rate_exits_3_with_empty_stdout(monkeypatch, capsys):
+def test_a_nan_rate_exits_3_with_empty_stdout(monkeypatch, capsys, tmp_path):
     # No kernel returns nan, so a stand-in curve does; the CSV writer's own
-    # guard refuses the table before any row is written.
-    real = decay.decay_curve
+    # guard refuses the table before any row is written, also where the nan
+    # sits in the last of several blocks, and before an --out file is opened.
+    # It names the first non-finite cell in row order.
+    real, bad = decay.decay_curve, {}
 
-    def nan_curve(params, grid, n, times):
+    def bad_curve(params, grid, n, times):
         curve = real(params, grid, n, times)
-        return dataclasses.replace(curve, rates=np.append(curve.rates[:-1], math.nan))
+        columns = [curve.times.copy(), curve.rates.copy()]
+        for (row, column), value in bad.items():
+            columns[column][row] = value
+        return dataclasses.replace(curve, times=columns[0], rates=columns[1])
 
-    monkeypatch.setattr(decay, "decay_curve", nan_curve)
-    assert run(["decay-rate", "--t-steps", "5"]) == 3
+    monkeypatch.setattr(decay, "decay_curve", bad_curve)
+    path, last_rate = tmp_path / "r.csv", {(-1, 1): math.nan}
+    for argv, cells, named in (
+        (["decay-rate", "--t-steps", "5"], last_rate, "nan"),
+        (["decay-rate", "--t-steps", str(2 * cli.BLOCK + 1)], last_rate, "nan"),
+        (["--out", str(path), "decay-rate"], last_rate, "nan"),
+        (["decay-rate", "--t-steps", "5"], {(2, 1): math.inf, (4, 1): math.nan}, "inf"),  # the first bad row
+        (["decay-rate", "--t-steps", "5"], {(4, 0): math.nan, (2, 1): -math.inf}, "-inf"),
+        (["decay-rate", "--t-steps", "5"], {(2, 0): math.nan, (2, 1): math.inf}, "nan"),  # its first bad column
+    ):
+        bad.clear()
+        bad.update(cells)
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", f"numerical error: NonFiniteResult: non-finite result {named}\n")
+    assert not path.exists()
+
+
+def _reference_table(header: str, rows_of_cells) -> str:
+    # A CSV table built row by row with f-strings: the writer's format, without the writer.
+    return "".join(",".join(cells) + "\n" for cells in [[header], *rows_of_cells])
+
+
+def test_a_decay_rate_table_over_blocks_equals_its_per_row_reference(capsys):
+    steps = 2 * cli.BLOCK + 3
+    assert run(["decay-rate", "--t-max", "30", "--t-steps", str(steps)]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "numerical error: NonFiniteResult: non-finite result nan\n"
+    params = SystemParams(omega=2.0, omega_c=3.0, xi=1.0, g=0.25, n_cavities=41, drive_amp=6.0, drive_freq=6.0)
+    curve = decay.decay_curve(params, bath.build_grid(params), default_sideband(params), np.linspace(30 / steps, 30, steps))
+    assert curve.rates.min() >= 0.0 and np.isfinite(curve.rates).all()
+    expected = _reference_table("t,R", ([f"{t:.12g}", f"{r + 0.0:.12g}"] for t, r in zip(curve.times, curve.rates)))
+    assert (out, err) == (expected, "")
+
+
+def test_a_sweep_over_blocks_equals_its_per_row_reference(capsys):
+    # BLOCK + 1 points over N, from -1: two error rows (validate refuses N <= 0), then one rate row per N.
+    count = cli.BLOCK + 1
+    argv = ["sweep", "--param", "n_cavities", "--start", "-1", "--stop", str(count - 2), "--count", str(count), "--t", "7"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    reference = []
+    for n_cavities in range(-1, count - 1):
+        params = SystemParams(omega=2.0, omega_c=3.0, xi=1.0, g=0.25, n_cavities=n_cavities, drive_amp=6.0, drive_freq=6.0)
+        if n_cavities < 1:
+            reference.append([f"{n_cavities}", "", "ZeroCavities"])
+            continue
+        rate = decay.decay_rate_finite(params, bath.build_grid(params), 0, 7.0)
+        reference.append([f"{n_cavities}", f"{rate + 0.0:.12g}", ""])
+    assert (out, err) == (_reference_table("n_cavities,R,error", reference), "")
+
+
+def test_a_table_streams_a_block_at_a_time(tmp_path):
+    # 2^17 rows of decay-rate written to --out: 4.2 MB traced through run(), the two
+    # float columns and the kernel's chunks, where a writer that held every line and
+    # then their joined text peaked at 19.2 MB.
+    tracemalloc.start()
+    try:
+        code = run(["--out", str(tmp_path / "r.csv"), "decay-rate", "--t-steps", str(1 << 17)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and (tmp_path / "r.csv").read_bytes().count(b"\n") == (1 << 17) + 1
+    assert peak < 8e6, peak
 
 
 def test_an_inf_sweep_rate_is_a_non_finite_result_cell(monkeypatch, tmp_path):
@@ -264,7 +337,7 @@ def test_rate_sweep_cells_match_a_fresh_grid_per_point(param, start, stop, flags
         fresh, n = bath.build_grid(params), default_sideband(params)
         assert (nodes, end) == (fresh.nodes.tobytes(), fresh.end)
         assert row.tobytes() == np.array(decay._point(params, n)).tobytes()
-        assert (cell, error) == (cli._fmt(decay.decay_rate_finite(params, fresh, n, 7.0)), "")
+        assert (cell, error) == (csv_cell(decay.decay_rate_finite(params, fresh, n, 7.0)), "")
 
 
 @pytest.mark.parametrize("param, start, stop, flags", RATE_SWEEPS)
@@ -291,10 +364,10 @@ def _fresh_cell(args, fields: dict, value) -> tuple[str, str]:
         params = cli._resolve_params({**fields, args.param: value})
         n = cli._sideband(args, params)
         if args.quantity == "rate":
-            return cli._fmt(decay.decay_rate_finite(params, bath.build_grid(params), n, args.t)), ""
+            return csv_cell(decay.decay_rate_finite(params, bath.build_grid(params), n, args.t)), ""
         if args.quantity == "regime":
             return decay.classify_regime(params, n, args.t).regime, ""
-        return cli._fmt(decay.decay_rate_longtime(params, n).rate), ""
+        return csv_cell(decay.decay_rate_longtime(params, n).rate), ""
     except (cli.ConfigError, *cli.NUMERICAL_FAILURES) as exc:
         return "", type(exc).__name__
 
@@ -520,7 +593,7 @@ def test_sweep_cells_equal_fresh_one_point_calls(argv):
     assert (code, err) == (0, "")
     with np.errstate(all="ignore"):
         values = cli._sweep_values(cli._parser().parse_args(argv))
-    assert rows(out.encode())[1:] == [[cli._fmt(v), *cell] for v, cell in zip(values, _fresh_cells(argv))]
+    assert rows(out.encode())[1:] == [[csv_cell(v), *cell] for v, cell in zip(values, _fresh_cells(argv))]
 
 
 # Over drive_freq the default sideband moves from 2 to 1; one point between fails SecondSideband.
