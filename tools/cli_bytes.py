@@ -152,7 +152,8 @@ def table_argv(rng: random.Random) -> list[str]:
             argv.append(f"--xi={rng.uniform(0.2, 2.0) if rng.random() < 0.7 else _end(rng)!r}")
     elif command == "floquet-spectrum":
         truncation = rng.randint(2, 6) if rng.random() < 0.9 else rng.choice((-1, 0, 10**6))
-        argv = [command, f"--n-cavities={rng.randint(1, 12)}", f"--truncation={truncation}", *_param_flags(rng, True)]
+        # The last --n-cavities wins over one the parameter flags may draw.
+        argv = [command, *_param_flags(rng, True), f"--n-cavities={rng.randint(1, 12)}", f"--truncation={truncation}"]
     elif command == "classify":
         argv = [command, *_param_flags(rng), *_sideband_flag(rng), f"--t={_pick(rng, TIMES, REFUSED_TIMES, 0.1)!r}"]
     else:
