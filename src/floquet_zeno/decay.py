@@ -253,12 +253,18 @@ def _amplitudes(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
     t = float(times[-1])
     if not all(map(math.isfinite, (scale[-1], reach * t, 0.5 * params.omega * t))):
         raise NonFiniteResult(f"the perturbative amplitude overflows at t = {t:g}")
-    # The complex products of the one-time formula, written out in real arrays.
-    real, imag = windows[:, 0]
-    window_re, window_im = 1.0 - scale * real, 0.0 - scale * imag
-    phase = 0.5 * params.omega * times
-    cos, sin = np.cos(phase), np.sin(phase)
-    return cos * window_re - sin * window_im, cos * window_im + sin * window_re
+    # The one-time formula's complex products in real arrays, each into an operand not read again.
+    window_re, window_im = windows[:, 0]
+    np.subtract(1.0, np.multiply(scale, window_re, out=window_re), out=window_re)
+    np.subtract(0.0, np.multiply(scale, window_im, out=window_im), out=window_im)
+    phase = np.multiply(0.5 * params.omega, times, out=scale)
+    cos, sin = np.cos(phase), np.sin(phase, out=phase)
+    real = cos * window_re
+    window_re *= sin
+    real -= np.multiply(sin, window_im, out=sin)
+    cos *= window_im
+    cos += window_re  # cos window_im + sin window_re
+    return real, cos
 
 
 def _band_nodes(params: SystemParams, t: float) -> int:
@@ -461,8 +467,9 @@ def survival_curve(
     else:
         # |C_e|^2 past the float range reads as inf and is clipped below. float_power
         # squares by pow() where ** 2 would multiply, so each P_e keeps its bytes.
+        real, imag = _amplitudes(params, grid, n, times)
         with np.errstate(over="ignore"):
-            probs = np.float_power(np.hypot(*_amplitudes(params, grid, n, times)), 2.0)
+            probs = np.float_power(np.hypot(real, imag, out=real), 2.0, out=real)
         over = probs > 1.0 + 1e-6
         if over.any():
             warnings.warn(
@@ -470,5 +477,5 @@ def survival_curve(
                 f"of {times.size} times, clipped to 1; second order is unreliable here",
                 stacklevel=2,
             )
-        probs = np.clip(probs, 0.0, 1.0)
+        np.clip(probs, 0.0, 1.0, out=probs)
     return SurvivalCurve(times=times, probabilities=probs, method=method)

@@ -50,6 +50,8 @@ it from Hairer's dop853.f. That file is distributed under this notice:
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
+import math
+
 import numpy as np
 
 N_STAGES = 12
@@ -254,14 +256,14 @@ E3_ROW, E5_ROW, D_ROWS = E3.astype(complex), E5.astype(complex), D.astype(comple
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / x.size ** 0.5  # np.linalg.norm's sum
 
 
 def _error_norm_2(K: np.ndarray, row: np.ndarray, scale: np.ndarray) -> float:
     # |K^T row / scale|^2, squared from np.linalg.norm of the complex vector as numpy computes it.
     e = np.dot(K.T, row)
     e /= scale
-    return np.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) ** 2
+    return math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) ** 2
 
 
 class DOP853:
@@ -287,7 +289,7 @@ class DOP853:
             raise ValueError("All components of the initial state `y0` must be finite.")
         self._rhs, self._rtol, self._atol = fun, rtol, atol
         self.t, self.t_old, self.t_bound = t0, None, t_bound
-        self._direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self._direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
         self.status, self.nfev = "running", 0
         self._f = self._fun(t0, self.y)
         self._h_abs = self._first_step()
@@ -338,7 +340,7 @@ class DOP853:
         if t == self.t_bound:
             self.t_old, self.status = t, "finished"
             return
-        min_step = 10 * np.abs(np.nextafter(t, self._direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, self._direction * math.inf) - t)
         h_abs = max(self._h_abs, min_step)
         rejected = False
         K[0] = self._f
@@ -350,7 +352,7 @@ class DOP853:
             if self._direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             # Stage 12 sits at t + h, on the new state y_new (B is row 12 of A), and is f_new.
             y_new = self._stages(t, h, y, 1, N_STAGES + 1)
             scale = self._atol + np.maximum(np.abs(y), np.abs(y_new)) * self._rtol
@@ -359,7 +361,7 @@ class DOP853:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.size)
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * scale.size)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
@@ -400,18 +402,19 @@ class Interpolant:
     def __call__(self, t, size=None):
         """The state at t (scalar) or at each time of t (columns), or only its first `size` entries."""
         t = np.asarray(t)
-        y_old, F = self.y_old[:size], self.F[:, :size]
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
-        for i, f in enumerate(reversed(F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += y_old
-        return y.T
+        return horner(self.F[:, :size], self.y_old[:size], x if t.ndim == 0 else x[:, None]).T
+
+
+def horner(F, y_old, x, at=slice(None)):
+    """The interpolant y_old + x (F[0] + (1 - x) (F[1] + x (F[2] + ...))) at step fractions x.
+
+    F[d] and y_old broadcast against x; `at` picks each fraction's row where they stack several steps.
+    """
+    y_old, factors = y_old[at], (x, 1 - x)
+    y = np.zeros(np.broadcast_shapes(np.shape(x), y_old.shape), dtype=y_old.dtype)
+    for i, f in enumerate(reversed(F)):
+        y += f[at]
+        y *= factors[i % 2]
+    y += y_old
+    return y

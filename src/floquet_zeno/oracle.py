@@ -32,13 +32,14 @@ the bright/dark basis are unitary, so the norm is the same throughout.
 H(t) repeats with the drive period T = 2 pi / nu, so U(t0 + kT + r, t0)
 = U(t0 + r, t0) U(t0 + T, t0)^k, and one DOP853 run serves both routes.
 Past c(N) = (MAP_SETUP + MAP_OVERHEAD + S^2) / (MAP_OVERHEAD + S)
-periods (1.95 at N = 41, S = 22) it carries the S x S propagator over
-one period and powers it k times; the cost then grows with t only
-through the k matrix-vector products, about 1 us each at N = 41.
-Otherwise (a shorter run, a step-estimate rate times T below 1, or
-more than MAP_MAX_ENTRIES entries) it carries the state vector itself
-to t1, with k = 0. Either way a sample reads only its emitter row off
-the step interpolant; only the end read builds the full state.
+periods (1.95 at N = 41, S = 22, where runs break even at 2.2 in process)
+it carries the S x S propagator over one period and powers it k times;
+the cost then grows with t only through the k matrix-vector products,
+about 1 us each at N = 41. Otherwise (a shorter run, a step-estimate
+rate times T below 1, or more than MAP_MAX_ENTRIES entries) it carries
+the state vector itself to t1, with k = 0. Either way a sample reads only
+its emitter row off the step interpolant, all samples in one pass after
+the run; only the end read builds the full state.
 
 The phase is the elementary integral of the drive, not the Bessel
 expansion the Floquet layer uses, and nothing here touches the Floquet
@@ -46,6 +47,7 @@ construction or the perturbative decay formulas; agreement between the
 two is a genuine cross-check, not a shared-code artifact.
 """
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import MomentumGrid
-from .dop853 import DOP853 as RK45  # the name by which the benchmark's tracer replaces the stepper
+from .dop853 import DOP853 as RK45, horner  # RK45: the name by which the benchmark's tracer replaces the stepper
 from .errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
 from .params import SurvivalCurve, SystemParams, check_times
 
@@ -73,17 +75,16 @@ MAX_STEPS = 1_000_000
 # 4.5, 7.4, 43 and 113 at N = 11, 41, 101, 201, 463 and 925; a log fit over
 # thirteen N gives (465, 1149), within 31% of each. MAP_SETUP is rounded up
 # because at A = 0 (8 steps a period) 1.9 periods at N = 41 ran faster direct.
-# Since a step builds its stage times' phase rows in one exp, c reads 1.6 at
-# N = 41 and 17 at N = 201 in process (1.3-1.4 and 14 before, same runs); the
-# constants stay as fitted, because a refit moves which route a run takes and
-# with it the last bits of its output.
+# As the span at which forced runs take equal time in process, c reads 2.1-2.2
+# at N = 41 and 16-18 at N = 201; the constants stay as fitted, because a
+# refit moves which route a run takes and with it the last bits of its output.
 MAP_OVERHEAD = 1150.0
 MAP_SETUP = 650.0
 # Ceiling on the map's complex entries, S (S + samples); past it a run
-# integrates directly. DOP853 keeps about 37 S^2 arrays: a 169 MB peak RSS
+# integrates directly. DOP853 keeps about 37 S^2 arrays: a 162 MB peak RSS
 # at N = 925 with 100 samples, where c(N) asks for 135 periods. A sample
 # reads only its emitter row off the step interpolant (one entry direct, S
-# on the map), so a step's samples are read in one call.
+# on the map): a step with samples due keeps 8 such rows.
 MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -132,9 +133,9 @@ class _Coupling:
     take. DOP853 instead names all the stage times of a step at once
     (`at`), which builds their phase rows in one exp, and then has each
     stage written into its row of the stepper (`stage`). At N = 41 (on a
-    shared 2-core VM) a stage costs 1.8 us for a state vector and 5.4 us
-    for the map's 22 columns, and `at` 12.6 us for a step's 12 times, 7 of
-    them in the drive scalars; a plain call costs 7.3 and 11.4 us.
+    shared 2-core VM) a stage costs 1.8 us for a state vector and 5.9 us
+    for the map's 22 columns, and `at` 12.9 us for a step's 12 times, 4.1
+    of them in the drive scalars; a plain call costs 6.8 and 11.5 us.
     """
 
     def __init__(self, params: SystemParams, grid: MomentumGrid, columns: int):
@@ -174,9 +175,9 @@ class _Coupling:
         # emitter amplitude: together w_j exp(-i theta_j(t)). A float nu t
         # overflows to inf without a warning.
         coupling, amp, nu = self._coupling, self._amp, self._nu
-        drives = [cmath.exp(-1j * (amp * t * _sinc(nu * t))) for t in times.tolist()]
         # Per time, the coupling times the drive scalar and times its conjugate.
-        self._drives = [(coupling * drive, coupling * drive.conjugate()) for drive in drives]
+        self._drives = [(coupling * (drive := cmath.exp(-1j * (amp * t * _sinc(nu * t)))),
+                         coupling * drive.conjugate()) for t in times.tolist()]
 
     def _state_stage(self, i: int, y: np.ndarray, out: np.ndarray) -> None:
         """Writes y'(times[i]) into out."""
@@ -225,7 +226,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     # run carries diag(frame(t0)) basis from t0 to bound, and each time is
     # read at t0 + r and powered over its k whole periods (T < 0 backward).
     # The direct run has no whole periods: basis = y0, v = [1], bound = t1.
-    ends = np.append(pending, t1)
+    ends = np.concatenate((pending, [t1]))
     if _map_pays(params, rate, abs(t1 - t0), n, pending.size):
         period = math.copysign(params.period, t1 - t0)
         turns = np.floor((ends - t0) / period)
@@ -239,8 +240,8 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     # g, and over eleven configurations a direct run took 1.5x (A = 60) to
     # 3.3x (one mode) this rate times its span in steps; only a coupling far
     # below that rate (omega = 1e6: 0.65x) steps faster. The map spans one
-    # period, and each power counts as a step, though it costs less (0.8,
-    # 3.3 and 7.7 us at N = 41, 201 and 463). An inf estimate is refused.
+    # period, and each power counts as a step, though it costs less (0.9,
+    # 4.1 and 10.5 us at N = 41, 201 and 463). An inf estimate is refused.
     estimate = rate * abs(bound - t0) + turns[-1]
     if not estimate <= MAX_STEPS:
         raise StepLimitExceeded(f"an estimated {estimate:.3g} steps to t = {t1:g} exceed the limit of {MAX_STEPS}")
@@ -249,8 +250,11 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     back = _frame(params, grid.energies, float(reads[-1])).conj()
     sign = math.copysign(1.0, bound - t0)
     order = np.argsort(sign * reads[:-1], kind="stable")
-    ahead = sign * reads[order]
-    rows = np.empty((pending.size, columns), dtype=complex)
+    ahead, last = (sign * reads[order]).tolist(), sign * float(reads[-1])
+    # A sample reads only the emitter row, as much as |c_e| = |a| needs: a step
+    # that reads keeps a copy of that row's interpolant (y_old under F), so
+    # that the step's seven states go, and each sample its step and fraction.
+    kept, at, fractions = [], np.empty(pending.size, dtype=int), np.empty((pending.size, 1))
     stepper = RK45(_Coupling(params, grid, columns), t0, start, bound, rtol=RTOL, atol=ATOL)
     steps, done, end = 0, 0, None
     while stepper.status == "running":
@@ -258,19 +262,22 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
             raise StepLimitExceeded(f"exceeded {MAX_STEPS} steps at t = {stepper.t:g}")
         stepper.step()
         steps += 1
-        due = int(np.searchsorted(ahead, sign * stepper.t, side="right"))
-        passed = end is None and sign * reads[-1] < sign * stepper.t
+        due = bisect.bisect_right(ahead, sign * stepper.t)
+        passed = end is None and last < sign * stepper.t
         if due > done or passed:
             dense = stepper.dense_output()
-            # A sample reads only the emitter row, as much as |c_e| = |a| needs.
             index = order[done:due]
-            rows[index] = dense(reads[index], columns).T
+            at[index] = len(kept)
+            fractions[index, 0] = (reads[index] - dense.t_old) / dense.h
+            kept.append(np.vstack((dense.F[:, :columns], dense.y_old[:columns])))
             done = due
             if passed:
                 end = dense(reads[-1])
             del dense  # seven states; not kept through the next step
     if stepper.status == "failed":
         raise StepLimitExceeded(f"step size underflow at t = {stepper.t:g}")
+    kept = np.array(kept).swapaxes(0, 1) if kept else np.empty((8, 0, columns), dtype=complex)
+    rows = horner(kept[:-1], kept[-1], fractions, at)
     # A last read on the run's end, as the direct run's always is, takes the stepper's own state.
     end = (stepper.y if end is None else end).reshape(n, columns)
     periods = int(turns[-1])
@@ -286,7 +293,7 @@ def _integrate(params, grid, y0, t0, t1, sample_times=None):
     # with k whole periods read their rows off v = u^k v0, and the end off u^periods v0.
     amplitudes = np.empty(pending.size, dtype=complex)
     k, first = 0, 0
-    for stop in np.append(np.flatnonzero(np.diff(turns)) + 1, turns.size):
+    for stop in [*(np.flatnonzero(turns[1:] != turns[:-1]) + 1).tolist(), turns.size]:
         for _ in range(k, int(turns[first])):
             v = u @ v
         k = int(turns[first])

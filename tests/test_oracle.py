@@ -12,6 +12,7 @@ from floquet_zeno import oracle
 from floquet_zeno.bath import build_grid
 from floquet_zeno.cli import run
 from floquet_zeno.decay import decay_rate_longtime, survival_probability
+from floquet_zeno.dop853 import horner
 from floquet_zeno.errors import InvalidArgument, NonFiniteResult, NormDrift, StepLimitExceeded
 from floquet_zeno.floquet import TLS, averaged_transition_probability, build_floquet_matrix, quasi_energies
 from floquet_zeno.oracle import (
@@ -449,33 +450,48 @@ def test_direct_reads_are_bounded_in_memory(monkeypatch):
 
 @pytest.mark.parametrize("route", ["map", "direct"])
 def test_row_only_reads_equal_the_full_reads_leading_entries(route, monkeypatch):
-    # A sample reads only its emitter row off the step interpolant (the
-    # state size on the map, one entry direct); each such read must equal
-    # the leading entries of the full read at the same times, bit for bit.
+    # A sample reads only its emitter row (the state size on the map, one
+    # entry direct), in one pass after the run, off the interpolant of the
+    # first step that reaches its read time; each such read must equal the
+    # leading entries of that step's full read, bit for bit. The samples
+    # spread over many steps, fall all in one step, or end on three whole
+    # periods (the run's end on the direct route).
     p = make(g=0.05)
     grid = build_grid(p)
     sizes = stepper_sizes(monkeypatch)
     force(monkeypatch, route)
-    checked = []
+    columns, period = bright(p.n_cavities) if route == "map" else 1, p.period
+    steps, passes = [], []
 
-    class Checking(oracle.RK45):
+    class Recording(oracle.RK45):
         def dense_output(self):
             dense = super().dense_output()
+            steps.append((self.t, dense))
+            return dense
 
-            def read(t, size=None):
-                part = dense(t, size)
-                if size is not None:
-                    assert part.tobytes() == dense(t)[:size].tobytes()
-                    checked.append(np.size(t))
-                return part
+    def one_pass(F, y_old, x, at):
+        rows = horner(F, y_old, x, at)
+        passes.append((at, rows))
+        return rows
 
-            return read
-
-    monkeypatch.setattr(oracle, "RK45", Checking)
-    times = np.linspace(0.1, 11.0, 60)
-    survival_curve_exact(p, grid, times)
-    assert sizes == [bright(p.n_cavities) ** (2 if route == "map" else 1)]
-    assert sum(checked) == times.size
+    monkeypatch.setattr(oracle, "RK45", Recording)
+    monkeypatch.setattr(oracle, "horner", one_pass)
+    # On the map the clustered times lie past two whole periods, so the run still takes the map.
+    clustered = (2 * period if route == "map" else 0.0) + np.linspace(0.01, 0.0101, 20)
+    cases = [(np.linspace(0.1, 11.0, 60), False), (clustered, True), (np.linspace(0.1, 3 * period, 25), False)]
+    for times, one_step in cases:
+        steps.clear()
+        passes.clear()
+        survival_curve_exact(p, grid, times)
+        # The read times: on the map each time's remainder past its whole periods.
+        reads = np.clip(times - np.floor(times / period) * period, 0.0, period) if route == "map" else times
+        ((at, rows),) = passes
+        assert rows.shape == (times.size, columns)
+        assert (len(set(at.tolist())) == 1) == one_step
+        for read, row in zip(reads.tolist(), rows):
+            dense = next(dense for t, dense in steps if read <= t)
+            assert row.tobytes() == dense(read)[:columns].tobytes()
+    assert sizes == [bright(p.n_cavities) ** (2 if route == "map" else 1)] * len(cases)
 
 
 def test_rejects_non_finite_times():
