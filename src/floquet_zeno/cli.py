@@ -27,7 +27,7 @@ from .bath import MomentumGrid, build_grid, spectral_density
 from .errors import ConfigError, NonFiniteResult, NumericalError, SecondSideband
 from .floquet import build_floquet_matrix, default_truncation, edge_weights, quasi_energies
 from .params import CONFIG_KEYS, SystemParams, check_size, default_sideband, from_mapping, nearest_sideband, parse_config
-from .specfun import MAX_ORDER, _bessel_column, _checked, bessel_j_zero
+from .specfun import MAX_ARGUMENT, MAX_ORDER, _bessel_column, _checked, bessel_j_zero
 
 DEFAULTS = {
     "omega": 2.0,
@@ -172,9 +172,8 @@ def _rate_table(params: SystemParams, grid: MomentumGrid, n: int, times: np.ndar
 
 def _cmd_decay_rate(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
-    grid = build_grid(params)
-    n = _sideband(args, params)
-    return _rate_table(params, grid, n, _time_grid(args))
+    n = _sideband(args, params)  # the sideband check before the cavity ceiling, as in a sweep cell
+    return _rate_table(params, build_grid(params), n, _time_grid(args))
 
 
 def _cmd_survival(args) -> tuple[str, list]:
@@ -237,14 +236,13 @@ def _sweep_values(args) -> np.ndarray:
 def _sweep_cells(args, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sweep's quantity and error columns of string cells: each point's quantity or the error's type name.
 
-    The points resolve as columns. One that array comparisons do not clear of a check
-    a fresh call makes resolves on its own, so its error is a fresh call's. Then one pass
-    over the runs of equal sideband n takes J_n(chi) from one column over the chi that
-    _checked passes. A rate run writes the error cells of the chi it refuses and stages
-    its rows for the kernel, which takes each run of points that share N on one grid;
-    a regime or golden-rate run evaluates its points, BLOCK at a time, and a point at a
-    refused chi meets the refusal in its own call. The rates print as the writer prints
-    a float column.
+    The points resolve as columns. One that array comparisons do not clear of a check a fresh
+    call makes, specfun._checked's Bessel ceilings included, resolves on its own: it rejoins the
+    columns if its (n, chi) passes _checked, and otherwise takes the error its fresh call raises
+    next (a golden-rate point makes that call, which off the band reads 0). Then one pass over the
+    runs of equal sideband n takes J_n(chi) from one column over the run's distinct chi. A rate run
+    stages its rows for the kernel, which takes each run of points that share N on one grid; a
+    regime or golden-rate run evaluates its points, BLOCK at a time. Rates print as the writer's.
     """
     fields, size, rate, regime = _param_fields(args), values.size, args.quantity == "rate", args.quantity == "regime"
     cols = _laid({**fields, args.param: values})
@@ -252,50 +250,51 @@ def _sweep_cells(args, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table = np.stack([np.broadcast_to(np.asarray(cols[k], float), size) for k in CONFIG_KEYS if k != "n_cavities"], axis=1)
     omega, omega_c, xi, g, amp, nu = table.T
     delta, chi = omega_c - omega, amp / nu
-    orders = nearest_sideband(delta, nu) if args.sideband is None else np.zeros(size)  # nan where a fresh call raises
-    clear = np.isfinite(table).all(axis=1) & np.isfinite(orders) & (xi > 0.0) & (nu > 0.0) & (g >= 0.0) & (amp >= 0.0)
+    # nan where a fresh call raises; a forced n past the order ceiling reads inf, so 10**400 forms no n nu.
+    forced = args.sideband if args.sideband is None or abs(args.sideband) <= MAX_ORDER else math.inf
+    orders = nearest_sideband(delta, nu) if forced is None else np.full(size, float(forced))
+    clear = np.isfinite(table).all(axis=1) & (np.abs(orders) <= MAX_ORDER) & (xi > 0.0) & (nu > 0.0) & (g >= 0.0)
+    clear &= (amp >= 0.0) & (chi <= MAX_ARGUMENT)  # chi >= 0 here, so this is _checked's |chi| bound
     clear &= np.asarray((cavities >= 1) & (cavities <= bath.MAX_CAVITIES if rate else True), bool)
-    if args.sideband is None:
+    if forced is None:
         # check_single_sideband's search, m != n in resonant_sidebands within its reach, as float bounds.
         reach, big = np.trunc(np.minimum(math.e * chi / 2.0 + 20.0, MAX_ORDER + 1.0)), sys.float_info.max
         first = np.maximum(np.floor(np.clip((-2.0 * xi - delta) / nu, -big, big)) + 1.0, -reach)
         stop = np.minimum(np.ceil(np.clip((2.0 * xi - delta) / nu, -big, big)), reach + 1.0)
         clear &= (stop <= first) | ((stop - first == 1.0) & (first == orders))
     quantity, errors = np.full(size, "", dtype=object), np.full(size, "", dtype=object)
+    out, valued = np.empty(size), np.zeros(size, bool)
     for i in np.flatnonzero(~clear).tolist():
         try:
             params = _resolve_params({**fields, args.param: values[i]})
             n = _sideband(args, params)
             if rate:  # build_grid's ceiling, checked before J_n(chi) as in a fresh call
                 check_size("n_cavities", params.n_cavities, bath.MAX_CAVITIES)
-            clear[i], orders[i] = True, n if args.sideband is None else 0.0
+            try:
+                _checked(n, params.chi)
+                clear[i], orders[i] = True, n
+            except NumericalError:
+                if rate or regime:  # their fresh call raises this next, at J_n(chi)
+                    raise
+                out[i], valued[i] = decay.decay_rate_longtime(params, n).rate, True  # off the band 0, in it the error
         except (ConfigError, *NUMERICAL_FAILURES) as exc:
             errors[i] = type(exc).__name__
 
     ranked = np.flatnonzero(clear)[np.argsort(orders[clear], kind="stable")]
-    out, valued = np.empty(size), np.zeros(size, bool)
     # The kernel's rows of decay._point, (delta, xi, n nu, g^2, J_n(chi)); each run sets n nu and J_n(chi).
     rows = np.stack([delta, xi, nu, np.float_power(g, 2.0), chi], axis=1) if rate else None
     for where in np.split(ranked, np.flatnonzero(np.diff(orders[ranked])) + 1) if ranked.size else []:
-        n = int(orders[where[0]]) if args.sideband is None else args.sideband  # n < 2**1024, so int(float(n)) acts as n
+        n = int(orders[where[0]])
         chis, inverse = np.unique(chi[where], return_inverse=True)
-        column, ok = np.full(chis.size, math.nan), np.ones(chis.size, bool)
-        if _refusal(n, chis[-1]):  # chi >= 0 at a resolved point, so each chi passes _checked when the largest does
-            names = [_refusal(n, c) for c in chis.tolist()]
-            ok[:] = [not name for name in names]
-            if rate:  # a regime or golden-rate point's own call below meets its refusal itself
-                errors[where[~ok[inverse]]] = [names[j] for j in inverse[~ok[inverse]].tolist()]
-        if ok.any():  # n nu waits for a key that passes, as an n past the order ceiling may pass the float range
-            column[ok] = _bessel_column(n, chis[ok])
-            if rate:  # a refused key's row holds nan and its point keeps its error cell
-                rows[where, 2], rows[where, 4], valued[where] = n * nu[where], column[inverse], ok[inverse]
+        jns = _bessel_column(n, chis)[inverse]
+        if rate:
+            rows[where, 2], rows[where, 4], valued[where] = n * nu[where], jns, True
         # Regime or golden rate: each point a fresh call on SystemParams from fields listed BLOCK at a time.
         for lo in range(0, 0 if rate else where.size, BLOCK):
             block, found = where[lo : lo + BLOCK], []
             listed = table[block].T.tolist()
             points = starmap(SystemParams, zip(*listed[:4], cavities[block].tolist(), *listed[4:]))
-            jns = [None if math.isnan(j) else j for j in column[inverse[lo : lo + BLOCK]].tolist()]
-            for i, params, jn in zip(block.tolist(), points, jns):
+            for i, params, jn in zip(block.tolist(), points, jns[lo : lo + BLOCK].tolist()):
                 try:
                     if regime:
                         found.append(decay.classify_regime(params, n, args.t, jn=jn).regime)
@@ -314,15 +313,6 @@ def _sweep_cells(args, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     quantity[finite] = np.array(_text([out[finite]]).split("\n")[:-1], dtype=object)  # no copy of each string
     errors[valued & ~finite] = NonFiniteResult.__name__
     return quantity, errors
-
-
-def _refusal(n: int, chi: float) -> str:
-    # The type name of the error bessel_j(n, chi) raises on its arguments, or "".
-    try:
-        _checked(n, chi)
-    except (ConfigError, *NUMERICAL_FAILURES) as exc:
-        return type(exc).__name__
-    return ""
 
 
 def _cmd_sweep(args) -> tuple[str, list]:

@@ -23,6 +23,7 @@ from floquet_zeno.params import SystemParams, default_sideband
 from floquet_zeno.specfun import bessel_j_zero
 
 J0_ROOT = 2.4048255576957733
+J1_ROOT = 3.8317059702075125
 
 
 def _bench_inputs():
@@ -406,6 +407,8 @@ MIXED_SWEEPS = [
     # past it inside the ceiling, where the detuning overflows.
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"OrderTooLarge"}),
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"NonFiniteResult"}),
+    # chi past the Bessel argument ceiling with the default sideband.
+    (["--param", "chi", "--start", "0", "--stop", "2e6", "--count", "5", "--delta", "1"], {"", "ArgumentOutOfRange"}),
 ]
 
 
@@ -467,6 +470,13 @@ REGIME_SWEEPS = [
     # J_180(170) = 5.2e-3 is not decoupled, and omega_f is inf again.
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", "--sideband", "180", "--drive-freq", "1e306",
       "--chi", "170"], {"NonFiniteResult"}),
+    # chi past the Bessel argument ceiling with the default sideband.
+    (["--param", "chi", "--start", "0", "--stop", "2e6", "--count", "5", "--delta", "1"],
+     {"Indeterminate", "ArgumentOutOfRange"}),
+    # Sideband -1 lies in band beside the default 0, but J_-1 is 0 at both chi: the columns
+    # cannot clear these points, yet both are valid.
+    (["--param", "chi", "--start", "0", "--stop", str(J1_ROOT), "--count", "2", "--drive-freq", "3", "--delta", "1.5"],
+     {"Indeterminate"}),
 ]
 
 
@@ -520,6 +530,10 @@ GOLDEN_SWEEPS = [
     # delta + n nu past the float range, with n itself past it and inside the order ceiling.
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *HUGE_SIDEBAND], {"NonFiniteResult"}),
     (["--param", "delta", "--start", "-1", "--stop", "1", "--count", "3", *FAR_SHIFT], {"NonFiniteResult"}),
+    # Sideband -1 lies in band beside the default 0, but J_-1 is 0 at both chi: the columns
+    # cannot clear these points, yet both are valid and take J_0(chi) from the one column.
+    (["--param", "chi", "--start", "0", "--stop", str(J1_ROOT), "--count", "2", "--drive-freq", "3", "--delta", "1.5"],
+     {""}),
 ]
 
 
@@ -597,7 +611,10 @@ def test_sweep_cells_equal_fresh_one_point_calls(argv):
 
 
 # Over drive_freq the default sideband moves from 2 to 1; one point between fails SecondSideband.
-COLUMN_SWEEPS = [*RATE_SWEEPS, ("drive_freq", "2.5", "7", ["--chi", "1", "--delta", "-5"])]
+# Over chi up to the J_1 root, sideband -1 lies in band beside 0, and only its two ends, where
+# J_-1 is 0, resolve on their own and rejoin the column.
+COLUMN_SWEEPS = [*RATE_SWEEPS, ("drive_freq", "2.5", "7", ["--chi", "1", "--delta", "-5"]),
+                 ("chi", "0", str(J1_ROOT), ["--drive-freq", "3", "--delta", "1.5"])]
 
 
 @pytest.mark.parametrize("param, start, stop, flags", COLUMN_SWEEPS)
@@ -833,6 +850,8 @@ TWO_SIDEBANDS = ["--delta", "1.4", "--chi", "1", "--drive-freq", "3", "--g", "0.
         ["classify", "--drive-amp", "0", "--drive-freq", "1"],
         ["decay-rate", "--t-steps", "5", "--drive-amp", "0", "--drive-freq", "1"],
         ["decay-rate", "--t-steps", "5", "--drive-amp", "5e-324", "--drive-freq", "1"],
+        # The sideband check comes before the cavity ceiling, as in classify and a sweep cell.
+        ["decay-rate", "--t-steps", "3", *TWO_SIDEBANDS, "--n-cavities", "2000000"],
     ],
 )
 def test_second_sideband_in_band_exits_3(argv, capsys):
@@ -981,7 +1000,7 @@ def test_rate_sweep_holds_its_points_as_columns():
 
 def test_regime_sweep_lists_its_points_a_block_at_a_time():
     # A 20000-point delta sweep builds each point's SystemParams from fields listed
-    # cli.SWEEP_BLOCK points at a time: 7.0 MB traced through run(), stdout
+    # cli.BLOCK points at a time: 7.0 MB traced through run(), stdout
     # included, where listing each sideband's points at once peaked at 8.5 MB.
     argv = ["sweep", "--param", "delta", "--start", "-5", "--stop", "5", "--count", "20000", "--quantity", "regime",
             "--chi", "1", "--t", "10"]

@@ -3,10 +3,12 @@
     python tools/cli_bytes.py SRC --seed S --count N > out.txt
 
 SRC is the directory that holds the `floquet_zeno` package (a checkout's
-`src`). Each line is a seeded random argv, its exit code and the sha256 of
-its stdout, of its stderr and of the files it wrote, tab separated. The
-argvs depend on the seed and count alone, not on the code under SRC, so
-the files of two checkouts at one seed and count diff line by line:
+`src`). The first line is `tools/oracle_bytes.py`'s header, which names the
+numpy build and BLAS: `floquet-spectrum` rows come from LAPACK. Each further
+line is a seeded random argv, its exit code and the sha256 of its stdout,
+of its stderr and of the files it wrote, tab separated. The argvs depend on
+the seed and count alone, not on the code under SRC, so the files of two
+checkouts at one seed and count diff line by line:
 
     python tools/cli_bytes.py old/src --seed 5 --count 400 > old.txt
     python tools/cli_bytes.py new/src --seed 5 --count 400 > new.txt
@@ -25,6 +27,11 @@ writes to --out. Every run goes through `cli.run` in this one process, in
 an emptied scratch directory; the files digest covers every file the run
 left there (the --out table, reproduce-fig3's three curves), by relative
 path. An exception that escapes `run` is recorded in place of the exit code.
+
+`tests/cli_bytes_seed5.txt` freezes the output at seed 5, count 400;
+`tests/test_cli_bytes.py` reruns it in process. Re-freeze it with
+
+    python tools/cli_bytes.py src --seed 5 --count 400 > tests/cli_bytes_seed5.txt
 """
 
 import argparse
@@ -184,6 +191,28 @@ def digest_line(run, argv: list[str], scratch: Path) -> str:
     return "\t".join((shlex.join(argv), code, *digests, files.hexdigest()))
 
 
+def lines(seed: int, count: int, run):
+    """The output lines after the header, each draw run through `run` in the working directory.
+
+    The draws run in an emptied directory `run` made there, beside the config
+    files written there, and see relative paths only, so their stderr names
+    neither. The working directory is restored when the lines end.
+    """
+    rng = random.Random(seed)
+    root = Path.cwd()
+    for name, text in CONFIG_TEXTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    scratch = root / "run"
+    scratch.mkdir()
+    os.chdir(scratch)
+    try:
+        for _ in range(count):
+            argv = sweep_argv(rng) if rng.random() < 0.5 else table_argv(rng)
+            yield digest_line(run, argv, scratch)
+    finally:
+        os.chdir(root)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory holding the floquet_zeno package")
@@ -192,21 +221,17 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from floquet_zeno.cli import run
+    from oracle_bytes import environment  # beside this script, on sys.path when it runs
 
-    rng = random.Random(args.seed)
+    print(environment(), flush=True)
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
-        # The runs see relative paths only, so their stderr does not name the scratch directory.
-        for name, text in CONFIG_TEXTS.items():
-            Path(root, name).write_text(text, encoding="utf-8")
-        scratch = Path(root, "run")
-        scratch.mkdir()
-        os.chdir(scratch)
+        os.chdir(root)
         try:
-            for _ in range(args.count):
-                argv = sweep_argv(rng) if rng.random() < 0.5 else table_argv(rng)
-                print(digest_line(run, argv, scratch), flush=True)
+            for line in lines(args.seed, args.count, run):
+                print(line, flush=True)
         finally:
-            os.chdir(root)
+            os.chdir(home)
 
 
 if __name__ == "__main__":
