@@ -14,6 +14,7 @@ fields.
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -178,12 +179,11 @@ def _cmd_decay_rate(args) -> tuple[str, list]:
 
 def _cmd_survival(args) -> tuple[str, list]:
     params = _resolve_params(_param_fields(args))
-    grid = build_grid(params)
-    times = _time_grid(args)
     if args.method == "oracle":
-        curve = oracle.survival_curve_exact(params, grid, times)
+        curve = oracle.survival_curve_exact(params, build_grid(params), _time_grid(args))
     else:
-        n = _sideband(args, params)
+        n = _sideband(args, params)  # before the cavity ceiling and the time grid, as in decay-rate
+        grid, times = build_grid(params), _time_grid(args)
         # A perturbative overshoot warning becomes one stderr line, as in reproduce-fig3.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
@@ -439,4 +439,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # The imports leave about 22k GC-tracked objects that live until exit. Frozen,
+    # they are skipped by the collections of the run and by those at exit, which
+    # cost 17-30 ms of a 0.2 s cold process (2-core VM). `run` leaves an
+    # in-process caller's GC alone.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))

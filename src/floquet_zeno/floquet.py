@@ -162,16 +162,19 @@ def default_truncation(params: SystemParams) -> int:
 
 def _structured(params, grid, emitter_blocks, photon_blocks) -> FloquetMatrix:
     # Block s holds the emitter at Fourier index emitter_blocks[s] and the
-    # field at photon_blocks[s]; the coupling order is their difference.
+    # field at photon_blocks[s]; the coupling order is their difference. Both
+    # callers' orders are contiguous (-2M..2M, or n alone), so the couplings
+    # are indexed by offset from the lowest order: np.unique would import
+    # numpy.ma (numpy 2.4), which no other step of floquet-spectrum loads.
     nu = params.drive_freq
     orders = photon_blocks[:, None] - emitter_blocks[None, :]
-    q = np.unique(orders)
-    bessel = np.array([bessel_j(int(k), params.chi) for k in q])
+    lo = int(orders.min())
+    bessel = np.array([bessel_j(k, params.chi) for k in range(lo, int(orders.max()) + 1)])
     couplings = params.g * bessel / math.sqrt(grid.n_cavities)
     emitter, photon, coupling = _read_only(  # read-only, so the cached eigensystem cannot go stale
         0.5 * params.omega + emitter_blocks * nu,
         grid.energies[None, :] - 0.5 * params.omega + photon_blocks[:, None] * nu,
-        couplings[np.searchsorted(q, orders)],
+        couplings[orders - lo],
     )
     return FloquetMatrix(emitter=emitter, photon=photon, coupling=coupling, n_cavities=grid.n_cavities, end=grid.end)
 

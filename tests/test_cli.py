@@ -852,6 +852,7 @@ TWO_SIDEBANDS = ["--delta", "1.4", "--chi", "1", "--drive-freq", "3", "--g", "0.
         ["decay-rate", "--t-steps", "5", "--drive-amp", "5e-324", "--drive-freq", "1"],
         # The sideband check comes before the cavity ceiling, as in classify and a sweep cell.
         ["decay-rate", "--t-steps", "3", *TWO_SIDEBANDS, "--n-cavities", "2000000"],
+        ["survival", "--n-cavities", "2000000", "--drive-freq", "3", "--delta", "1.5", "--chi", "1"],
     ],
 )
 def test_second_sideband_in_band_exits_3(argv, capsys):

@@ -125,6 +125,20 @@ def test_coupling_entry_carries_bessel_factor():
     assert entry == pytest.approx(0.1 * J1_AT_1, abs=1e-14)
 
 
+@pytest.mark.parametrize("m_max, chi, n", [(2, 1.0, 0), (5, J0_ROOT, -3), (8, 4.7, 7), (11, 0.0, -1)])
+def test_every_coupling_is_g_bessel_of_the_block_offset_over_sqrt_n(m_max, chi, n):
+    # C[m, m'] = g J_{m-m'}(chi) / sqrt(N) entry for entry, bit for bit, over every order -2M..2M
+    # of the full matrix and the one order n of the reduced matrix; it pins the order -> coupling
+    # indexing, and test_specfun pins the Bessel values themselves.
+    p = make(n_cavities=7, g=0.3, drive_amp=chi * 6.0)
+    grid = build_grid(p)
+    coupling = build_floquet_matrix(p, grid, m_max).coupling
+    m = range(-m_max, m_max + 1)
+    expected = [[0.3 * bessel_j(a - b, p.chi) / math.sqrt(7) for b in m] for a in m]
+    assert coupling.tolist() == expected
+    assert reduced_hamiltonian(p, grid, n).coupling.tolist() == [[0.3 * bessel_j(n, p.chi) / math.sqrt(7)]]
+
+
 def test_hermiticity():
     # Exact, not approximate: every coupling entry is written to both
     # triangles from the same real value. Odd and even N, and chi at a

@@ -1,6 +1,7 @@
 """Seeded random runs of every subcommand, one line of digests each, for diffing two checkouts.
 
     python tools/cli_bytes.py SRC --seed S --count N > out.txt
+    python tools/cli_bytes.py SRC --readme README.md > out.txt
 
 SRC is the directory that holds the `floquet_zeno` package (a checkout's
 `src`). The first line is `tools/oracle_bytes.py`'s header, which names the
@@ -28,10 +29,18 @@ an emptied scratch directory; the files digest covers every file the run
 left there (the --out table, reproduce-fig3's three curves), by relative
 path. An exception that escapes `run` is recorded in place of the exit code.
 
-`tests/cli_bytes_seed5.txt` freezes the output at seed 5, count 400;
-`tests/test_cli_bytes.py` reruns it in process. Re-freeze it with
+With --readme in place of --seed and --count, the argvs are the lines of the
+README's "Command line" code block, each run the same way, so the README's
+examples and their frozen digests cannot drift apart.
+
+`tests/cli_bytes_seed5.txt` and `tests/cli_bytes_seed11.txt` freeze the
+output at seeds 5 and 11, count 400, and `tests/cli_bytes_readme.txt` the
+README's argvs; `tests/test_cli_bytes.py` reruns all three in process.
+Re-freeze them with
 
     python tools/cli_bytes.py src --seed 5 --count 400 > tests/cli_bytes_seed5.txt
+    python tools/cli_bytes.py src --seed 11 --count 400 > tests/cli_bytes_seed11.txt
+    python tools/cli_bytes.py src --readme README.md > tests/cli_bytes_readme.txt
 """
 
 import argparse
@@ -191,14 +200,30 @@ def digest_line(run, argv: list[str], scratch: Path) -> str:
     return "\t".join((shlex.join(argv), code, *digests, files.hexdigest()))
 
 
-def lines(seed: int, count: int, run):
-    """The output lines after the header, each draw run through `run` in the working directory.
+def draws(seed: int, count: int):
+    """The seeded argvs, about half of them sweeps; a function of seed and count alone."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield sweep_argv(rng) if rng.random() < 0.5 else table_argv(rng)
 
-    The draws run in an emptied directory `run` made there, beside the config
+
+def readme_argvs(path) -> list[list[str]]:
+    """The argvs of the README's "Command line" code block, one per `floquet-zeno` line."""
+    text = Path(path).read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    if not argvs or any(argv[0] != "floquet-zeno" for argv in argvs):
+        raise ValueError(f"{path}: the Command line block holds a line that is not a floquet-zeno argv")
+    return [argv[1:] for argv in argvs]
+
+
+def lines(argvs, run):
+    """The output lines after the header, each argv run through `run` in the working directory.
+
+    The argvs run in an emptied directory `run` made there, beside the config
     files written there, and see relative paths only, so their stderr names
     neither. The working directory is restored when the lines end.
     """
-    rng = random.Random(seed)
     root = Path.cwd()
     for name, text in CONFIG_TEXTS.items():
         Path(name).write_text(text, encoding="utf-8")
@@ -206,8 +231,7 @@ def lines(seed: int, count: int, run):
     scratch.mkdir()
     os.chdir(scratch)
     try:
-        for _ in range(count):
-            argv = sweep_argv(rng) if rng.random() < 0.5 else table_argv(rng)
+        for argv in argvs:
             yield digest_line(run, argv, scratch)
     finally:
         os.chdir(root)
@@ -216,9 +240,13 @@ def lines(seed: int, count: int, run):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory holding the floquet_zeno package")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--count", type=int)
+    parser.add_argument("--readme", help="run the argvs of this README's Command line block instead")
     args = parser.parse_args()
+    if (args.seed is not None, args.count is not None) != ((False, False) if args.readme else (True, True)):
+        parser.error("give --seed and --count, or --readme alone")
+    argvs = readme_argvs(args.readme) if args.readme else draws(args.seed, args.count)
     sys.path.insert(0, os.path.abspath(args.src))
     from floquet_zeno.cli import run
     from oracle_bytes import environment  # beside this script, on sys.path when it runs
@@ -228,7 +256,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         os.chdir(root)
         try:
-            for line in lines(args.seed, args.count, run):
+            for line in lines(argvs, run):
                 print(line, flush=True)
         finally:
             os.chdir(home)
